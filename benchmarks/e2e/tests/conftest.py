@@ -1,0 +1,10 @@
+"""Self-tests of the benchmark driver (not tier-1):
+``python -m pytest benchmarks/e2e/tests -q`` from the repository root."""
+
+import sys
+from pathlib import Path
+
+E2E = Path(__file__).resolve().parents[1]
+for path in (E2E.parents[1] / "src", E2E):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
