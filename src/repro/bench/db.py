@@ -12,7 +12,7 @@ records, which the cost model expresses through a high cache sensitivity.
 from __future__ import annotations
 
 from ..sim.locality import LocalityModel
-from .engine import AllocSite, SyntheticMutator, Table1Row, WorkloadSpec
+from .engine import AllocSite, MutatorProgram, Table1Row, WorkloadSpec
 from .lifetime import LifetimeClass
 from .spec import KB
 
@@ -22,7 +22,7 @@ CHUNKS = 4
 RECORDS_PER_CHUNK = 24
 
 
-def _setup_database(engine: SyntheticMutator) -> None:
+def _setup_database(engine: MutatorProgram) -> None:
     """The immortal database: a chunked index vector over 64-byte records."""
     mu = engine.mu
     directory = engine.alloc_immortal("refarr", length=CHUNKS)

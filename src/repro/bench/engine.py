@@ -7,6 +7,11 @@ The engine executes the spec deterministically against a VM: it is a real
 mutator (rooted handles, barriered stores) whose behaviour the collectors
 observe exactly as they would a Java program's.
 
+What the program does is a function of (spec, seed) alone, so it is decided
+once — :class:`MutatorProgram` records it onto a tape — and every cell
+that holds the program constant replays the tape into its own VM
+(:class:`SyntheticMutator`; contract in DESIGN.md §9).
+
 The collector-relevant levers, mapped to the paper's five key ideas
 (§2.1):
 
@@ -21,14 +26,26 @@ The collector-relevant levers, mapped to the paper's five key ideas
 
 from __future__ import annotations
 
+import copy
 import random
+import sys
+from array import array
+from bisect import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from itertools import accumulate
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..heap.address import WORD_BYTES
-from ..heap.objectmodel import HEADER_WORDS
+from ..heap.objectmodel import HEADER_WORDS, TypeRegistry
 from ..runtime.mutator import MutatorContext
 from ..runtime.roots import Handle
+from ..runtime.tape import (
+    RecordedHandle,
+    Tape,
+    TapeCache,
+    TapeRecorder,
+    replay,
+)
 from ..runtime.vm import VM
 from ..sim.locality import NO_LOCALITY, LocalityModel
 from ..sim.stats import RunStats
@@ -102,7 +119,7 @@ class WorkloadSpec:
     cycle_lifetime: str = "medium"
     phase_bytes: int = 0  # phase boundary period (0 = none)
     phase_drop_fraction: float = 0.0  # fraction of scheduled killed there
-    setup: Optional[Callable[["SyntheticMutator"], None]] = None
+    setup: Optional[Callable[["MutatorProgram"], None]] = None
     locality: LocalityModel = NO_LOCALITY
     paper: Optional[Table1Row] = None
 
@@ -119,6 +136,10 @@ class WorkloadSpec:
         for site in self.sites:
             if site.weight < 0:
                 raise ConfigError(f"{self.name}: negative site weight")
+            if site.length[1] < site.length[0]:
+                raise ConfigError(
+                    f"{self.name}: site length range {site.length} is empty"
+                )
             if site.lifetime not in self.lifetimes:
                 raise ConfigError(
                     f"{self.name}: site lifetime {site.lifetime!r} is not "
@@ -173,81 +194,101 @@ def no_gc_heap_bytes(spec, factor: int = 16) -> int:
     return max(2 * frame, -(-want // frame) * frame)
 
 
-class SyntheticMutator:
-    """Executes a WorkloadSpec against a VM."""
+#: Records per tape chunk: the recording generator runs at most this far
+#: (plus one loop iteration) ahead of the replay, so a run of any length
+#: holds O(chunk) of un-replayed tape.
+TAPE_CHUNK_RECORDS = 4096
 
-    def __init__(self, vm: VM, spec: WorkloadSpec, seed: int = 13):
-        self.vm = vm
+#: Byte budget of the per-process tape cache.  The six bundled specs at
+#: scale 1.0 record 0.3-0.7 MB each (3.2 MB together), so a whole figure
+#: at one scale and seed fits with room to spare; a tape that alone
+#: exceeds the budget (a scale-10 run) is streamed chunk by chunk and
+#: never retained.
+TAPE_CACHE_BYTES = 6 * 1024 * 1024
+
+#: ``(seed, spec) -> Tape``, compared with ``==``: ``WorkloadSpec`` is an
+#: eq-dataclass, so ``benchmark_spec("jess", 0.5)`` built twice matches.
+TAPES = TapeCache(TAPE_CACHE_BYTES)
+
+
+@dataclass(frozen=True)
+class ProgramSummary:
+    """A finished program's bookkeeping, kept with its tape."""
+
+    allocated_bytes: int
+    cycles_built: int
+    phases_completed: int
+    immortal_slots: Tuple[int, ...]
+    scheduled: int
+
+
+def _replayable(spec: WorkloadSpec) -> bool:
+    """Whether ``spec``'s program is a function of (spec, seed) alone, as
+    far as can be told: a ``setup`` that is not a module-level function
+    (a lambda, a closure, a bound method) may carry state no ``==`` on the
+    spec sees, so its tape is used once and dropped."""
+    setup = spec.setup
+    if setup is None:
+        return True
+    module = sys.modules.get(getattr(setup, "__module__", None))
+    return getattr(module, getattr(setup, "__qualname__", ""), None) is setup
+
+
+class MutatorProgram:
+    """Decides what a WorkloadSpec's program does, against a recorder.
+
+    This is the object ``spec.setup`` callbacks receive: ``mu`` is a
+    :class:`~repro.runtime.tape.TapeRecorder` with ``MutatorContext``'s
+    surface, ``rng`` the run's one random stream, and ``alloc_immortal`` /
+    ``_mutate_pointers`` the hooks the bundled benchmarks use.  Every
+    decision — site, size, lifetime, victim, slot — is made here from
+    ``rng`` and the program's own bookkeeping, never from the heap, which
+    is why the recording holds under every collector and heap size.
+    """
+
+    def __init__(self, spec: WorkloadSpec, seed: int, types: TypeRegistry):
         self.spec = spec
         self.rng = random.Random(seed)
-        self.mu = MutatorContext(vm)
+        self.types = types
+        self.mu = TapeRecorder()
         self.schedule = DeathSchedule()
-        self.immortals: List[Handle] = []
+        self.immortals: List[RecordedHandle] = []
         self.allocated_bytes = 0
-        self._ensure_types()
-        self._weights = [site.weight for site in spec.sites]
         self._next_cycle = spec.cycle_every_bytes
         self._next_phase = spec.phase_bytes
+        self._pending_cycle_entry: Optional[RecordedHandle] = None
         self.cycles_built = 0
         self.phases_completed = 0
-        # Allocation-loop caches (ISSUE 2): cumulative weights feed
-        # rng.choices directly (same draw sequence as passing weights=),
-        # per-site rows pre-resolve the descriptor and lifetime lookups,
-        # and the compiled ref-count closure replaces the two-call
-        # type_of/length_of walk in the random-slot picker.
-        from itertools import accumulate
-
-        self._cum_weights = list(accumulate(self._weights))
-        self._site_desc = {
-            site.type_name: vm.types.by_name(site.type_name)
-            for site in spec.sites
-        }
-        self._site_rows = [
-            (
-                site,
-                self._site_desc[site.type_name],
-                spec.lifetimes[site.lifetime],
-                site.type_name in ("small", "node", "big"),
-            )
-            for site in spec.sites
-        ]
-        self._ref_count_of = vm.model.compile_ref_count()
-        # randrange(n) for positive n is exactly one _randbelow(n) draw;
-        # binding it directly skips randrange's argument normalisation in
-        # the three random-pick helpers below (identical rng stream).
+        # randrange(n) for positive n is exactly one _randbelow(n) draw,
+        # and randint(a, b) is a + _randbelow(b - a + 1); binding it
+        # directly skips their argument normalisation (identical stream).
         self._randbelow = self.rng._randbelow
 
-    # ------------------------------------------------------------------
-    def _ensure_types(self) -> None:
-        ensure_standard_types(self.vm)
+    def summary(self) -> ProgramSummary:
+        return ProgramSummary(
+            allocated_bytes=self.allocated_bytes,
+            cycles_built=self.cycles_built,
+            phases_completed=self.phases_completed,
+            immortal_slots=tuple(h.slot for h in self.immortals),
+            scheduled=len(self.schedule),
+        )
 
     # ------------------------------------------------------------------
     # Allocation helpers
     # ------------------------------------------------------------------
-    def alloc_site(self, site: AllocSite) -> Handle:
-        desc = self._site_desc.get(site.type_name)
-        if desc is None:
-            desc = self.vm.types.by_name(site.type_name)
-        length = 0
-        if site.length != (0, 0):
-            length = self.rng.randint(*site.length)
-        handle = self.mu.alloc(desc, length)
-        self.allocated_bytes += desc.size_words(length) * WORD_BYTES
-        return handle
-
-    def alloc_immortal(self, type_name: str, length: int = 0) -> Handle:
+    def alloc_immortal(self, type_name: str, length: int = 0) -> RecordedHandle:
         """Setup-time allocation pinned for the whole run."""
-        desc = self.vm.types.by_name(type_name)
+        desc = self.types.by_name(type_name)
         handle = self.mu.alloc(desc, length)
         self.allocated_bytes += desc.size_words(length) * WORD_BYTES
         self.immortals.append(handle)
         return handle
 
-    def _random_slot(self, handle: Handle) -> int:
-        count = self._ref_count_of(handle.addr)
+    def _random_slot(self, handle: RecordedHandle) -> int:
+        count = self.mu.ref_count(handle)
         return self._randbelow(count) if count else -1
 
-    def _random_live(self, include_immortals: bool = True) -> Optional[Handle]:
+    def _random_live(self, include_immortals: bool = True) -> Optional[RecordedHandle]:
         immortals = self.immortals
         pool = (len(immortals) if include_immortals else 0) + len(self.schedule)
         if pool == 0:
@@ -257,7 +298,7 @@ class SyntheticMutator:
             return immortals[randbelow(len(immortals))]
         return self.schedule.pick(randbelow)
 
-    def link_from_live(self, target: Handle) -> None:
+    def link_from_live(self, target: RecordedHandle) -> None:
         """Make a random *mortal* live object point at ``target``.
 
         Holders are drawn from the death-scheduled population only: a
@@ -288,9 +329,11 @@ class SyntheticMutator:
         a = self._random_live()
         if a is None or a.is_null:
             return
-        slot = self._random_slot(a)
-        if slot >= 0:
-            self.mu.read_addr(a, slot)
+        count = a.refs
+        if count:
+            self.mu.count_and_read(a, self._randbelow(count))
+        else:
+            self.mu.ref_count(a)
 
     def _build_cycle(self) -> None:
         """Grow a cyclic structure whose members span *increments*.
@@ -304,28 +347,29 @@ class SyntheticMutator:
         Beltway X.X never does (the javac anecdote of §4.2.4).
         """
         spec = self.spec
+        mu = self.mu
         death = spec.lifetimes[spec.cycle_lifetime].sample(self.rng)
         nodes = []
-        desc = self.vm.types.by_name("node")
+        desc = self.types.by_name("node")
         for _ in range(spec.cycle_size):
-            handle = self.mu.alloc(desc)
+            handle = mu.alloc(desc)
             self.allocated_bytes += desc.size_words() * WORD_BYTES
             nodes.append(handle)
         for i, handle in enumerate(nodes):
-            self.mu.write(handle, 0, nodes[(i + 1) % len(nodes)])
-        pending = getattr(self, "_pending_cycle_entry", None)
-        if pending is not None and not pending.is_null:
+            mu.write(handle, 0, nodes[(i + 1) % len(nodes)])
+        pending = self._pending_cycle_entry
+        if pending is not None:
             # Cross-increment back edges: this ring <-> the ring built one
             # cycle period earlier.  Rings pair up (and only pair up — a
             # longer chain would keep the whole history alive through the
             # always-rooted newest ring), so each dead pair is an isolated
             # cycle spanning two increments.
-            self.mu.write(nodes[0], 1, pending)
-            self.mu.write(pending, 1, nodes[0])
+            mu.write(nodes[0], 1, pending)
+            mu.write(pending, 1, nodes[0])
             pending.drop()
             self._pending_cycle_entry = None
         else:
-            self._pending_cycle_entry = self.mu.copy_handle(nodes[0])
+            self._pending_cycle_entry = mu.copy_handle(nodes[0])
         for handle in nodes:
             if death is None:
                 self.immortals.append(handle)
@@ -340,24 +384,49 @@ class SyntheticMutator:
         self.mu.work(64.0)  # per-phase bookkeeping computation
 
     # ------------------------------------------------------------------
-    def run(self) -> RunStats:
+    def record(self) -> Iterator[array]:
+        """Run the program, yielding its tape a chunk at a time.
+
+        The draws below are spelled the way ``random.py`` performs them —
+        ``choices(rows, cum_weights=cw)[0]`` is ``rows[bisect(cw, random()
+        * total, 0, hi)]``, ``randint(a, b)`` is ``a + _randbelow(b - a +
+        1)`` — so the stream is the one ``rng.choices`` / ``rng.randint``
+        / ``LifetimeClass.sample`` would consume, without their per-call
+        argument handling.
+        """
         spec = self.spec
-        rng = self.rng
+        mu = self.mu
+        types = self.types
         if spec.setup is not None:
             spec.setup(self)
-        # Inner-loop locals: every per-iteration attribute walk and dict
-        # lookup below runs tens of thousands of times per benchmark.  The
-        # rng draw sequence is unchanged: rows only replace the choices
-        # population values, cum_weights replaces the per-call accumulate.
-        rows = self._site_rows
-        cum_weights = self._cum_weights
-        choices = rng.choices
-        random_ = rng.random
-        randint = rng.randint
-        mu = self.mu
-        mu_alloc = mu.alloc
-        mu_write_int = mu.write_int
-        mu_work = mu.work
+        rows = []
+        for site in spec.sites:
+            desc = types.by_name(site.type_name)
+            lifetime = spec.lifetimes[site.lifetime]
+            length_lo, length_hi = site.length
+            death_lo, death_hi = lifetime.lo_bytes, lifetime.hi_bytes
+            rows.append((
+                site,
+                desc,
+                mu.type_index(desc),
+                site.type_name in ("small", "node", "big"),
+                # length: lo + randbelow(width); width 0 = no draw
+                length_lo,
+                length_hi - length_lo + 1 if site.length != (0, 0) else 0,
+                # death volume likewise; lo None = immortal
+                None if lifetime.immortal else death_lo,
+                death_hi - death_lo + 1 if death_hi > death_lo else 0,
+            ))
+        cum_weights = list(accumulate(site.weight for site in spec.sites))
+        weight_total = cum_weights[-1] + 0.0
+        last_row = len(rows) - 1
+        random_ = self.rng.random
+        randbelow = self._randbelow
+        ops = mu.ops
+        take_chunk = mu.take_chunk
+        alloc = mu.alloc
+        alloc_int = mu.alloc_int
+        work = mu.work
         schedule = self.schedule
         schedule_add = schedule.schedule
         schedule_reap = schedule.reap
@@ -368,28 +437,36 @@ class SyntheticMutator:
         read_whole = int(read_whole)
         cycle_every = spec.cycle_every_bytes
         phase_bytes = spec.phase_bytes
+        chunk_ints = TAPE_CHUNK_RECORDS * 4
         while self.allocated_bytes < total:
-            site, desc, lifetime, scalar_shape = choices(
-                rows, cum_weights=cum_weights
-            )[0]
-            length = 0
-            if site.length != (0, 0):
-                length = randint(*site.length)
-            handle = mu_alloc(desc, length)
+            if len(ops) >= chunk_ints:
+                yield take_chunk()
+            (site, desc, type_index, scalar_shape, length_lo, length_width,
+             death_lo, death_width) = rows[
+                bisect(cum_weights, random_() * weight_total, 0, last_row)
+            ]
+            length = length_lo + randbelow(length_width) if length_width else 0
             size_code = desc.size_code
             allocated = self.allocated_bytes + (
                 size_code if size_code >= 0 else HEADER_WORDS + length
             ) * WORD_BYTES
             self.allocated_bytes = allocated
             if scalar_shape:
-                mu_write_int(handle, 0, allocated & 0x7FFFFFFF)
+                handle = alloc_int(
+                    type_index, desc.ref_code, allocated & 0x7FFFFFFF
+                )
+            else:
+                handle = alloc(desc, length)
             if site.link_prob and random_() < site.link_prob:
                 self.link_from_live(handle)
-            death = lifetime.sample(rng)
-            if death is None:
+            if death_lo is None:
                 immortals_append(handle)
             else:
-                schedule_add(allocated + death, handle)
+                schedule_add(
+                    allocated + death_lo
+                    + (randbelow(death_width) if death_width else 0),
+                    handle,
+                )
             if mutation_rate and random_() < mutation_rate:
                 self._mutate_pointers()
             # rates above 1.0 mean several operations per allocation
@@ -403,11 +480,59 @@ class SyntheticMutator:
             if phase_bytes and self.allocated_bytes >= self._next_phase:
                 self._phase_boundary()
                 self._next_phase += phase_bytes
-            mu_work(site.work)
+            work(site.work)
             schedule_reap(self.allocated_bytes)
-        return self.vm.finish()
+        if ops:
+            yield take_chunk()
 
-    # ------------------------------------------------------------------
-    @property
-    def live_objects(self) -> int:
-        return len(self.immortals) + len(self.schedule)
+
+class SyntheticMutator:
+    """Executes a WorkloadSpec against a VM.
+
+    ``run()`` fetches the (spec, seed) program's tape from :data:`TAPES`,
+    or records it (:class:`MutatorProgram`) chunk by chunk as it goes, and
+    replays it into this VM's real ``MutatorContext``.  There is one
+    driver of the VM — :func:`repro.runtime.tape.replay` — whether the
+    tape is minutes or microseconds old.
+    """
+
+    def __init__(self, vm: VM, spec: WorkloadSpec, seed: int = 13):
+        self.vm = vm
+        self.spec = spec
+        self.seed = seed
+        self.mu = MutatorContext(vm)
+        ensure_standard_types(vm)
+        self.immortals: List[Handle] = []
+        self.allocated_bytes = 0
+        self.cycles_built = 0
+        self.phases_completed = 0
+        self.live_objects = 0
+
+    def run(self) -> RunStats:
+        spec, seed = self.spec, self.seed
+        tape = TAPES.fetch((seed, spec))
+        if tape is not None:
+            replay(self.mu, tape.chunks, tape.type_names, tape.work_units)
+            summary = tape.summary
+        else:
+            program = MutatorProgram(spec, seed, self.vm.types)
+            recorder = program.mu
+            chunks = program.record()
+            kept: List[array] = []
+            if _replayable(spec):
+                chunks = TAPES.retaining(chunks, kept)
+            replay(self.mu, chunks, recorder.type_names, recorder.work_units)
+            summary = program.summary()
+            if kept:
+                # The cache owns its key: a caller may go on to edit spec.
+                TAPES.admit(
+                    (seed, copy.deepcopy(spec)),
+                    Tape(kept, recorder.type_names, recorder.work_units, summary),
+                )
+        self.allocated_bytes = summary.allocated_bytes
+        self.cycles_built = summary.cycles_built
+        self.phases_completed = summary.phases_completed
+        table = self.mu.table
+        self.immortals = [Handle(table, slot) for slot in summary.immortal_slots]
+        self.live_objects = len(self.immortals) + summary.scheduled
+        return self.vm.finish()

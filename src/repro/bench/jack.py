@@ -11,7 +11,7 @@ string buffers in between.
 from __future__ import annotations
 
 from ..sim.locality import LocalityModel
-from .engine import AllocSite, SyntheticMutator, Table1Row, WorkloadSpec
+from .engine import AllocSite, MutatorProgram, Table1Row, WorkloadSpec
 from .lifetime import LifetimeClass
 from .spec import KB
 
@@ -19,7 +19,7 @@ ITERATIONS = 16
 TOTAL = 320 * KB
 
 
-def _setup_grammar(engine: SyntheticMutator) -> None:
+def _setup_grammar(engine: MutatorProgram) -> None:
     """Immortal grammar representation shared by all iterations."""
     mu = engine.mu
     rules = engine.alloc_immortal("refarr", length=24)

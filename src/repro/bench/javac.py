@@ -12,7 +12,7 @@ whose members were promoted into different increments.
 from __future__ import annotations
 
 from ..sim.locality import LocalityModel
-from .engine import AllocSite, SyntheticMutator, Table1Row, WorkloadSpec
+from .engine import AllocSite, MutatorProgram, Table1Row, WorkloadSpec
 from .lifetime import LifetimeClass
 from .spec import KB
 
@@ -21,7 +21,7 @@ ITERATIONS = 4
 TOTAL = 266 * KB
 
 
-def _setup_compiler(engine: SyntheticMutator) -> None:
+def _setup_compiler(engine: MutatorProgram) -> None:
     """Immortal compiler infrastructure: intern table, type objects."""
     mu = engine.mu
     intern = engine.alloc_immortal("refarr", length=32)

@@ -11,12 +11,12 @@ hypothesis territory: nursery collectors shine, full-heap collectors pay.
 from __future__ import annotations
 
 from ..sim.locality import LocalityModel
-from .engine import AllocSite, SyntheticMutator, Table1Row, WorkloadSpec
+from .engine import AllocSite, MutatorProgram, Table1Row, WorkloadSpec
 from .lifetime import LifetimeClass
 from .spec import KB
 
 
-def _setup_rule_network(engine: SyntheticMutator) -> None:
+def _setup_rule_network(engine: MutatorProgram) -> None:
     """The immortal Rete network: an index array over rule nodes."""
     mu = engine.mu
     table = engine.alloc_immortal("refarr", length=40)

@@ -19,7 +19,7 @@ heap, beyond which footprint pages.
 from __future__ import annotations
 
 from ..sim.locality import LocalityModel
-from .engine import AllocSite, SyntheticMutator, Table1Row, WorkloadSpec
+from .engine import AllocSite, MutatorProgram, Table1Row, WorkloadSpec
 from .lifetime import LifetimeClass
 from .spec import KB
 
@@ -27,7 +27,7 @@ WAREHOUSE_CHUNKS = 6
 ITEMS_PER_CHUNK = 32
 
 
-def _setup_warehouses(engine: SyntheticMutator) -> None:
+def _setup_warehouses(engine: MutatorProgram) -> None:
     """Immortal 3-tier infrastructure (~18 KB scaled), chunk-indexed."""
     mu = engine.mu
     directory = engine.alloc_immortal("refarr", length=WAREHOUSE_CHUNKS)

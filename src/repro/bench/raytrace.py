@@ -11,12 +11,12 @@ paper's Table 1).
 from __future__ import annotations
 
 from ..sim.locality import LocalityModel
-from .engine import AllocSite, SyntheticMutator, Table1Row, WorkloadSpec
+from .engine import AllocSite, MutatorProgram, Table1Row, WorkloadSpec
 from .lifetime import LifetimeClass
 from .spec import KB
 
 
-def _setup_scene(engine: SyntheticMutator) -> None:
+def _setup_scene(engine: MutatorProgram) -> None:
     """Immortal scene graph: objects, BSP tree, materials (~5 KB scaled)."""
     mu = engine.mu
     index = engine.alloc_immortal("refarr", length=56)
