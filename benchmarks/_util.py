@@ -1,9 +1,10 @@
-"""Shared machinery for the per-figure benchmark targets.
+"""Shared machinery for the experiment benchmark targets.
 
-Each ``bench_*.py`` module reproduces one table or figure of the paper
-under ``pytest-benchmark`` timing, asserts the paper's qualitative shape
-checks, and writes the rendered rows/series to ``benchmarks/output/`` so
-the reproduced artefacts can be inspected and diffed after a run.
+Each target (the cases of ``bench_paper.py``, the extension modules)
+reproduces one table or figure under ``pytest-benchmark`` timing, asserts
+its qualitative shape checks, and writes the rendered rows/series to
+``benchmarks/output/`` so the reproduced artefacts can be inspected and
+diffed after a run.
 
 Grid resolution and workload length are tunable through environment
 variables (defaults keep the full suite in the minutes range)::

@@ -16,8 +16,9 @@ Usage::
 
 With ``--check`` the run compares its throughput metrics against the given
 baseline file and exits non-zero if any regresses by more than
-``--threshold`` (default 30%); the baseline file is left untouched unless
-``--output`` is passed explicitly.
+``--threshold`` (default 30%) on two readings — a metric that trips is
+re-measured once at full length and judged on the better reading; the
+baseline file is left untouched unless ``--output`` is passed explicitly.
 """
 
 from __future__ import annotations
@@ -569,44 +570,52 @@ def bench_grid_dispatch(min_seconds: float) -> float:
     return n * len(jobs) / elapsed
 
 
-def bench_tiers(min_seconds: float) -> dict:
-    """The three kernel-sensitive metrics, once per *available* tier.
+#: Timing window per metric: ``--quick`` (the CI smoke) and full length.
+QUICK_SECONDS, FULL_SECONDS = 0.1, 0.4
 
-    Keys are ``metric@tier`` and land in ``metrics`` so the ``--check``
-    gate covers each backend individually (ISSUE 6 satellite: a tier that
-    silently loses its kernels regresses its own gated entries, not just
-    the auto-tier headline numbers).
-    """
-    out = {}
-    for tier, status in available().items():
-        if not status.startswith("ok"):
-            continue
-        out[f"barrier_stores_per_s@{tier}"] = bench_barrier(min_seconds, tier)
-        out[f"beltway_traced_words_per_s@{tier}"] = _bench_trace(
-            "25.25.100", min_seconds, tier
-        )
-        out[f"gctk_traced_words_per_s@{tier}"] = _bench_trace(
-            "gctk:SS", min_seconds, tier
-        )
-    return out
+#: Gated throughput metric -> its benchmark, ``bench(min_seconds)``.
+METRIC_BENCHES = {
+    "copied_words_per_s": bench_copy_words,
+    "store_words_per_s": bench_store_words,
+    "load_words_per_s": bench_load_words,
+    "allocs_per_s": bench_alloc,
+    "barrier_stores_per_s": bench_barrier,
+    "remset_inserts_per_s": bench_remset_insert,
+    "remset_drain_slots_per_s": bench_remset_drain,
+    "beltway_traced_words_per_s":
+        lambda s, tier=None: _bench_trace("25.25.100", s, tier),
+    "gctk_traced_words_per_s":
+        lambda s, tier=None: _bench_trace("gctk:SS", s, tier),
+    "grid_store_lookups_per_s": bench_grid_store,
+    "grid_dispatch_jobs_per_s": bench_grid_dispatch,
+}
+
+#: The kernel-sensitive metrics, also measured once per *available* tier
+#: under ``metric@tier`` keys so the ``--check`` gate covers each backend
+#: individually (ISSUE 6 satellite: a tier that silently loses its kernels
+#: regresses its own gated entries, not just the auto-tier headlines).
+TIERED_METRICS = (
+    "barrier_stores_per_s",
+    "beltway_traced_words_per_s",
+    "gctk_traced_words_per_s",
+)
+
+
+def measure(key: str, min_seconds: float) -> float:
+    """One reading of ``metric`` or ``metric@tier``."""
+    name, _, tier = key.partition("@")
+    bench = METRIC_BENCHES[name]
+    return bench(min_seconds, tier) if tier else bench(min_seconds)
 
 
 def run(quick: bool, parallel: bool = True) -> dict:
-    min_seconds = 0.1 if quick else 0.4
-    metrics = {
-        "copied_words_per_s": bench_copy_words(min_seconds),
-        "store_words_per_s": bench_store_words(min_seconds),
-        "load_words_per_s": bench_load_words(min_seconds),
-        "allocs_per_s": bench_alloc(min_seconds),
-        "barrier_stores_per_s": bench_barrier(min_seconds),
-        "remset_inserts_per_s": bench_remset_insert(min_seconds),
-        "remset_drain_slots_per_s": bench_remset_drain(min_seconds),
-        "beltway_traced_words_per_s": _bench_trace("25.25.100", min_seconds),
-        "gctk_traced_words_per_s": _bench_trace("gctk:SS", min_seconds),
-        "grid_store_lookups_per_s": bench_grid_store(min_seconds),
-        "grid_dispatch_jobs_per_s": bench_grid_dispatch(min_seconds),
-    }
-    metrics.update(bench_tiers(min_seconds))
+    min_seconds = QUICK_SECONDS if quick else FULL_SECONDS
+    keys = list(METRIC_BENCHES) + [
+        f"{name}@{tier}"
+        for tier, status in available().items() if status.startswith("ok")
+        for name in TIERED_METRICS
+    ]
+    metrics = {key: measure(key, min_seconds) for key in keys}
     return {
         "schema": 1,
         "mode": "quick" if quick else "full",
@@ -625,7 +634,13 @@ def run(quick: bool, parallel: bool = True) -> dict:
 
 
 def check(report: dict, baseline_path: Path, threshold: float) -> int:
-    """Exit status 1 if any gated metric regressed more than ``threshold``."""
+    """Exit status 1 if any gated metric regressed more than ``threshold``.
+
+    One short wall-clock reading against a baseline recorded on another
+    host is noisy (a 2-CPU runner has shown 0.64x then 0.92x back to back
+    on untouched code), so a metric that trips is re-measured once at full
+    length and judged on the better of the two readings, both printed.
+    """
     baseline = json.loads(baseline_path.read_text())
     failures = []
     # Gate the fixed metric list plus every per-tier ``metric@tier`` entry
@@ -641,6 +656,13 @@ def check(report: dict, baseline_path: Path, threshold: float) -> int:
         if not base:
             continue
         ratio = now / base
+        if ratio < 1.0 - threshold:
+            again = measure(key, FULL_SECONDS)
+            print(f"  {key:<30} {now:14.0f} vs baseline {base:14.0f}  "
+                  f"({ratio:5.2f}x) tripped; re-measured at full length: "
+                  f"{again:.0f} ({again / base:5.2f}x)")
+            now = max(now, again)
+            ratio = now / base
         status = "OK" if ratio >= 1.0 - threshold else "REGRESSED"
         print(f"  {key:<30} {now:14.0f} vs baseline {base:14.0f}  "
               f"({ratio:5.2f}x) {status}")

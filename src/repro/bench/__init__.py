@@ -14,7 +14,6 @@ from .spec import (
     all_specs,
     benchmark_spec,
     canonical_name,
-    get_spec,
 )
 
 __all__ = [
@@ -30,5 +29,4 @@ __all__ = [
     "all_specs",
     "benchmark_spec",
     "canonical_name",
-    "get_spec",
 ]

@@ -69,19 +69,5 @@ def benchmark_spec(name: str, scale: float = 1.0) -> WorkloadSpec:
     return spec
 
 
-def get_spec(name: str, scale: float = 1.0) -> WorkloadSpec:
-    """Deprecated: use :func:`repro.specs.load` (any ref kind) or
-    :func:`benchmark_spec` (registry names only)."""
-    import warnings
-
-    warnings.warn(
-        "get_spec() is deprecated; use repro.specs.load(ref) — it also "
-        "resolves workload files and spec objects",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return benchmark_spec(name, scale)
-
-
 def all_specs(scale: float = 1.0) -> List[WorkloadSpec]:
     return [benchmark_spec(name, scale) for name in BENCHMARK_NAMES]

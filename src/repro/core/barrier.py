@@ -24,6 +24,7 @@ never are.
 
 from __future__ import annotations
 
+import textwrap
 from dataclasses import dataclass
 from typing import Callable, Dict
 
@@ -32,30 +33,14 @@ from ..heap.space import AddressSpace
 from .remset import RememberedSets
 
 
-def compile_fast_path(template: str, name: str, substitutions: Dict[str, int],
-                      namespace: Dict[str, object]) -> Callable:
-    """Compile a specialised inner-loop function from a source template.
-
-    ``substitutions`` are baked into the bytecode as literals (frame shift,
-    word mask — per-space constants); ``namespace`` provides the captured
-    objects (space, stats, remsets).  This is the Python rendition of the
-    paper's compiled-in write barrier (Fig. 4): the per-store work is a
-    handful of shifts, compares and one append, with no intermediate call
-    layers.
-    """
-    source = template
-    for token, value in substitutions.items():
-        source = source.replace(token, str(value))
-    code = compile(source, f"<compiled {name}>", "exec")
-    exec(code, namespace)
-    return namespace[name]
-
-
 #: Barriered reference-field store, specialised per heap (Fig. 4 inlined
-#: into the mutator store path).  Equivalent to ``ref_slot_addr`` +
-#: ``FrameBarrier.write_ref`` — identical bounds/unmapped errors, identical
+#: into the mutator store path).  Equivalent to ``ref_slot_addr`` + the
+#: barrier's ``write_ref`` — identical bounds/unmapped errors, identical
 #: load/store/fast/slow/null accounting (two header-decode loads, one slot
-#: store) — with the object's frame resolved once.
+#: store) — with the object's frame resolved once.  ``__RECORD__`` is the
+#: one hole: the owning barrier's record rule (see
+#: :class:`CompiledBarrier`), run for every non-NULL store with ``s`` (the
+#: source frame) and ``value`` in scope and ``__SLOT__`` naming the slot.
 _WRITE_FIELD_SRC = """\
 def write_ref_field(obj, index, value):
     if obj & 3:
@@ -86,10 +71,7 @@ def write_ref_field(obj, index, value):
         words[base + 3 + index] = 0
         _space.store_count += 1
         return
-    t = value >> __SHIFT__
-    if t != s and _orders[t] < _orders[s]:
-        _stats.slow_path += 1
-        _insert(s, t, obj + ((index + 3) << 2))
+__RECORD__
     words[base + 3 + index] = value
     _space.store_count += 1
 """
@@ -97,8 +79,8 @@ def write_ref_field(obj, index, value):
 #: Object initialisation (status, length, barriered TIB store) for the
 #: allocation fast path.  Equivalent to ``init_header`` + a barriered
 #: type-slot store: three counted stores, same fast/slow/null accounting
-#: (the TIB store is §3.3.2's barrier traffic, filtered by the order
-#: compare because type objects live in infinite-order boot frames).
+#: (the TIB store is §3.3.2's barrier traffic; Beltway's order compare
+#: filters it because type objects live in infinite-order boot frames).
 _INIT_OBJECT_SRC = """\
 def init_object(addr, desc, length):
     if addr & 3:
@@ -120,10 +102,7 @@ def init_object(addr, desc, length):
         words[base + 1] = 0
         _space.store_count += 3
         return
-    t = value >> __SHIFT__
-    if t != s and _orders[t] < _orders[s]:
-        _stats.slow_path += 1
-        _insert(s, t, addr + 4)
+__RECORD__
     words[base + 1] = value
     _space.store_count += 3
 """
@@ -155,13 +134,86 @@ class BarrierStats:
         self.null_stores = 0
 
 
-class FrameBarrier:
+class CompiledBarrier:
+    """A write barrier whose mutator store paths compile from the one
+    template pair above, specialised by the subclass's record rule.
+
+    This is the Python rendition of the paper's compiled-in write barrier
+    (Fig. 4): per-space constants (frame shift, word mask) are baked into
+    the bytecode as literals and the captured objects (space, stats, the
+    rule's names) live in the function's globals, so the per-store work is
+    a handful of shifts, compares and one append, with no intermediate
+    call layers.
+    """
+
+    #: Source of the record rule: which non-NULL stores are remembered,
+    #: and how.  Must bump ``_stats.slow_path`` for each one it records.
+    record_rule: str
+
+    def __init__(self, space: AddressSpace):
+        self.space = space
+        self.stats = BarrierStats()
+
+    def record_names(self) -> Dict[str, object]:
+        """The names :attr:`record_rule` refers to beyond the template's."""
+        raise NotImplementedError  # pragma: no cover - abstract
+
+    def _compile(self, template: str, name: str, slot: str, model) -> Callable:
+        space = self.space
+        source = template.replace(
+            "__RECORD__\n", textwrap.indent(self.record_rule, "    ")
+        )
+        for token, value in (
+            ("__SLOT__", slot),
+            ("__SHIFT__", space.frame_shift),
+            ("__WORD_MASK__", space._word_mask),
+        ):
+            source = source.replace(token, str(value))
+        namespace = {
+            "_space": space,
+            "_resolve": space._resolve,
+            "_stats": self.stats,
+            "_by_addr": model.types._by_addr,
+            "_types": model.types,
+            "InvalidAddress": InvalidAddress,
+            "HeapCorruption": HeapCorruption,
+            **self.record_names(),
+        }
+        exec(compile(source, f"<compiled {name}>", "exec"), namespace)
+        return namespace[name]
+
+    def compile_write_field(self, model) -> Callable[[int, int, int], None]:
+        """The compiled mutator store inner loop: slot decode + barrier +
+        store in one call frame (see :data:`_WRITE_FIELD_SRC`)."""
+        return self._compile(
+            _WRITE_FIELD_SRC, "write_ref_field", "obj + ((index + 3) << 2)",
+            model,
+        )
+
+    def compile_init_object(self, model) -> Callable[[int, object, int], None]:
+        """The compiled allocation-initialisation path (see
+        :data:`_INIT_OBJECT_SRC`)."""
+        return self._compile(_INIT_OBJECT_SRC, "init_object", "addr + 4", model)
+
+
+class FrameBarrier(CompiledBarrier):
     """Write barrier + store, bound to one address space and remset table."""
 
+    #: Fig. 4's test: the pointer is inter-frame and its target will be
+    #: collected before its source.
+    record_rule = """\
+t = value >> __SHIFT__
+if t != s and _orders[t] < _orders[s]:
+    _stats.slow_path += 1
+    _insert(s, t, __SLOT__)
+"""
+
     def __init__(self, space: AddressSpace, remsets: RememberedSets):
-        self.space = space
+        super().__init__(space)
         self.remsets = remsets
-        self.stats = BarrierStats()
+
+    def record_names(self) -> Dict[str, object]:
+        return {"_orders": self.space.orders, "_insert": self.remsets.insert}
 
     def write_ref(self, source_obj: int, slot_addr: int, target: int) -> None:
         """Store ``target`` into ``slot_addr`` of ``source_obj``, remembering
@@ -183,45 +235,6 @@ class FrameBarrier:
                 self.stats.slow_path += 1
                 self.remsets.insert(s, t, slot_addr)
         space.store(slot_addr, target)
-
-    # ------------------------------------------------------------------
-    # Compiled fast paths (ISSUE 2)
-    # ------------------------------------------------------------------
-    def _namespace(self, model) -> Dict[str, object]:
-        space = self.space
-        return {
-            "_space": space,
-            "_resolve": space._resolve,
-            "_stats": self.stats,
-            "_orders": space.orders,
-            "_insert": self.remsets.insert,
-            "_by_addr": model.types._by_addr,
-            "_types": model.types,
-            "InvalidAddress": InvalidAddress,
-            "HeapCorruption": HeapCorruption,
-        }
-
-    def _substitutions(self) -> Dict[str, int]:
-        return {
-            "__SHIFT__": self.space.frame_shift,
-            "__WORD_MASK__": self.space._word_mask,
-        }
-
-    def compile_write_field(self, model) -> Callable[[int, int, int], None]:
-        """The compiled mutator store inner loop: slot decode + barrier +
-        store in one call frame (see :data:`_WRITE_FIELD_SRC`)."""
-        return compile_fast_path(
-            _WRITE_FIELD_SRC, "write_ref_field",
-            self._substitutions(), self._namespace(model),
-        )
-
-    def compile_init_object(self, model) -> Callable[[int, object, int], None]:
-        """The compiled allocation-initialisation path (see
-        :data:`_INIT_OBJECT_SRC`)."""
-        return compile_fast_path(
-            _INIT_OBJECT_SRC, "init_object",
-            self._substitutions(), self._namespace(model),
-        )
 
     def record_collector_pointer(self, source_obj: int, slot_addr: int, target: int) -> None:
         """Barrier check without the store, for pointers the collector has

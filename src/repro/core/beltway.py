@@ -90,9 +90,6 @@ class BeltwayHeap:
         self.allocations = 0
         self.allocated_words = 0
         self.flips = 0
-        #: Bumped on every restamp so the compiled substrate trace knows
-        #: when its frame-order snapshot went stale (DESIGN §13).
-        self.restamp_epoch = 0
 
     @property
     def name(self) -> str:
@@ -256,7 +253,6 @@ class BeltwayHeap:
         return inc
 
     def restamp(self) -> None:
-        self.restamp_epoch += 1
         restamp(self.space, self.policy.priority_belts(self))
 
     def note_increments_removed(self, batch: List[Increment]) -> None:

@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Set
 
-from ..errors import HeapCorruption, InvalidAddress
-from ..heap.objectmodel import HEADER_WORDS
+from ..errors import HeapCorruption
+from ..heap.cheney import trace_engine
 from .belt import Increment
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -79,9 +79,12 @@ class Collector:
     def __init__(self, heap: "BeltwayHeap"):
         self.heap = heap
         self._collections = 0
-        # Substrate trace engine (repro.kernels cffi tier): resolved
-        # lazily on the first collection; False = checked, unavailable.
-        self._tracer = None
+        # Policies that route copies through destination contexts (MOS
+        # trains) are not kernel-traceable and always run the Python
+        # engine; both engines are counter-bit-identical (DESIGN §9).
+        self._open_engine = trace_engine(
+            heap.model, heap.kernels if heap.policy.kernel_traceable else None
+        )
 
     # ------------------------------------------------------------------
     def collect(self, batch: List[Increment], reason: str) -> CollectionResult:
@@ -92,10 +95,17 @@ class Collector:
         result = CollectionResult(reason=reason, collection_id=self._collections)
         result.increments_collected = len(batch)
         result.belts_collected = tuple(sorted({inc.belt.index for inc in batch}))
-        from_frames: Set[int] = set()
+        policy = heap.policy
+        #: Collected frame -> the belt its survivors promote to.
+        lanes: Dict[int, int] = {}
         for inc in batch:
-            from_frames.update(inc.frame_indices())
+            if policy.copies_into_allocation_increment:
+                target = policy.allocation_belt_index(heap)
+            else:
+                target = policy.target_belt_index(inc.belt.index)
+            lanes.update(dict.fromkeys(inc.frame_indices(), target))
             result.from_words += inc.region.allocated_words
+        from_frames: Set[int] = set(lanes)
         result.from_frames = len(from_frames)
         # "Full heap" in the generational sense: a *growable* top belt is
         # collected en masse.  Every BSS collection is full-heap; X.X and
@@ -103,35 +113,40 @@ class Collector:
         # policies never perform one either (their incompleteness, §2.2).
         top_spec = heap.config.belts[heap.config.top_belt]
         result.was_full_heap = (
-            not heap.policy.copies_into_allocation_increment
+            not policy.copies_into_allocation_increment
             and heap.config.style.value == "generational"
             and top_spec.growable
             and heap.config.top_belt in result.belts_collected
         )
 
-        from_increment: Dict[int, Increment] = {}
-        for inc in batch:
-            for index in inc.frame_indices():
-                from_increment[index] = inc
-
-        # -- trace: compiled substrate engine or the reference loops ------
-        # Policies that route copies through destination contexts (MOS
-        # trains) set kernel_traceable = False and always take the
-        # reference path; both paths are counter-bit-identical (DESIGN §13).
-        tracer = self._tracer
-        if tracer is None:
-            kernels = heap.kernels
-            tracer = (
-                kernels.beltway_tracer(self) if kernels is not None else None
-            ) or False
-            self._tracer = tracer
-        if tracer and heap.policy.kernel_traceable:
-            tracer.trace(from_frames, from_increment, result)
-        else:
-            self._trace_reference(result, from_frames, from_increment)
+        # -- trace: roots, remembered slots, transitive closure ------------
+        space = heap.space
+        shift = space.frame_shift
+        barrier = heap.barrier
+        with self._open_engine(
+            lanes, _ToSpace(heap, from_frames), result, heap.remsets.insert
+        ) as engine:
+            root_ctx = policy.root_dest_context(heap, from_frames)
+            for array in heap.root_arrays:
+                engine.forward_roots(array, root_ctx)
+            # Slots inside the collected frames themselves are excluded:
+            # their objects are copied and re-scanned, and remsets between
+            # increments collected together are deliberately ignored
+            # (§3.3.2).
+            for slot in list(heap.remsets.slots_into(from_frames, from_frames)):
+                result.remset_slots += 1
+                target = space.load(slot)
+                if target and (target >> shift) in from_frames:
+                    ctx = policy.slot_dest_context(heap, slot, from_frames)
+                    new_target = engine.forward(target, ctx)
+                    space.store(slot, new_target)
+                    # The pair for the old target frame is dropped below,
+                    # so re-record the pointer against the destination
+                    # frame — before the drain's own discoveries.
+                    barrier.record_collector_pointer(slot, slot, new_target)
+            engine.drain()
 
         # -- reclaim -------------------------------------------------------
-        space = heap.space
         result.remset_entries_dropped = heap.remsets.drop_frames(from_frames)
         for inc in batch:
             for frame in list(inc.region.frames):
@@ -140,226 +155,48 @@ class Collector:
             inc.belt.remove(inc)
         heap.note_increments_removed(batch)
         heap.restamp()
-        heap.policy.after_collection(heap)
+        policy.after_collection(heap)
         if heap.debug_verify:
             heap.verify()
         return result
 
-    # ------------------------------------------------------------------
-    def _trace_reference(
-        self,
-        result: CollectionResult,
-        from_frames: Set[int],
-        from_increment: Dict[int, Increment],
-    ) -> None:
-        """The pure-Python trace phase (roots, remset drain, closure)."""
-        heap = self.heap
-        space = heap.space
-        model = heap.model
-        dests: Dict[object, Increment] = {}  # dest key -> open destination
-        worklist: List = []  # (copied addr, dest context); drained by cursor
-        shift = space.frame_shift
-        policy = heap.policy
 
-        # Collection-critical locals (ISSUE 2): the trace below bypasses
-        # the word-at-a-time AddressSpace API, reading headers and ref-slot
-        # runs straight out of the frames' typed arrays.  It replicates the
-        # reference path's load/store accounting and error behaviour
-        # exactly — see the counter-equivalence invariant in DESIGN.md.
-        word_mask = space._word_mask
-        resolve = space._resolve
-        types = model.types
-        by_addr = types._by_addr
-        worklist_append = worklist.append
+class _ToSpace:
+    """Where one collection's survivors go: lane = target belt.
 
-        # Private one-entry frame caches (index -> words array).  The trace
-        # ping-pongs between the scan frame, the from-space object and the
-        # copy destination, so the space's shared single-entry cache
-        # thrashes; frames stay mapped for the whole trace, so caching the
-        # words arrays locally is safe.
-        src_fi = dst_fi = -1
-        src_words = dst_words = None
+    The plan half of the trace-engine contract (:mod:`repro.heap.cheney`).
+    Copy allocation may consume the copy reserve — that is what the
+    reserve is for — and a hard budget exhaustion raises ``OutOfMemory``.
+    """
 
-        # -- forwarding --------------------------------------------------
-        # ``ctx`` is an opaque destination context: None for ordinary
-        # belt-target promotion; train-aware policies (the MOS top belt)
-        # return contexts that route an object to its referrer's train,
-        # and copied objects pass their context on to their children.
-        # Accounting: a forwarded visit charges 2 loads (status twice),
-        # a copying visit 3 loads (status, type, length) + ``size`` loads
-        # and stores (the bulk copy) + 1 store (the forwarding pointer) —
-        # identical to is_forwarded/size_words/set_forwarding.
-        def forward(obj: int, ctx) -> int:
-            nonlocal src_fi, src_words, dst_fi, dst_words
-            if obj & 3:
-                raise InvalidAddress(f"misaligned load from {obj:#x}")
-            fi = obj >> shift
-            if fi != src_fi:
-                src_words = resolve(fi, obj, "load from").words
-                src_fi = fi
-            words = src_words
-            b = (obj >> 2) & word_mask
-            space.load_count += 1
-            status = words[b]
-            if status & 1:
-                space.load_count += 1
-                return status & ~1
-            space.load_count += 1
-            desc = by_addr.get(words[b + 1])
-            if desc is None:
-                desc = types.by_addr(words[b + 1])
-            sc = desc.size_code
-            size = (HEADER_WORDS + words[b + 2]) if sc < 0 else sc
-            space.load_count += 1
-            new_addr = self._copy_alloc(from_increment[fi], size, dests, from_frames, ctx)
-            # Inline single-frame copy (objects never span frames): same
-            # ``size`` loads + ``size`` stores as the copy_words kernel.
-            di = new_addr >> shift
-            if di != dst_fi:
-                dst_words = resolve(di, new_addr, "store to").words
-                dst_fi = di
-            d = (new_addr >> 2) & word_mask
-            space.load_count += size
-            space.store_count += size
-            dst_words[d : d + size] = words[b : b + size]
-            words[b] = new_addr | 1
-            space.store_count += 1
-            worklist_append((new_addr, ctx))
-            result.copied_objects += 1
-            result.copied_words += size
-            return new_addr
+    def __init__(self, heap: "BeltwayHeap", from_frames: Set[int]):
+        self.heap = heap
+        self.from_frames = from_frames
+        self.dests: Dict[int, Increment] = {}  # belt -> open destination
 
-        # -- roots: mutator root arrays -----------------------------------
-        root_ctx = policy.root_dest_context(heap, from_frames)
-        for array in heap.root_arrays:
-            for i, value in enumerate(array):
-                result.root_slots += 1
-                if value and (value >> shift) in from_frames:
-                    array[i] = forward(value, root_ctx)
+    def tail(self, belt_index: int):
+        dest = self.dests.get(belt_index)
+        return None if dest is None else (dest, dest.region)
 
-        # -- roots: remembered slots into the collected frames ------------
-        # Slots inside the collected frames themselves are excluded: their
-        # objects are copied and re-scanned, and remsets between increments
-        # collected together are deliberately ignored (§3.3.2).
-        remset_slots = list(heap.remsets.slots_into(from_frames, from_frames))
-        barrier = heap.barrier
-        for slot in remset_slots:
-            result.remset_slots += 1
-            target = space.load(slot)
-            if target and (target >> shift) in from_frames:
-                ctx = policy.slot_dest_context(heap, slot, from_frames)
-                new_target = forward(target, ctx)
-                space.store(slot, new_target)
-                # The pair for the old target frame is dropped below, so
-                # re-record the pointer against the destination frame.
-                barrier.record_collector_pointer(slot, slot, new_target)
-
-        # -- transitive closure (Cheney order) -----------------------------
-        # The worklist drains in blocks through an integer cursor (list
-        # append + index, FIFO order preserved); each object's reference
-        # slots are read as one typed-array slice and the barrier's order
-        # compare (the body of ``record_collector_pointer``) runs inline
-        # over the slice: per-slot work is one membership test and one
-        # compare, with no per-word load()/store() calls.  Accounting per
-        # object: ``count + 3`` loads (type twice, length, ``count``
-        # slots), 1 store per updated slot — identical to the
-        # scan_ref_slots + space.store reference path.
-        orders = space.orders
-        insert = heap.remsets.insert
-        # Draining by direct list iteration: a list iterator picks up
-        # items appended during the loop (defined Python semantics),
-        # which is exactly the Cheney gray-queue FIFO.
-        scan_fi = -1
-        scan_words = None
-        for obj, ctx in worklist:
-            result.scanned_objects += 1
-            if obj & 3:
-                raise InvalidAddress(f"misaligned load from {obj + 4:#x}")
-            s = obj >> shift
-            if s != scan_fi:
-                scan_words = resolve(s, obj + 4, "load from").words
-                scan_fi = s
-            words = scan_words
-            b = (obj >> 2) & word_mask
-            space.load_count += 1
-            target = words[b + 1]
-            desc = by_addr.get(target)
-            if desc is None:
-                desc = types.by_addr(target)
-            code = desc.ref_code
-            count = words[b + 2] if code < 0 else code
-            space.load_count += count + 2
-            result.scanned_ref_slots += 1 + count
-            if target:
-                t = target >> shift
-                if t in from_frames:
-                    target = forward(target, ctx)
-                    words[b + 1] = target
-                    space.store_count += 1
-                    t = target >> shift
-                if t != s and orders[t] < orders[s]:
-                    insert(s, t, obj + 4)
-            if count:
-                # Snapshot the run before any forwarding stores, matching
-                # the load_slice-then-iterate reference semantics.
-                refs = words[b + 3 : b + 3 + count]
-                for i, target in enumerate(refs):
-                    if not target:
-                        continue
-                    t = target >> shift
-                    if t in from_frames:
-                        # forward() may open a fresh increment, which
-                        # restamps every frame: re-read orders afterwards.
-                        target = forward(target, ctx)
-                        words[b + 3 + i] = target
-                        space.store_count += 1
-                        t = target >> shift
-                    if t != s and orders[t] < orders[s]:
-                        insert(s, t, obj + ((i + 3) << 2))
-
-    # ------------------------------------------------------------------
-    def _copy_alloc(
-        self,
-        source_inc: Increment,
-        size_words: int,
-        dests: Dict[object, Increment],
-        from_frames: Set[int],
-        ctx,
-    ) -> int:
-        """Allocate ``size_words`` in the destination for ``source_inc``."""
+    def alloc(self, belt_index: int, size_words: int, ctx=None) -> int:
         heap = self.heap
         policy = heap.policy
-        belt_index = self._target_belt(source_inc)
         if policy.manages_belt(belt_index):
             # The destination belt is policy-managed (MOS trains): route
             # through the referrer's context, or the external context for
-            # promotions arriving from below.
+            # promotions arriving from below.  Contexts only steer managed
+            # belts; an object bound for an ordinary belt (e.g. a nursery
+            # child of a train-resident object in a combined batch)
+            # follows its normal promotion target.
             if ctx is None:
-                ctx = policy.external_dest_context(heap, from_frames)
+                ctx = policy.external_dest_context(heap, self.from_frames)
             return policy.copy_alloc_in_context(
-                heap, ctx, size_words, from_frames
+                heap, ctx, size_words, self.from_frames
             )
-        # Contexts only steer policy-managed belts; an object bound for an
-        # ordinary belt (e.g. a nursery child of a train-resident object in
-        # a combined batch) follows its normal promotion target.
-        return self._copy_alloc_in_belt(belt_index, size_words, dests, from_frames)
-
-    def _copy_alloc_in_belt(
-        self,
-        belt_index: int,
-        size_words: int,
-        dests: Dict[object, Increment],
-        from_frames: Set[int],
-    ) -> int:
-        """Belt-routed copy allocation: grow the open destination, then
-        overflow into fresh increments.  Also the refill slow path of the
-        compiled trace engine, which bump-allocates the fast path itself.
-        """
-        heap = self.heap
+        dests = self.dests
         dest = dests.get(belt_index)
         if dest is None:
-            dest = self._choose_dest(belt_index, from_frames)
-            dests[belt_index] = dest
+            dest = dests[belt_index] = self._choose_dest(belt_index)
         while True:
             addr = dest.alloc(size_words)
             if addr:
@@ -369,19 +206,13 @@ class Collector:
                 dest.add_frame()  # may raise OutOfMemory: reserve exhausted
                 continue
             # Destination increment is full: overflow into a fresh one.
-            dest = heap.open_increment(heap.belts[belt_index])
-            dests[belt_index] = dest
+            dest = dests[belt_index] = heap.open_increment(heap.belts[belt_index])
 
-    def _target_belt(self, source_inc: Increment) -> int:
-        policy = self.heap.policy
-        if policy.copies_into_allocation_increment:
-            return self.heap.policy.allocation_belt_index(self.heap)
-        return policy.target_belt_index(source_inc.belt.index)
-
-    def _choose_dest(self, belt_index: int, from_frames: Set[int]) -> Increment:
+    def _choose_dest(self, belt_index: int) -> Increment:
         """Youngest open increment of the target belt not being collected,
         else a fresh increment."""
         heap = self.heap
+        from_frames = self.from_frames
         belt = heap.belts[belt_index]
         if heap.policy.copies_into_allocation_increment:
             candidate = heap.allocation_increment

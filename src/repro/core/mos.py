@@ -83,7 +83,7 @@ class MOSPolicy(GenerationalPolicy):
     """Generational promotion below, train-managed top belt above."""
 
     #: Train routing steers copies through destination contexts, which
-    #: the compiled substrate trace does not model: reference trace only.
+    #: the compiled substrate trace does not model: Python engine only.
     kernel_traceable = False
 
     def __init__(self, config: BeltwayConfig):

@@ -34,6 +34,7 @@ def restamp(space: AddressSpace, belts_in_priority: Iterable[Belt]) -> int:
     generational policies: nursery upward; for BOF: belt A then belt C).
     Returns the number of increments stamped.
     """
+    space.order_epoch += 1
     stamp = 1
     for belt in belts_in_priority:
         for inc in belt.increments:  # deque order: oldest (front) first

@@ -46,7 +46,7 @@ class Policy:
     #: under this policy.  True means every copy routes by target belt
     #: alone (root/slot destination contexts are always None); policies
     #: that steer copies through contexts (MOS trains) set this False and
-    #: always use the reference trace (DESIGN §13).
+    #: always trace on the Python engine (DESIGN §9).
     kernel_traceable = True
 
     def __init__(self, config: BeltwayConfig):

@@ -14,7 +14,6 @@ import re
 from ..errors import ConfigError
 from .appel import AppelGctk
 from .base import GctkPlan
-from .copying import cheney_trace
 from .fixednursery import FixedNurseryGctk
 from .semispace import SemiSpaceGctk
 from .ssb import BoundaryBarrier, SequentialStoreBuffer
@@ -41,6 +40,5 @@ __all__ = [
     "GctkPlan",
     "SemiSpaceGctk",
     "SequentialStoreBuffer",
-    "cheney_trace",
     "make_gctk_plan",
 ]

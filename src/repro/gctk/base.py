@@ -1,10 +1,15 @@
 """Shared plan scaffolding for the independent gctk baseline collectors.
 
-These collectors deliberately share *no* code with the Beltway core beyond
-the heap substrate and the result/cost shapes: the paper compares Beltway
-against separately implemented, well-tuned generational collectors, and an
-independent implementation also cross-validates the "Beltway 100.100
-behaves like Appel" equivalence claim (Fig. 5).
+As in the paper's GCTk, where Beltway and its baselines were plans over
+Jikes RVM's one scan/copy mechanism, these collectors share *mechanism*
+with the Beltway core — the heap substrate, the Cheney trace engine
+(:mod:`repro.heap.cheney`), the compiled barrier template
+(:mod:`repro.core.barrier`) and the result/cost shapes — and no *policy*:
+the plans, the boundary rule, the non-deduplicating SSB, the per-GC
+boot-image rescan and the fixed half-heap reserve live only here.  The
+paper compares Beltway against separately tuned generational collectors,
+and independent plans also cross-validate the "Beltway 100.100 behaves
+like Appel" equivalence claim (Fig. 5).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from ..core.collector import CollectionResult
 from ..errors import OutOfMemory
 from ..heap.allocator import BumpRegion
 from ..heap.bootimage import BootImage
+from ..heap.cheney import trace_engine
 from ..heap.objectmodel import ObjectModel, TypeDescriptor
 from ..heap.space import AddressSpace
 from ..sanitizer.heapcheck import HeapVerifier, VerifyReport
@@ -60,11 +66,7 @@ class GctkPlan:
         self.allocations = 0
         self.allocated_words = 0
         self._gc_count = 0
-        # Compiled substrate trace engine (repro.kernels cffi tier), or
-        # None for the reference cheney_trace.
-        self._trace_kernel = (
-            kernels.gctk_tracer(self) if kernels is not None else None
-        )
+        self._open_engine = trace_engine(model, kernels)
 
     # ------------------------------------------------------------------
     def register_roots(self, array: List[int]) -> None:
@@ -136,23 +138,6 @@ class GctkPlan:
     def verify(self) -> VerifyReport:
         return HeapVerifier(self.space, self.model).verify(self.roots())
 
-    def _copy_allocator(self, region: BumpRegion, space_name: str, order: int):
-        """An alloc_copy callback growing ``region`` frame by frame."""
-
-        def alloc_copy(size_words: int) -> int:
-            addr = region.alloc(size_words)
-            if addr:
-                return addr
-            self._acquire_into(region, space_name, order)  # may raise OOM
-            addr = region.alloc(size_words)
-            if not addr:
-                raise OutOfMemory(
-                    f"{self.name}: copy of {size_words} words failed"
-                )
-            return addr
-
-        return alloc_copy
-
     def _run_trace(
         self,
         ssb_slots,
@@ -162,20 +147,53 @@ class GctkPlan:
         order: int,
         result: CollectionResult,
     ) -> None:
-        """Evacuate ``from_frames`` into ``region``: the compiled substrate
-        engine when one is attached, else the reference cheney_trace.
-        Both are counter-bit-identical (DESIGN §13)."""
-        from .copying import cheney_trace
+        """Evacuate everything reachable out of ``from_frames`` into
+        ``region``: mutator roots, the store buffer, then — because the
+        boundary barrier does not catch boot-image writes (§4.2.1) — the
+        whole boot image, charged to ``boot_slots_scanned``; then drain.
+        """
+        space = self.space
+        shift = space.frame_shift
+        to_space = _RegionToSpace(self, region, space_name, order)
+        with self._open_engine(
+            dict.fromkeys(from_frames, 0), to_space, result
+        ) as engine:
+            for array in self.root_arrays:
+                engine.forward_roots(array)
+            for slot in ssb_slots:
+                result.remset_slots += 1
+                target = space.load(slot)
+                if target and (target >> shift) in from_frames:
+                    space.store(slot, engine.forward(target))
+            engine.scan_boot(self.boot.iter_objects())
+            engine.drain()
 
-        alloc_copy = self._copy_allocator(region, space_name, order)
-        tracer = self._trace_kernel
-        if tracer is not None:
-            tracer.trace(
-                self.root_arrays, ssb_slots, self.boot.iter_objects(),
-                from_frames, region, alloc_copy, result,
+
+class _RegionToSpace:
+    """One bump region grown frame by frame: the single lane a gctk
+    collection copies into (the plan half of the trace-engine contract,
+    :mod:`repro.heap.cheney`)."""
+
+    def __init__(self, plan: GctkPlan, region: BumpRegion, space_name: str,
+                 order: int):
+        self.plan = plan
+        self.region = region
+        self.space_name = space_name
+        self.order = order
+
+    def tail(self, lane: int):
+        return None, self.region
+
+    def alloc(self, lane: int, size_words: int, ctx=None) -> int:
+        region = self.region
+        addr = region.alloc(size_words)
+        if addr:
+            return addr
+        plan = self.plan
+        plan._acquire_into(region, self.space_name, self.order)  # may raise OOM
+        addr = region.alloc(size_words)
+        if not addr:
+            raise OutOfMemory(
+                f"{plan.name}: copy of {size_words} words failed"
             )
-        else:
-            cheney_trace(
-                self.model, self.root_arrays, ssb_slots,
-                self.boot.iter_objects(), from_frames, alloc_copy, result,
-            )
+        return addr

@@ -16,82 +16,10 @@ faithfully:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Set
+from typing import Dict, List, Set
 
-from ..core.barrier import BarrierStats, compile_fast_path
-from ..errors import HeapCorruption, InvalidAddress
+from ..core.barrier import CompiledBarrier
 from ..heap.space import AddressSpace
-
-#: Boundary-barrier rendition of the compiled mutator store path: same
-#: decode and accounting as the Beltway variant (see
-#: ``core.barrier._WRITE_FIELD_SRC``), but the record condition is nursery
-#: membership and the slow path appends to the non-deduplicating SSB.
-_BOUNDARY_WRITE_FIELD_SRC = """\
-def write_ref_field(obj, index, value):
-    if obj & 3:
-        raise InvalidAddress(f"misaligned load from {obj + 4:#x}")
-    s = obj >> __SHIFT__
-    frame = (
-        _space._cache_frame
-        if s == _space._cache_index
-        else _resolve(s, obj + 4, "load from")
-    )
-    words = frame.words
-    base = (obj >> 2) & __WORD_MASK__
-    _space.load_count += 1
-    desc = _by_addr.get(words[base + 1])
-    if desc is None:
-        desc = _types.by_addr(words[base + 1])
-    code = desc.ref_code
-    count = words[base + 2] if code < 0 else code
-    _space.load_count += 1
-    if not 0 <= index < count:
-        raise HeapCorruption(
-            f"ref slot {index} out of range [0,{count}) for "
-            f"{desc.name} object {obj:#x}"
-        )
-    _stats.fast_path += 1
-    if value == 0:
-        _stats.null_stores += 1
-        words[base + 3 + index] = 0
-        _space.store_count += 1
-        return
-    nursery = _barrier.nursery_frames
-    if (value >> __SHIFT__) in nursery and s not in nursery:
-        _stats.slow_path += 1
-        _append(obj + ((index + 3) << 2))
-    words[base + 3 + index] = value
-    _space.store_count += 1
-"""
-
-_BOUNDARY_INIT_OBJECT_SRC = """\
-def init_object(addr, desc, length):
-    if addr & 3:
-        raise InvalidAddress(f"misaligned store to {addr:#x}")
-    s = addr >> __SHIFT__
-    frame = (
-        _space._cache_frame
-        if s == _space._cache_index
-        else _resolve(s, addr, "store to")
-    )
-    words = frame.words
-    base = (addr >> 2) & __WORD_MASK__
-    words[base] = 0
-    words[base + 2] = length
-    value = desc.addr
-    _stats.fast_path += 1
-    if value == 0:
-        _stats.null_stores += 1
-        words[base + 1] = 0
-        _space.store_count += 3
-        return
-    nursery = _barrier.nursery_frames
-    if (value >> __SHIFT__) in nursery and s not in nursery:
-        _stats.slow_path += 1
-        _append(addr + 4)
-    words[base + 1] = value
-    _space.store_count += 3
-"""
 
 
 class SequentialStoreBuffer:
@@ -129,15 +57,28 @@ class SequentialStoreBuffer:
         }
 
 
-class BoundaryBarrier:
+class BoundaryBarrier(CompiledBarrier):
     """Remember stores whose target is in the nursery and source is not."""
 
+    #: The boundary rule, filling the one hole of the compiled store-path
+    #: templates in :mod:`repro.core.barrier`: nursery membership instead
+    #: of the order compare, an append to the non-deduplicating SSB instead
+    #: of a remset insert.
+    record_rule = """\
+nursery = _barrier.nursery_frames
+if (value >> __SHIFT__) in nursery and s not in nursery:
+    _stats.slow_path += 1
+    _append(__SLOT__)
+"""
+
     def __init__(self, space: AddressSpace, ssb: SequentialStoreBuffer):
-        self.space = space
+        super().__init__(space)
         self.ssb = ssb
-        self.stats = BarrierStats()
         #: Frame indices currently forming the nursery ("high memory").
         self.nursery_frames: Set[int] = set()
+
+    def record_names(self) -> Dict[str, object]:
+        return {"_barrier": self, "_append": self.ssb.append}
 
     def write_ref(self, source_obj: int, slot_addr: int, target: int) -> None:
         space = self.space
@@ -153,40 +94,3 @@ class BoundaryBarrier:
             self.stats.slow_path += 1
             self.ssb.append(slot_addr)
         space.store(slot_addr, target)
-
-    # ------------------------------------------------------------------
-    # Compiled fast paths (ISSUE 2)
-    # ------------------------------------------------------------------
-    def _namespace(self, model) -> Dict[str, object]:
-        space = self.space
-        return {
-            "_space": space,
-            "_resolve": space._resolve,
-            "_stats": self.stats,
-            "_barrier": self,
-            "_append": self.ssb.append,
-            "_by_addr": model.types._by_addr,
-            "_types": model.types,
-            "InvalidAddress": InvalidAddress,
-            "HeapCorruption": HeapCorruption,
-        }
-
-    def _substitutions(self) -> Dict[str, int]:
-        return {
-            "__SHIFT__": self.space.frame_shift,
-            "__WORD_MASK__": self.space._word_mask,
-        }
-
-    def compile_write_field(self, model) -> Callable[[int, int, int], None]:
-        """Compiled slot decode + boundary barrier + store (one call frame)."""
-        return compile_fast_path(
-            _BOUNDARY_WRITE_FIELD_SRC, "write_ref_field",
-            self._substitutions(), self._namespace(model),
-        )
-
-    def compile_init_object(self, model) -> Callable[[int, object, int], None]:
-        """Compiled allocation-initialisation path (gctk baselines)."""
-        return compile_fast_path(
-            _BOUNDARY_INIT_OBJECT_SRC, "init_object",
-            self._substitutions(), self._namespace(model),
-        )

@@ -14,7 +14,6 @@ from .runner import (
     RunReport,
     find_min_heap,
     run,
-    run_benchmark,  # deprecated shim, kept importable for one cycle
     run_many,
 )
 
@@ -30,6 +29,5 @@ __all__ = [
     "find_min_heap",
     "min_heap",
     "run",
-    "run_benchmark",
     "run_many",
 ]

@@ -12,8 +12,7 @@ completes" definition the paper uses (§4.1).
 :class:`RunOptions` rather than through parallel ``run_*`` variants.
 When no telemetry is requested the VM executes with **no instrumentation
 attached at all** — the golden-counter tests pin that path bit-identical
-to the pre-telemetry harness.  The old :func:`run_benchmark` /
-:func:`run_benchmark_profiled` names remain as deprecated shims.
+to the pre-telemetry harness.
 
 :func:`run_many` is the process-parallel fan-out behind the sweep layer:
 each (benchmark, collector, heap size) run is completely independent (its
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -310,50 +308,6 @@ def _sanitizer_violation():
     from ..sanitizer.report import SanitizerViolation
 
     return SanitizerViolation
-
-
-# ----------------------------------------------------------------------
-# Deprecated pre-RunOptions entry points
-# ----------------------------------------------------------------------
-def run_benchmark(
-    benchmark: str,
-    collector: str,
-    heap_bytes: int,
-    scale: float = 1.0,
-    seed: int = 13,
-    debug_verify: bool = False,
-) -> RunStats:
-    """Deprecated: use :func:`run` (returns a :class:`RunReport`)."""
-    warnings.warn(
-        "run_benchmark() is deprecated; use "
-        "run(spec, plan, heap_bytes, options=RunOptions(...)).stats",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    options = RunOptions(scale=scale, seed=seed, verify=debug_verify)
-    return run(benchmark, collector, heap_bytes, options=options).stats
-
-
-def run_benchmark_profiled(
-    benchmark: str,
-    collector: str,
-    heap_bytes: int,
-    scale: float = 1.0,
-    seed: int = 13,
-    debug_verify: bool = False,
-) -> Tuple[RunStats, Dict[str, float]]:
-    """Deprecated: use :func:`run` with ``RunOptions(profile=True)``."""
-    warnings.warn(
-        "run_benchmark_profiled() is deprecated; use "
-        "run(spec, plan, heap_bytes, options=RunOptions(profile=True))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    options = RunOptions(
-        scale=scale, seed=seed, verify=debug_verify, profile=True
-    )
-    report = run(benchmark, collector, heap_bytes, options=options)
-    return report.stats, report.phases
 
 
 def _run_job(job: RunJob) -> RunStats:

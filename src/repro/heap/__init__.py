@@ -33,10 +33,7 @@ from .objectmodel import (
 )
 from .space import AddressSpace
 
-# HeapVerifier moved to repro.sanitizer.heapcheck (PR 4); re-exported here
-# for compatibility.  Import from the new home to keep the old
-# ``repro.heap.verify`` shim's DeprecationWarning out of plain
-# ``import repro``.
+# HeapVerifier lives in repro.sanitizer.heapcheck; re-exported here.
 from ..sanitizer.heapcheck import HeapVerifier, VerifyReport
 
 __all__ = [

@@ -94,6 +94,10 @@ class AddressSpace:
         #: the compiled trace's hook for patching its C view incrementally
         #: instead of rebuilding it after every copy-space refill.
         self.acquire_hook = None
+        #: Bumped by whoever rewrites the stamps wholesale (a Beltway
+        #: restamp), so the compiled trace knows when its snapshot of
+        #: ``orders`` went stale.
+        self.order_epoch = 0
         self._free_pool: List[Frame] = []
         self.heap_frames_in_use = 0
         self.boot_frames_in_use = 0

@@ -1,9 +1,9 @@
 """repro.kernels: the pluggable substrate-kernel tier (DESIGN §13).
 
 The reproduction's five hottest loops — the mutator ``store_ref`` /
-``init_object`` barrier paths, the Cheney scan/copy trace (Beltway's
-:mod:`repro.core.collector` and the gctk baselines'
-:mod:`repro.gctk.copying`), remset SSB insert + drain-with-dedup, and the
+``init_object`` barrier paths, the Cheney scan/copy trace
+(:mod:`repro.heap.cheney`, which Beltway and the gctk baselines both
+drive), remset SSB insert + drain-with-dedup, and the
 frame bulk load/store/copy kernels — can each be lowered from the pure
 Python reference onto compiled substrates:
 
@@ -86,7 +86,7 @@ class KernelSet:
     absent, so consumers probe with ``if kernels.x is not None``:
 
     * ``npk`` — the numpy kernel module (remset dedup, batch ops);
-    * ``cik`` — the compiled C kernel module (copy-trace engines).
+    * ``cik`` — the compiled C kernel module (the copy-trace engine).
     """
 
     def __init__(self, name: str, requested: str):
@@ -112,17 +112,11 @@ class KernelSet:
         """Per-VM batched mutator kernels (numpy tiers), else None."""
         return self.npk.BatchOps(vm) if self.npk is not None else None
 
-    def beltway_tracer(self, collector):
-        """A compiled Beltway copy-trace engine, else None."""
-        if self.cik is None:
-            return None
-        return self.cik.BeltwayTracer(collector)
-
-    def gctk_tracer(self, plan):
-        """A compiled gctk Cheney-trace engine, else None."""
-        if self.cik is None:
-            return None
-        return self.cik.GctkTracer(plan)
+    def trace_engine(self, model):
+        """The compiled copy-trace engine opener for ``model``'s heap, or
+        None for the Python engine (:func:`repro.heap.cheney.trace_engine`
+        is the seam plans resolve through)."""
+        return self.cik.TraceEngine(model) if self.cik is not None else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KernelSet {self.name} (requested {self.requested})>"

@@ -1,4 +1,4 @@
-"""cffi substrate kernels: compiled C engines for the copy-trace loops.
+"""cffi substrate kernels: the compiled C engine for the copy-trace loop.
 
 numpy cannot batch a Cheney trace — it is a pointer-chasing loop whose
 next load depends on the previous copy — so the ``cffi`` tier lowers the
@@ -13,22 +13,21 @@ Counter bit-identity (DESIGN §13) is preserved by construction:
 * the C loops charge ``loads``/``stores`` and the ``CollectionResult``
   work counters in exactly the reference order, so even an abort mid-
   trace (OutOfMemory, a corrupt header) leaves the same counter state;
-* copy allocation bumps a per-belt (cursor, limit) pair C-side and calls
+* copy allocation bumps a per-lane (cursor, limit) pair C-side and calls
   back into Python (``kr_refill``) only when the current frame tail is
-  exhausted — the callback runs the *reference* grow/overflow path
-  (``Collector._copy_alloc_in_belt`` / the gctk ``alloc_copy`` closure),
-  so frame acquisition, increment overflow, restamping, waste accounting
-  and OutOfMemory behaviour are literally the reference implementation's;
-* remset inserts discovered by the C scan are logged as (src, tgt, slot)
-  triples and replayed through ``heap.remsets.insert`` *after* the drain
-  (batch-boundary semantics: nothing reads the remsets between the
-  pre-trace ``slots_into`` drain and the post-trace ``drop_frames``, so
-  deferral is unobservable; replay order is the discovery order, and the
-  attribute lookup at replay time keeps fault-injection seams honoured);
+  exhausted — the callback runs the plan's own ``to_space.alloc`` (the
+  contract of :mod:`repro.heap.cheney`), so frame acquisition, increment
+  overflow, restamping, waste accounting and OutOfMemory behaviour are
+  literally the plan's;
+* inserts discovered by the C scan are logged as (src, tgt, slot) triples
+  and replayed through the plan's ``remember`` rule when the engine
+  closes (batch-boundary semantics: nothing reads the remsets between
+  the pre-trace ``slots_into`` drain and the post-trace ``drop_frames``,
+  so deferral is unobservable; replay order is the discovery order);
 * frame collection-order stamps are snapshotted into a C buffer at trace
   start and kept current incrementally: the space's acquire hook reports
   each frame a refill maps (patching just that entry), and a wholesale
-  re-snapshot happens only when the heap's ``restamp_epoch`` moved — the
+  re-snapshot happens only when the space's ``order_epoch`` moved — the
   only points where orders can change during a trace.
 
 Two deliberate deviations, documented in DESIGN §13: a non-null pointer
@@ -451,7 +450,7 @@ def build_error() -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# Shared per-trace state
+# The engine
 # ----------------------------------------------------------------------
 class _TypeTable:
     """The sorted (addr -> ref_code/size_code) table the C binary search
@@ -471,32 +470,44 @@ class _TypeTable:
 
 
 class _TraceState:
-    """One collection's C context plus the Python-side sync bookkeeping."""
+    """One collection's compiled engine: the C context plus the
+    Python-side sync bookkeeping, behind the surface of
+    :class:`repro.heap.cheney.CheneyEngine` (``forward``,
+    ``forward_roots``, ``scan_boot``, ``drain``, opened with ``with``).
 
-    def __init__(self, space, types, type_table: _TypeTable,
-                 from_frames, from_words: int, n_belts: int, result):
+    Destination contexts are not modelled — a plan whose policy routes
+    copies through them must not be handed this engine
+    (``Policy.kernel_traceable``) — so the ``ctx`` arguments are accepted
+    and ignored.
+    """
+
+    def __init__(self, model, type_table: _TypeTable, from_frames,
+                 to_space, result, remember):
+        space = model.space
         self.space = space
-        self.types = types
+        self.types = model.types
+        self.to_space = to_space
         self.result = result
+        #: The plan's remembering rule; a drain with one runs the order
+        #: compares (mode 1) and logs inserts, one without (gctk) never
+        #: reads ``ctx.orders``.
+        self.remember = remember
         self.error: Optional[BaseException] = None
         self.inserts: List[int] = []  # flat (s, t, slot) triples
-        #: Per-belt (dest increment or None, BumpRegion) whose cursor the
-        #: C side is bumping; ``synced`` holds the cursor value the Python
-        #: region last agreed with.  Lists indexed by belt: the refill
-        #: round-trip is the compiled trace's hot Python edge.
-        self.belt_state: List[Optional[tuple]] = [None] * n_belts
-        self.synced: List[int] = [0] * n_belts
+        n_lanes = 1 + max(from_frames.values(), default=0)
+        #: Per-lane (owner or None, BumpRegion) whose cursor the C side is
+        #: bumping; ``synced`` holds the cursor value the Python region
+        #: last agreed with.  Lists indexed by lane: the refill round-trip
+        #: is the compiled trace's hot Python edge.
+        self.belt_state: List[Optional[tuple]] = [None] * n_lanes
+        self.synced: List[int] = [0] * n_lanes
         self._n_slabs = 0
         self._slab_keep: List[object] = []
         #: Frame indices acquired since the last (re)sync, fed by the
         #: space's acquire hook so a refill patches exactly the frames
         #: that changed instead of rebuilding the whole C view.
         self._acquired: List[int] = []
-        #: Subclasses needing order compares (Beltway drains) set these;
-        #: gctk modes never read ``ctx.orders``.
-        self._needs_orders = False
-        self._restamp_heap = None
-        self._restamp_seen = 0
+        self._order_epoch = space.order_epoch
         self._roots_buf = None
         self._roots_cap = 0
 
@@ -529,32 +540,39 @@ class _TraceState:
         # Every copied object is at least HEADER_WORDS long and comes out
         # of the collected increments' allocated words, so this worklist
         # can never overflow on a well-formed heap.
-        wl_cap = from_words // HEADER_WORDS + 8
+        wl_cap = result.from_words // HEADER_WORDS + 8
         self._wl_buf = ffi.new("int64_t[]", wl_cap)
         ctx.wl = self._wl_buf
         ctx.wl_cap = wl_cap
         self._ins_buf = ffi.new("int64_t[]", _INS_TRIPLES * 3)
         ctx.ins = self._ins_buf
         ctx.ins_cap = _INS_TRIPLES * 3
-        self._cursor_buf = ffi.new("int64_t[]", n_belts)
-        self._limit_buf = ffi.new("int64_t[]", n_belts)
+        self._cursor_buf = ffi.new("int64_t[]", n_lanes)
+        self._limit_buf = ffi.new("int64_t[]", n_lanes)
         ctx.cursor = self._cursor_buf
         ctx.limit = self._limit_buf
-        for fi in from_frames:
+        for fi, lane in from_frames.items():
             self._in_from_buf[fi] = 1
+            self._belt_buf[fi] = lane
+        self._export_views()
+        # A lane may already have a partially filled frame (Appel minors
+        # copy into the live mature region): hand its tail to C up front.
+        for lane in range(n_lanes):
+            tail = to_space.tail(lane)
+            if tail is not None:
+                self.export_belt(lane, *tail)
 
     # -- C view maintenance --------------------------------------------
     def _export_views(self) -> None:
         """Export slab pointers, orders and the mapped set to C — the
-        full rebuild, run once at trace start.  ``resync`` keeps the view
-        current across refills.  Subclasses call this after setting
-        ``_needs_orders``; then they install the acquire hook."""
+        full rebuild, run once at trace start — and install the acquire
+        hook.  ``resync`` keeps the view current across refills."""
         self._register_slabs()
         space = self.space
         ctx = self.ctx
         n = len(space._frames)
         ctx.n_frames = n
-        if self._needs_orders:
+        if self.remember is not None:
             self._orders_buf[0:n] = space.orders
         # mapped_bytes mirrors _frames[i].allocated byte-for-byte.
         _ffi.memmove(self._mapped_buf, space.mapped_bytes, n)
@@ -572,8 +590,8 @@ class _TraceState:
 
     def resync(self) -> None:
         """Patch the C view after a refill: only what a refill can change
-        — new slabs (rare), the frames it acquired, and (Beltway only) a
-        wholesale restamp when an increment overflowed."""
+        — new slabs (rare), the frames it acquired, and (when orders are
+        compared) a wholesale restamp when an increment overflowed."""
         space = self.space
         ctx = self.ctx
         if len(space._slabs) > self._n_slabs:
@@ -588,13 +606,10 @@ class _TraceState:
                 mapped[fi] = 1
                 obuf[fi] = orders[fi]
             del acquired[:]
-        heap = self._restamp_heap
-        if heap is not None:
-            epoch = heap.restamp_epoch
-            if epoch != self._restamp_seen:
-                self._restamp_seen = epoch
-                n = ctx.n_frames
-                self._orders_buf[0:n] = space.orders[:n]
+        if self.remember is not None and space.order_epoch != self._order_epoch:
+            self._order_epoch = space.order_epoch
+            n = ctx.n_frames
+            self._orders_buf[0:n] = space.orders[:n]
 
     # -- bump-region synchronisation -----------------------------------
     def sync_belt(self, belt: int) -> None:
@@ -622,7 +637,13 @@ class _TraceState:
         self.synced[belt] = region._cursor
 
     def refill(self, belt: int, size: int) -> int:
-        raise NotImplementedError  # pragma: no cover - subclass hook
+        """The C bump allocator's slow path: run the plan's reference
+        copy allocation, then re-export the lane's (cursor, limit)."""
+        self.sync_belt(belt)
+        addr = self.to_space.alloc(belt, size)
+        self.export_belt(belt, *self.to_space.tail(belt))
+        self.resync()
+        return addr
 
     # -- insert log -----------------------------------------------------
     def drain_insert_log(self) -> None:
@@ -632,25 +653,31 @@ class _TraceState:
             self.inserts.extend(_ffi.unpack(self._ins_buf, n))
             ctx.ins_len = 0
 
-    # -- wrappers --------------------------------------------------------
-    def fwd(self, obj: int) -> int:
+    # -- the engine surface ---------------------------------------------
+    def fwd(self, obj: int, ctx=None) -> int:
         addr = _lib.k_forward(self.ctx, obj)
         if addr < 0:
             self.raise_abort()
         return int(addr)
 
-    def drain(self, mode: int) -> None:
+    #: The engine-surface name.  (The forwarding loop itself has one
+    #: Python definition, in :mod:`repro.heap.cheney`; this calls into C.)
+    forward = fwd
+
+    def drain(self) -> None:
+        mode = 0 if self.remember is None else 1
         if _lib.k_drain(self.ctx, mode) < 0:
             self.raise_abort()
 
-    def scan_boot(self, objs: List[int]) -> None:
+    def scan_boot(self, objs) -> None:
+        objs = list(objs)
         if not objs:
             return
         buf = _ffi.new("int64_t[]", objs)
         if _lib.k_scan_boot(self.ctx, buf, len(objs)) < 0:
             self.raise_abort()
 
-    def forward_roots(self, array: List[int]) -> None:
+    def forward_roots(self, array: List[int], ctx=None) -> None:
         """Run one root array through ``k_roots``, updating it in place.
 
         The whole buffer is copied back even on abort, so the array shows
@@ -721,192 +748,50 @@ class _TraceState:
         ctx.scanned_objects = ctx.scanned_ref_slots = 0
         ctx.boot_slots = ctx.root_slots = 0
 
-    def finalize(self) -> None:
+    def __enter__(self) -> "_TraceState":
+        _ACTIVE.append(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        """Fold the C state back on every exit path, then replay the
+        drain-discovered inserts in discovery order.
+
+        The replay lands after the driver's own ``record_collector_pointer``
+        inserts and before the plan's ``drop_frames`` — the window in which
+        nothing reads the remsets, so the deferral is unobservable
+        (DESIGN §13).  It runs on abort too: the Python engine remembers
+        inline, so an aborted trace has recorded what it found so far.
+        """
+        _ACTIVE.pop()
         self.space.acquire_hook = None
         self.flush_counters()
         for belt in range(len(self.belt_state)):
             self.sync_belt(belt)
         self.drain_insert_log()
+        triples, self.inserts = self.inserts, []
+        remember = self.remember
+        for k in range(0, len(triples), 3):
+            remember(triples[k], triples[k + 1], triples[k + 2])
 
 
-# ----------------------------------------------------------------------
-# Beltway trace engine
-# ----------------------------------------------------------------------
-class _BeltwayState(_TraceState):
-    def __init__(self, collector, from_frames, from_increment,
-                 from_words, result, type_table):
-        heap = collector.heap
-        super().__init__(
-            heap.space, heap.model.types, type_table, from_frames,
-            from_words, len(heap.belts), result,
-        )
-        self.collector = collector
-        self.heap = heap
-        self.from_frames = from_frames
-        self.dests: Dict[object, object] = {}
-        belt_buf = self._belt_buf
-        for fi, inc in from_increment.items():
-            belt_buf[fi] = collector._target_belt(inc)
-        self._needs_orders = True
-        self._restamp_heap = heap
-        self._restamp_seen = heap.restamp_epoch
-        self._export_views()
+class TraceEngine:
+    """Opens one compiled engine per collection over ``model``'s heap:
+    ``TraceEngine(model)(from_frames, to_space, result, remember=None)``,
+    the contract of :mod:`repro.heap.cheney`."""
 
-    def refill(self, belt: int, size: int) -> int:
-        self.sync_belt(belt)
-        addr = self.collector._copy_alloc_in_belt(
-            belt, size, self.dests, self.from_frames
-        )
-        dest = self.dests[belt]
-        self.export_belt(belt, dest, dest.region)
-        self.resync()
-        return addr
-
-    def replay_inserts(self) -> None:
-        """Replay the drain-discovered inserts in discovery order.
-
-        Runs after the C drain and before ``drop_frames`` — the window in
-        which nothing reads the remsets, so the deferral is unobservable
-        (DESIGN §13).  The attribute lookup happens here, at replay time,
-        so fault-injection patches on ``insert`` stay honoured.
-        """
-        triples = self.inserts
-        if triples:
-            insert = self.heap.remsets.insert
-            for k in range(0, len(triples), 3):
-                insert(triples[k], triples[k + 1], triples[k + 2])
-            self.inserts = []
-
-
-class BeltwayTracer:
-    """Compiled replacement for the trace phase of ``Collector.collect``.
-
-    Only instantiated for policies with ``kernel_traceable = True`` (no
-    destination contexts: every copy routes by target belt alone), so
-    the root/slot context plumbing reduces to None everywhere.
-    """
-
-    def __init__(self, collector):
+    def __init__(self, model):
         _build()
         if _build_err is not None:  # pragma: no cover - probed earlier
             raise RuntimeError(_build_err)
-        self.collector = collector
+        self.model = model
         self._type_table: Optional[_TypeTable] = None
 
-    def _types(self) -> _TypeTable:
-        by_addr = self.collector.heap.model.types._by_addr
+    def __call__(self, from_frames, to_space, result,
+                 remember=None) -> _TraceState:
+        by_addr = self.model.types._by_addr
         table = self._type_table
         if table is None or table.size != len(by_addr):
             table = self._type_table = _TypeTable(by_addr)
-        return table
-
-    def trace(self, from_frames, from_increment, result) -> None:
-        collector = self.collector
-        heap = collector.heap
-        space = heap.space
-        shift = space.frame_shift
-        state = _BeltwayState(
-            collector, from_frames, from_increment, result.from_words,
-            result, self._types(),
+        return _TraceState(
+            self.model, table, from_frames, to_space, result, remember
         )
-        _ACTIVE.append(state)
-        try:
-            fwd = state.fwd
-            # Mutator roots (reference order; root_slots counted in C).
-            for array in heap.root_arrays:
-                state.forward_roots(array)
-            # Remembered slots into the collected frames.  Stays Python-
-            # side: record_collector_pointer inserts must land *before*
-            # the drain-discovered ones, exactly as in the reference.
-            remset_slots = list(
-                heap.remsets.slots_into(from_frames, from_frames)
-            )
-            barrier = heap.barrier
-            load = space.load
-            store = space.store
-            for slot in remset_slots:
-                result.remset_slots += 1
-                target = load(slot)
-                if target and (target >> shift) in from_frames:
-                    new_target = fwd(target)
-                    store(slot, new_target)
-                    barrier.record_collector_pointer(slot, slot, new_target)
-            # Transitive closure, entirely in C.
-            state.drain(1)
-        finally:
-            _ACTIVE.pop()
-            state.finalize()
-        state.replay_inserts()
-
-
-# ----------------------------------------------------------------------
-# gctk trace engine
-# ----------------------------------------------------------------------
-class _GctkState(_TraceState):
-    def __init__(self, plan, from_frames, from_words, region,
-                 alloc_copy, result, type_table):
-        super().__init__(
-            plan.space, plan.model.types, type_table, from_frames,
-            from_words, 1, result,
-        )
-        self.alloc_copy = alloc_copy
-        self.region = region
-        self._export_views()
-        # The destination may already have a partially filled frame
-        # (Appel minors copy into the live mature region): hand its tail
-        # to C up front.
-        self.export_belt(0, None, region)
-
-    def refill(self, belt: int, size: int) -> int:
-        self.sync_belt(0)
-        addr = self.alloc_copy(size)
-        self.export_belt(0, None, self.region)
-        self.resync()
-        return addr
-
-
-class GctkTracer:
-    """Compiled replacement for :func:`repro.gctk.copying.cheney_trace`."""
-
-    def __init__(self, plan):
-        _build()
-        if _build_err is not None:  # pragma: no cover - probed earlier
-            raise RuntimeError(_build_err)
-        self.plan = plan
-        self._type_table: Optional[_TypeTable] = None
-
-    def _types(self) -> _TypeTable:
-        by_addr = self.plan.model.types._by_addr
-        table = self._type_table
-        if table is None or table.size != len(by_addr):
-            table = self._type_table = _TypeTable(by_addr)
-        return table
-
-    def trace(self, root_arrays, ssb_slots, boot_objects, from_frames,
-              region, alloc_copy, result) -> None:
-        plan = self.plan
-        space = plan.space
-        shift = space.frame_shift
-        from_words = result.from_words
-        state = _GctkState(
-            plan, from_frames, from_words, region, alloc_copy, result,
-            self._types(),
-        )
-        _ACTIVE.append(state)
-        try:
-            fwd = state.fwd
-            for array in root_arrays:
-                state.forward_roots(array)
-            load = space.load
-            store = space.store
-            for slot in ssb_slots:
-                result.remset_slots += 1
-                target = load(slot)
-                if target and (target >> shift) in from_frames:
-                    store(slot, fwd(target))
-            # Boot-image rescan and gray-queue drain, both in C.
-            state.scan_boot(list(boot_objects))
-            state.drain(0)
-        finally:
-            _ACTIVE.pop()
-            state.finalize()

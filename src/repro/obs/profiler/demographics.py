@@ -24,8 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 #: Forwarding-pointer convention shared by every collector here: an odd
-#: status word holds ``new_addr | 1`` (see ``core.collector`` /
-#: ``gctk.copying``).
+#: status word holds ``new_addr | 1`` (see ``heap.cheney``).
 _FORWARDED_BIT = 1
 
 

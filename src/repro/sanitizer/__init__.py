@@ -6,8 +6,7 @@ compares the real heap against it at every collection boundary (``diff``),
 a standalone invariant suite (``invariants``), and a deterministic
 fault-injection layer whose every registered fault is provably detected
 by one of the two (``faults``).  ``heapcheck`` hosts the heap verifier
-(moved from ``repro.heap.verify``) plus the counter-free reader both
-checkers are built on.
+plus the counter-free reader both checkers are built on.
 
 Only ``heapcheck`` is imported eagerly: ``repro.core`` and ``repro.gctk``
 import it while *this* package must be importable from them, so the

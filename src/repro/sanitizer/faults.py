@@ -222,7 +222,7 @@ def _arm_corrupt_slot(injector: FaultInjector, spec: FaultSpec) -> None:
 
 
 # ----------------------------------------------------------------------
-# Copy seams (core.collector / gctk.copying)
+# Copy seams (core.collector / gctk.base)
 # ----------------------------------------------------------------------
 def _post_collection_seam(injector: FaultInjector, apply) -> None:
     """Run ``apply(collection_number)`` after each collection's trace but

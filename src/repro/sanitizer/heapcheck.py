@@ -1,7 +1,6 @@
 """Heap verifier and raw heap access for the sanitizer.
 
-This module absorbs the former ``repro.heap.verify`` (the old path keeps a
-deprecation shim).  It carries two readers over the same frame-walk logic:
+It carries two readers over the same frame-walk logic:
 
 * :class:`HeapVerifier` — the historical debug verifier.  It goes through
   the *counted* :class:`~repro.heap.objectmodel.ObjectModel` accessors, so

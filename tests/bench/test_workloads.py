@@ -8,7 +8,6 @@ from repro.bench.spec import (
     all_specs,
     benchmark_spec,
     canonical_name,
-    get_spec,
 )
 from repro.errors import ConfigError
 from repro.harness.runner import RunOptions, run
@@ -121,13 +120,3 @@ def test_locality_models_differ():
     assert db.cache_sensitivity > jess.cache_sensitivity
     assert jbb.memory_words > 0  # only pseudojbb pages
     assert jess.memory_words == 0
-
-
-def test_get_spec_shim_warns_and_delegates():
-    """The deprecated name still works, loudly, and returns the same spec."""
-    import pytest
-
-    with pytest.warns(DeprecationWarning, match="repro.specs.load"):
-        spec = get_spec("jess", scale=0.5)
-    assert spec.name == benchmark_spec("jess", scale=0.5).name
-    assert spec.total_alloc_bytes == benchmark_spec("jess", 0.5).total_alloc_bytes

@@ -36,7 +36,7 @@ def replay(benchmark: str, collector: str, heap_bytes: int, scale: float,
         stats = vm.finish(completed=False, failure=str(error))
     remsets = vm.plan.remsets
     barrier = vm.plan.barrier.stats
-    return {
+    counters = {
         "completed": stats.completed,
         "load_count": vm.space.load_count,
         "store_count": vm.space.store_count,
@@ -56,6 +56,11 @@ def replay(benchmark: str, collector: str, heap_bytes: int, scale: float,
         "gc_cycles": stats.gc_cycles,
         "mutator_cycles": stats.mutator_cycles,
     }
+    if not stats.completed:
+        # Failed runs also report why (no golden cell fails, so the golden
+        # dicts carry no such key).
+        counters["failure"] = stats.failure
+    return counters
 
 
 @pytest.mark.parametrize("cell", sorted(GOLDEN["cells"]))

@@ -1,11 +1,12 @@
 """Edge-case tests for the compiled mutator store paths (ISSUE 2).
 
-The compiled ``write_ref_field`` / ``init_object`` closures
-(:mod:`repro.core.barrier`, :mod:`repro.gctk.ssb`) must behave exactly
-like the layered reference path (``ObjectModel.ref_slot_addr`` +
-``FrameBarrier.write_ref``): identical stores, identical counter
-accounting, identical errors.  These tests pin the edge cases down
-through real VMs so the compiled closures decode real object headers.
+The compiled ``write_ref_field`` / ``init_object`` closures (one template
+pair in :mod:`repro.core.barrier`, specialised by each barrier's record
+rule) must behave exactly like the layered reference path
+(``ObjectModel.ref_slot_addr`` + the barrier's ``write_ref``): identical
+stores, identical counter accounting, identical errors.  These tests pin
+the edge cases down through real VMs so the compiled closures decode real
+object headers.
 """
 
 import random
@@ -131,17 +132,33 @@ def test_compiled_bounds_error_matches_reference():
     assert str(compiled.value) == str(reference.value)
 
 
-def test_compiled_store_matches_layered_reference_accounting():
+def remembered(plan):
+    """The barrier's recorded state in a comparable form: Beltway's
+    deduplicated per-pair entries, or the gctk SSB verbatim."""
+    rs = plan.remsets
+    if hasattr(rs, "pairs"):
+        return {pair: rs.entries_for_pair(*pair) for pair in sorted(rs.pairs())}
+    return list(rs.slots)
+
+
+@pytest.mark.parametrize("collector", ["25.25.100", "gctk:Appel"])
+def test_compiled_store_matches_layered_reference_accounting(collector):
     """Twin VMs, identical store sequence: one through the compiled inner
-    loop, one through ``ref_slot_addr`` + ``FrameBarrier.write_ref``.
-    Heap contents and every counter the fast path bypasses layers for
-    must come out bit-identical."""
+    loop, one through ``ref_slot_addr`` + the barrier's layered
+    ``write_ref``.  Both barriers compile from one template pair
+    (``core.barrier``) and differ only in the record rule — Beltway's
+    order compare + remset insert, gctk's nursery membership + SSB append
+    (duplicates kept; young→old and NULL never recorded) — so heap
+    contents and every counter the fast path bypasses layers for must come
+    out bit-identical under either rule."""
 
     def build():
-        vm = make_vm(heap_kb=16)
+        vm = make_vm(collector, heap_kb=32)
         mu = MutatorContext(vm)
         node = vm.types.by_name("node")
-        handles = [mu.alloc(node) for _ in range(40)]
+        handles = [mu.alloc(node) for _ in range(20)]
+        vm.collect()  # the first half survives as old objects
+        handles += [mu.alloc(node) for _ in range(20)]
         boots = boot_code_objects(vm)[:2]
         return vm, handles, boots
 
@@ -153,9 +170,9 @@ def test_compiled_store_matches_layered_reference_accounting():
     rng = random.Random(7)
     ops = []
     for _ in range(300):
-        if rng.random() < 0.25:  # boot -> heap: exercises remset inserts
+        if rng.random() < 0.25:  # boot -> heap
             ops.append(("boot", rng.randrange(2), rng.randrange(8), rng.randrange(41)))
-        else:
+        else:  # old <-> young and within each
             ops.append(("heap", rng.randrange(40), rng.randrange(3), rng.randrange(41)))
 
     for kind, i, slot, j in ops:
@@ -174,48 +191,14 @@ def test_compiled_store_matches_layered_reference_accounting():
     assert (sa.fast_path, sa.slow_path, sa.null_stores) == (
         sb.fast_path, sb.slow_path, sb.null_stores
     )
+    assert 0 < sa.slow_path < sa.fast_path - sa.null_stores  # both outcomes hit
     ra, rb = vm_a.plan.remsets, vm_b.plan.remsets
     assert ra.inserts == rb.inserts
     assert ra.duplicate_inserts == rb.duplicate_inserts
-    assert sorted(ra.pairs()) == sorted(rb.pairs())
-    for pair in ra.pairs():
-        assert ra.entries_for_pair(*pair) == rb.entries_for_pair(*pair)
+    assert remembered(vm_a.plan) == remembered(vm_b.plan)
+    if collector.startswith("gctk:"):
+        slots = vm_a.plan.ssb.slots
+        assert len(slots) > len(set(slots))  # the SSB kept re-stored slots
     for fa, fb in zip(vm_a.space._frames, vm_b.space._frames):
         if fa is not None and fb is not None:
             assert fa.words == fb.words
-
-
-# ----------------------------------------------------------------------
-# gctk compiled boundary path
-# ----------------------------------------------------------------------
-
-def test_gctk_compiled_boundary_barrier_and_ssb_duplicates():
-    """Old→young stores append to the SSB *without* dedup; young→old and
-    NULL stores are never recorded (address-order boundary barrier)."""
-    vm = make_vm(collector="gctk:Appel")
-    mu = MutatorContext(vm)
-    node = vm.types.by_name("node")
-    old = mu.alloc(node)
-    vm.collect()  # survivor is copied out of the nursery
-    barrier = vm.plan.barrier
-    assert old.addr >> vm.space.frame_shift not in barrier.nursery_frames
-
-    young = mu.alloc(node)
-    assert young.addr >> vm.space.frame_shift in barrier.nursery_frames
-    ssb = vm.plan.ssb
-    stats = barrier.stats
-    inserts0, slow0, null0 = ssb.inserts, stats.slow_path, stats.null_stores
-
-    mu.write(old, 0, young)
-    mu.write(old, 0, young)  # same slot again: SSBs keep duplicates
-    assert ssb.inserts == inserts0 + 2
-    assert stats.slow_path == slow0 + 2
-    assert len(ssb) == ssb.total_entries
-
-    mu.write(young, 0, old)  # young -> old: not recorded
-    mu.write(old, 1, None)  # NULL: counted, not compared
-    assert ssb.inserts == inserts0 + 2
-    assert stats.slow_path == slow0 + 2
-    assert stats.null_stores == null0 + 1
-    assert mu.read_addr(old, 0) == young.addr
-    assert mu.read_addr(old, 1) == 0

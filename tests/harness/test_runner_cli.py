@@ -12,8 +12,6 @@ from repro.harness.runner import (
     RunReport,
     find_min_heap,
     run,
-    run_benchmark,
-    run_benchmark_profiled,
 )
 
 
@@ -85,21 +83,6 @@ def test_run_ring_buffer_and_counters():
     assert report.counters["gc_collections_total"] == float(
         report.stats.collections
     )
-
-
-def test_deprecated_shims_warn_and_match():
-    with pytest.warns(DeprecationWarning):
-        stats = run_benchmark("jess", "25.25.100", 48 * 1024, scale=0.2)
-    assert stats.completed
-    assert stats.total_cycles == _stats(
-        "jess", "25.25.100", 48 * 1024, 0.2
-    ).total_cycles
-    with pytest.warns(DeprecationWarning):
-        stats, phases = run_benchmark_profiled(
-            "jess", "25.25.100", 48 * 1024, scale=0.1
-        )
-    assert stats.completed
-    assert phases["total"] > 0
 
 
 def test_find_min_heap_is_minimal():

@@ -33,6 +33,18 @@ def test_all_exports_resolve(package):
         assert hasattr(module, name), f"{package}.{name} missing"
 
 
+def test_removed_shims_stay_removed():
+    """The surface shrank on purpose (CHANGES, PR 13): the deprecated
+    shims and the second tracer's entry point are gone, not hidden."""
+    for module, name in (("repro.harness", "run_benchmark"),
+                         ("repro.harness.runner", "run_benchmark_profiled"),
+                         ("repro.bench", "get_spec"),
+                         ("repro.gctk", "cheney_trace")):
+        assert not hasattr(importlib.import_module(module), name)
+    assert "repro.heap.verify" not in MODULES
+    assert repro.heap.HeapVerifier is repro.sanitizer.heapcheck.HeapVerifier
+
+
 def test_version():
     assert repro.__version__ == "1.7.0"
 
