@@ -3,9 +3,10 @@
 
 Times the simulated-memory fast paths every experiment funnels through —
 allocation, write-barrier stores, single-word loads/stores, the bulk copy
-kernel — plus a small end-to-end sweep, and writes the numbers to
-``BENCH_substrate.json`` at the repository root so later PRs have a
-baseline to regress against.
+kernel — plus the overhead of ``run()`` with and without attachments, and
+writes the numbers to ``BENCH_substrate.json`` at the repository root so
+later PRs have a baseline to regress against.  (End-to-end cells and
+campaigns are ``benchmarks/e2e``'s job.)
 
 Usage::
 
@@ -33,7 +34,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.analysis.sweep import heap_multipliers, sweep  # noqa: E402
 from repro.bench.engine import TAPES, SyntheticMutator  # noqa: E402
 from repro.bench.spec import benchmark_spec  # noqa: E402
 from repro.core.remset import RememberedSets  # noqa: E402
@@ -89,7 +89,7 @@ def _best_of(fn, min_seconds: float) -> float:
     The substrate-kernel metrics run at microsecond granularity where a
     shared runner's scheduling noise swamps a windowed average; the
     minimum is the standard robust estimator (same rationale as the
-    best-of-rounds timing in :func:`bench_telemetry`).
+    best-of-rounds timing in :func:`bench_attachment`).
     """
     fn()  # warm-up
     best = float("inf")
@@ -254,12 +254,14 @@ def _bench_trace(collector: str, min_seconds: float, tier: str = None) -> float:
     return per_call / best
 
 
-#: Hard ceiling on the telemetry-disabled overhead of the ``run()`` API
+#: Hard ceiling on the overhead of the ``run()`` API with nothing attached
 #: versus driving the engine directly — the "compiled out when disabled"
-#: acceptance criterion.  Gated on the *deterministic* interpreter-call
-#: ratio (see :func:`bench_telemetry`), which is exact and immune to the
-#: ±5% wall-clock noise of shared CI runners.
-TELEMETRY_DISABLED_MAX_OVERHEAD = 0.02
+#: criterion telemetry, the sanitizer and the profiler share (DESIGN §10):
+#: a VM nothing attached to executes structurally untouched code.  Gated
+#: on the *deterministic* interpreter-call ratio (see
+#: :func:`bench_attachment`), which is exact and immune to the ±5%
+#: wall-clock noise of shared CI runners.
+UNATTACHED_MAX_OVERHEAD = 0.02
 
 
 def _count_calls(fn) -> int:
@@ -293,30 +295,39 @@ def _count_calls(fn) -> int:
     return count
 
 
-def bench_telemetry(quick: bool) -> dict:
-    """Telemetry overhead: bus disabled vs a subscribed JSONL sink.
+#: ``run()`` variants :func:`bench_attachment` compares with the raw
+#: engine: name -> ``RunOptions`` keywords.  ``unattached`` is the gated
+#: one; the rest are informational — full checking, census and event
+#: streaming cost what they cost and are reported so the trajectory stays
+#: visible, not bounded.
+ATTACH_VARIANTS = {
+    "unattached": {},
+    "telemetry_jsonl": {"trace": os.devnull},
+    "sanitizer_on": {"sanitize": True},
+    "profiler_on": {"profile": "full"},
+}
 
-    Three variants of the identical fixed-seed workload:
 
-    * ``raw``  — VM + SyntheticMutator driven directly (pre-API shape);
-    * ``run``  — through ``run()`` with no telemetry requested;
-    * ``jsonl`` — through ``run()`` streaming every event to a JSONL sink.
+def bench_attachment(quick: bool) -> dict:
+    """Attachment overhead: ``run()`` unattached (gated) and attached.
 
-    The *gated* disabled-mode number is the interpreter-call overhead
-    (``run``/``raw`` call-count ratio, deterministic — see
-    :func:`_count_calls`); wall-clock seconds and their ratios are also
-    reported, but informationally: on shared runners single-run timing
-    noise is ±5%, far above the 2% acceptance bound.
+    The identical fixed-seed cell is driven ``raw`` (VM +
+    SyntheticMutator directly, the pre-API shape) and through ``run()``
+    once per entry of :data:`ATTACH_VARIANTS`.  The *gated* number is
+    ``unattached_overhead_frac``, the ``unattached``/``raw`` interpreter-call
+    ratio (deterministic — see :func:`_count_calls`; the whole footprint
+    of an unattached ``run()`` is a handful of falsy option checks and
+    one class-attribute ``is None`` test per mutator context).  Every
+    variant also reports calls, best-of-rounds seconds and both ratios to
+    ``raw``, informationally: on shared runners single-run timing noise
+    is ±5%, far above the 2% bound.
 
-    Every variant is warmed once, so all three replay the (spec, seed)
-    tape from the engine's cache — ``telemetry_raw_seconds`` is a tape
-    *hit*, reported again as ``mutator_tape_replay_seconds`` beside
+    Every variant is warmed once, so all replay the (spec, seed) tape
+    from the engine's cache — ``raw_seconds`` is a tape *hit*, reported
+    again as ``mutator_tape_replay_seconds`` beside
     ``mutator_tape_record_replay_seconds``, the same raw cell with the
     cache cleared first (a *miss*: record the program, then replay it).
-    Both are informational.
     """
-    import io
-
     benchmark, heap, scale, seed = "jess", 48 * 1024, 0.2, 13
     rounds = 5 if quick else 9
 
@@ -326,20 +337,19 @@ def bench_telemetry(quick: bool) -> dict:
                 benchmark_name=spec.name)
         SyntheticMutator(vm, spec, seed=seed).run()
 
-    def run_api():
-        run_cell(benchmark, "25.25.100", heap,
-                 options=RunOptions(scale=scale, seed=seed))
-
-    def run_jsonl():
-        run_cell(benchmark, "25.25.100", heap,
-                 options=RunOptions(scale=scale, seed=seed,
-                                    trace=io.StringIO()))
-
     def run_miss():
         TAPES.clear()
         run_raw()
 
-    variants = {"raw": run_raw, "run": run_api, "jsonl": run_jsonl}
+    def through_api(options):
+        return lambda: run_cell(
+            benchmark, "25.25.100", heap,
+            options=RunOptions(scale=scale, seed=seed, **options),
+        )
+
+    variants = {"raw": run_raw}
+    for name, options in ATTACH_VARIANTS.items():
+        variants[name] = through_api(options)
     for fn in variants.values():
         fn()  # warm-up
     calls = {name: _count_calls(fn) for name, fn in variants.items()}
@@ -350,171 +360,16 @@ def bench_telemetry(quick: bool) -> dict:
             start = time.perf_counter()
             fn()
             best[name] = min(best[name], time.perf_counter() - start)
-    return {
-        "telemetry_raw_seconds": best["raw"],
-        "telemetry_run_api_seconds": best["run"],
-        "telemetry_jsonl_seconds": best["jsonl"],
-        "telemetry_raw_calls": calls["raw"],
-        "telemetry_run_api_calls": calls["run"],
-        "telemetry_jsonl_calls": calls["jsonl"],
-        "telemetry_disabled_overhead_frac":
-            calls["run"] / calls["raw"] - 1.0,
-        "telemetry_jsonl_overhead_frac":
-            calls["jsonl"] / calls["raw"] - 1.0,
-        "telemetry_disabled_wall_frac": best["run"] / best["raw"] - 1.0,
-        "telemetry_jsonl_wall_frac": best["jsonl"] / best["raw"] - 1.0,
+    out = {
         "mutator_tape_record_replay_seconds": best["miss"],
         "mutator_tape_replay_seconds": best["raw"],
     }
-
-
-#: Hard ceiling on the sanitizer-disabled overhead of the ``run()`` API —
-#: a VM that never attaches the sanitizer must execute structurally
-#: untouched code (DESIGN §11).  Gated on the same deterministic
-#: interpreter-call ratio as the telemetry gate.
-SANITIZER_DISABLED_MAX_OVERHEAD = 0.02
-
-
-def bench_sanitizer(quick: bool) -> dict:
-    """Sanitizer overhead: unattached (gated) vs fully attached.
-
-    Three variants of the identical fixed-seed workload:
-
-    * ``raw`` — VM + SyntheticMutator driven directly;
-    * ``off`` — through ``run()`` with the sanitizer available but not
-      attached: the path the 2% gate protects (its entire footprint is
-      one class-attribute ``is None`` test per mutator context plus two
-      falsy option checks per run);
-    * ``on``  — through ``run()`` with the shadow graph, differential
-      checker and invariant suite attached.  Informational only: full
-      checking costs what it costs (every mutator op is mirrored and
-      every collection boundary walks the heap) and is reported so the
-      trajectory is visible, not bounded.
-    """
-    benchmark, heap, scale, seed = "jess", 48 * 1024, 0.2, 13
-    rounds = 3 if quick else 5
-
-    def run_raw():
-        spec = benchmark_spec(benchmark, scale)
-        vm = VM(heap, collector="25.25.100", locality=spec.locality,
-                benchmark_name=spec.name)
-        SyntheticMutator(vm, spec, seed=seed).run()
-
-    def run_off():
-        run_cell(benchmark, "25.25.100", heap,
-                 options=RunOptions(scale=scale, seed=seed))
-
-    def run_on():
-        run_cell(benchmark, "25.25.100", heap,
-                 options=RunOptions(scale=scale, seed=seed, sanitize=True))
-
-    variants = {"raw": run_raw, "off": run_off, "on": run_on}
-    for fn in variants.values():
-        fn()  # warm-up
-    calls = {name: _count_calls(fn) for name, fn in variants.items()}
-    best = {name: float("inf") for name in variants}
-    for _ in range(rounds):
-        for name, fn in variants.items():
-            start = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - start)
-    return {
-        "sanitizer_raw_seconds": best["raw"],
-        "sanitizer_off_seconds": best["off"],
-        "sanitizer_on_seconds": best["on"],
-        "sanitizer_raw_calls": calls["raw"],
-        "sanitizer_off_calls": calls["off"],
-        "sanitizer_on_calls": calls["on"],
-        "sanitizer_disabled_overhead_frac":
-            calls["off"] / calls["raw"] - 1.0,
-        "sanitizer_attached_overhead_frac":
-            calls["on"] / calls["raw"] - 1.0,
-        "sanitizer_attached_wall_frac": best["on"] / best["raw"] - 1.0,
-    }
-
-
-#: Hard ceiling on the profiler-detached overhead of the ``run()`` API —
-#: a VM that never attaches the profiler must execute structurally
-#: untouched code (DESIGN §12).  Gated on the same deterministic
-#: interpreter-call ratio as the telemetry and sanitizer gates.
-PROFILER_DISABLED_MAX_OVERHEAD = 0.02
-
-
-def bench_profiler(quick: bool) -> dict:
-    """Profiler overhead: detached (gated) vs fully attached.
-
-    Three variants of the identical fixed-seed workload:
-
-    * ``raw`` — VM + SyntheticMutator driven directly;
-    * ``off`` — through ``run()`` with the profiler available but not
-      attached: the path the 2% gate protects (its entire footprint is
-      two falsy option checks per run — the profiler module is not even
-      imported);
-    * ``on``  — through ``run(profile="full")`` with birth stamping,
-      release-frame census walks, streaming percentiles/MMU, geometry
-      sampling and cost attribution all live.  Informational only: the
-      census prices what it prices (one dict insert per allocation, one
-      status-word read per stamped object per frame release) and is
-      reported so the trajectory stays visible, not bounded.
-    """
-    benchmark, heap, scale, seed = "jess", 48 * 1024, 0.2, 13
-    rounds = 3 if quick else 5
-
-    def run_raw():
-        spec = benchmark_spec(benchmark, scale)
-        vm = VM(heap, collector="25.25.100", locality=spec.locality,
-                benchmark_name=spec.name)
-        SyntheticMutator(vm, spec, seed=seed).run()
-
-    def run_off():
-        run_cell(benchmark, "25.25.100", heap,
-                 options=RunOptions(scale=scale, seed=seed))
-
-    def run_on():
-        run_cell(benchmark, "25.25.100", heap,
-                 options=RunOptions(scale=scale, seed=seed, profile="full"))
-
-    variants = {"raw": run_raw, "off": run_off, "on": run_on}
-    for fn in variants.values():
-        fn()  # warm-up
-    calls = {name: _count_calls(fn) for name, fn in variants.items()}
-    best = {name: float("inf") for name in variants}
-    for _ in range(rounds):
-        for name, fn in variants.items():
-            start = time.perf_counter()
-            fn()
-            best[name] = min(best[name], time.perf_counter() - start)
-    return {
-        "profiler_raw_seconds": best["raw"],
-        "profiler_off_seconds": best["off"],
-        "profiler_on_seconds": best["on"],
-        "profiler_raw_calls": calls["raw"],
-        "profiler_off_calls": calls["off"],
-        "profiler_on_calls": calls["on"],
-        "profiler_disabled_overhead_frac":
-            calls["off"] / calls["raw"] - 1.0,
-        "profiler_attached_overhead_frac":
-            calls["on"] / calls["raw"] - 1.0,
-        "profiler_attached_wall_frac": best["on"] / best["raw"] - 1.0,
-    }
-
-
-def bench_sweep(quick: bool, parallel: bool) -> dict:
-    """Wall-clock of a small end-to-end sweep, serial and parallel."""
-    points = 3 if quick else 5
-    scale = 0.2 if quick else 0.5
-    multipliers = heap_multipliers(points)
-    out = {}
-    for label, par in (("serial", False), ("parallel", True)):
-        if par and not parallel:
-            continue
-        start = time.perf_counter()
-        result = sweep(
-            "jess", "25.25.100", 24 * 1024, multipliers, scale=scale, parallel=par
-        )
-        out[f"sweep_seconds_{label}"] = time.perf_counter() - start
-        out[f"sweep_completed_{label}"] = sum(r.completed for r in result.runs)
-        out[f"sweep_mode_{label}"] = result.execution_mode
+    for name in variants:
+        out[f"{name}_seconds"] = best[name]
+        out[f"{name}_calls"] = calls[name]
+        if name != "raw":
+            out[f"{name}_overhead_frac"] = calls[name] / calls["raw"] - 1.0
+            out[f"{name}_wall_frac"] = best[name] / best["raw"] - 1.0
     return out
 
 
@@ -608,7 +463,7 @@ def measure(key: str, min_seconds: float) -> float:
     return bench(min_seconds, tier) if tier else bench(min_seconds)
 
 
-def run(quick: bool, parallel: bool = True) -> dict:
+def run(quick: bool) -> dict:
     min_seconds = QUICK_SECONDS if quick else FULL_SECONDS
     keys = list(METRIC_BENCHES) + [
         f"{name}@{tier}"
@@ -622,10 +477,7 @@ def run(quick: bool, parallel: bool = True) -> dict:
         "substrate_tier": resolve(None).name,
         "tiers_available": available(),
         "metrics": metrics,
-        "telemetry": bench_telemetry(quick),
-        "sanitizer": bench_sanitizer(quick),
-        "profiler": bench_profiler(quick),
-        "end_to_end": bench_sweep(quick, parallel),
+        "attachment": bench_attachment(quick),
         "pre_change": PRE_CHANGE,
         "speedup_vs_pre_change": {
             key: metrics[key] / PRE_CHANGE[key] for key in PRE_CHANGE
@@ -668,40 +520,17 @@ def check(report: dict, baseline_path: Path, threshold: float) -> int:
               f"({ratio:5.2f}x) {status}")
         if ratio < 1.0 - threshold:
             failures.append(key)
-    # Telemetry disabled-mode overhead: an absolute gate, not a baseline
-    # ratio — the run() API must stay within 2% of driving the engine raw.
-    # Measured as the deterministic interpreter-call ratio, so the gate
-    # never flakes on a noisy runner.
-    overhead = report.get("telemetry", {}).get("telemetry_disabled_overhead_frac")
-    if overhead is not None:
-        ok = overhead <= TELEMETRY_DISABLED_MAX_OVERHEAD
-        print(f"  {'telemetry_disabled_overhead':<24} {overhead:14.4f} "
-              f"(limit {TELEMETRY_DISABLED_MAX_OVERHEAD:.2f})  "
-              f"{'OK' if ok else 'REGRESSED'}")
-        if not ok:
-            failures.append("telemetry_disabled_overhead_frac")
-    # Sanitizer unattached-mode overhead: same absolute, deterministic
-    # gate — a never-attached VM must stay within 2% of raw (DESIGN §11).
-    # The attached-mode numbers are reported above, informationally.
-    overhead = report.get("sanitizer", {}).get("sanitizer_disabled_overhead_frac")
-    if overhead is not None:
-        ok = overhead <= SANITIZER_DISABLED_MAX_OVERHEAD
-        print(f"  {'sanitizer_disabled_overhead':<24} {overhead:14.4f} "
-              f"(limit {SANITIZER_DISABLED_MAX_OVERHEAD:.2f})  "
-              f"{'OK' if ok else 'REGRESSED'}")
-        if not ok:
-            failures.append("sanitizer_disabled_overhead_frac")
-    # Profiler detached-mode overhead: same absolute, deterministic gate —
-    # a never-attached VM must stay within 2% of raw (DESIGN §12).  The
-    # attached-mode numbers are reported above, informationally.
-    overhead = report.get("profiler", {}).get("profiler_disabled_overhead_frac")
-    if overhead is not None:
-        ok = overhead <= PROFILER_DISABLED_MAX_OVERHEAD
-        print(f"  {'profiler_disabled_overhead':<24} {overhead:14.4f} "
-              f"(limit {PROFILER_DISABLED_MAX_OVERHEAD:.2f})  "
-              f"{'OK' if ok else 'REGRESSED'}")
-        if not ok:
-            failures.append("profiler_disabled_overhead_frac")
+    # Unattached overhead: an absolute gate, not a baseline ratio — with
+    # nothing attached the run() API must stay within 2% of driving the
+    # engine raw (DESIGN §10).  Measured as the deterministic
+    # interpreter-call ratio, so the gate never flakes on a noisy runner.
+    overhead = report["attachment"]["unattached_overhead_frac"]
+    ok = overhead <= UNATTACHED_MAX_OVERHEAD
+    print(f"  {'unattached_overhead':<24} {overhead:14.4f} "
+          f"(limit {UNATTACHED_MAX_OVERHEAD:.2f})  "
+          f"{'OK' if ok else 'REGRESSED'}")
+    if not ok:
+        failures.append("unattached_overhead_frac")
     if failures:
         print(f"FAIL: throughput regressed >{threshold:.0%} on: "
               f"{', '.join(failures)}")
@@ -723,8 +552,6 @@ def main(argv=None) -> int:
                         help="where to write the JSON report (default: "
                              "BENCH_substrate.json at the repo root; "
                              "suppressed in --check mode unless given)")
-    parser.add_argument("--no-parallel", action="store_true",
-                        help="skip the parallel end-to-end sweep timing")
     parser.add_argument("--tier", choices=("python", "numpy", "cffi", "auto"),
                         help="force the substrate-kernel tier for the "
                              "headline metrics (sets " + TIER_ENV + ")")
@@ -734,20 +561,13 @@ def main(argv=None) -> int:
     if args.check and not args.check.is_file():
         parser.error(f"baseline file not found: {args.check}")
 
-    report = run(args.quick, parallel=not args.no_parallel)
+    report = run(args.quick)
     for key, value in report["metrics"].items():
         speedup = report["speedup_vs_pre_change"].get(key)
         suffix = f"   ({speedup:6.1f}x vs pre-change)" if speedup else ""
         print(f"{key:<28} {value:14.0f} /s{suffix}")
-    for key, value in report["telemetry"].items():
-        print(f"{key:<34} {value:10.4f}")
-    for key, value in report["sanitizer"].items():
-        print(f"{key:<34} {value:10.4f}")
-    for key, value in report["profiler"].items():
-        print(f"{key:<34} {value:10.4f}")
-    for key, value in report["end_to_end"].items():
-        print(f"{key:<24} {value:14.3f}" if isinstance(value, float)
-              else f"{key:<24} {value:>14}")
+    for key, value in report["attachment"].items():
+        print(f"{key:<36} {value:10.4f}")
 
     if args.check:
         status = check(report, args.check, args.threshold)

@@ -195,6 +195,41 @@ def _geomean_figure(
     return multipliers, relative_to_best(combined)
 
 
+def _geomean_panels(
+    number: int, collectors: Sequence[str], points: int, scale: float
+):
+    """The two geomean panels figures 5-9 share: (a) GC time and (b)
+    total time relative to best, the latter also as a chart.
+
+    Returns ``(multipliers, gc_series, total_series, text, data)``; a
+    figure appends its own lines to ``text`` and keys to ``data``.
+    """
+    multipliers, gc_series = _geomean_figure(
+        collectors, "gc_cycles", BENCHMARK_NAMES, points, scale
+    )
+    _, total_series = _geomean_figure(
+        collectors, "total_cycles", BENCHMARK_NAMES, points, scale
+    )
+    text = (
+        render_series(
+            multipliers, gc_series,
+            f"Figure {number}(a): GC time relative to best (geomean)",
+        )
+        + "\n\n"
+        + render_series(
+            multipliers, total_series,
+            f"Figure {number}(b): total time relative to best (geomean)",
+        )
+        + "\n\n"
+        + ascii_chart(
+            multipliers, total_series,
+            f"Figure {number}(b) as a chart (lower is better)",
+        )
+    )
+    data = {"multipliers": multipliers, "gc": gc_series, "total": total_series}
+    return multipliers, gc_series, total_series, text, data
+
+
 def _value_at(series: List[Optional[float]], index: int) -> Optional[float]:
     return series[index] if 0 <= index < len(series) else None
 
@@ -437,11 +472,8 @@ def figure4(scale: float = 1.0) -> ExperimentResult:
 def figure5(points: int = 9, scale: float = 1.0) -> ExperimentResult:
     """Appel vs Beltway 100.100 vs 100.100.100 (geomean GC & total time)."""
     collectors = [BASELINE, "100.100", "100.100.100"]
-    multipliers, gc_series = _geomean_figure(
-        collectors, "gc_cycles", BENCHMARK_NAMES, points, scale
-    )
-    _, total_series = _geomean_figure(
-        collectors, "total_cycles", BENCHMARK_NAMES, points, scale
+    multipliers, gc_series, total_series, text, data = _geomean_panels(
+        5, collectors, points, scale
     )
     checks = {}
     # Beltway 100.100 performs the same as the Appel baseline.
@@ -465,23 +497,7 @@ def figure5(points: int = 9, scale: float = 1.0) -> ExperimentResult:
         and ba3_mid is not None
         and ba3_mid > appel_mid * 0.90
     )
-    text = (
-        render_series(multipliers, gc_series, "Figure 5(a): GC time relative to best (geomean)")
-        + "\n\n"
-        + render_series(
-            multipliers, total_series, "Figure 5(b): total time relative to best (geomean)"
-        )
-        + "\n\n"
-        + ascii_chart(
-            multipliers, total_series, "Figure 5(b) as a chart (lower is better)"
-        )
-    )
-    return ExperimentResult(
-        "figure5",
-        text,
-        {"multipliers": multipliers, "gc": gc_series, "total": total_series},
-        checks,
-    )
+    return ExperimentResult("figure5", text, data, checks)
 
 
 # ----------------------------------------------------------------------
@@ -490,11 +506,8 @@ def figure5(points: int = 9, scale: float = 1.0) -> ExperimentResult:
 def figure6(points: int = 9, scale: float = 1.0) -> ExperimentResult:
     """Fixed-size nurseries (10/25/50%) vs the flexible Appel nursery."""
     collectors = [BASELINE, "gctk:Fixed.10", "gctk:Fixed.25", "gctk:Fixed.50"]
-    multipliers, gc_series = _geomean_figure(
-        collectors, "gc_cycles", BENCHMARK_NAMES, points, scale
-    )
-    _, total_series = _geomean_figure(
-        collectors, "total_cycles", BENCHMARK_NAMES, points, scale
+    multipliers, gc_series, total_series, text, data = _geomean_panels(
+        6, collectors, points, scale
     )
     checks = {}
     indices = [i for i in range(len(multipliers)) if multipliers[i] >= 1.2]
@@ -512,23 +525,7 @@ def figure6(points: int = 9, scale: float = 1.0) -> ExperimentResult:
     checks["fixed_fails_in_tight_heaps"] = any(
         total_series[c][0] is None for c in collectors if c != BASELINE
     ) and total_series[BASELINE][0] is not None
-    text = (
-        render_series(multipliers, gc_series, "Figure 6(a): GC time relative to best (geomean)")
-        + "\n\n"
-        + render_series(
-            multipliers, total_series, "Figure 6(b): total time relative to best (geomean)"
-        )
-        + "\n\n"
-        + ascii_chart(
-            multipliers, total_series, "Figure 6(b) as a chart (lower is better)"
-        )
-    )
-    return ExperimentResult(
-        "figure6",
-        text,
-        {"multipliers": multipliers, "gc": gc_series, "total": total_series},
-        checks,
-    )
+    return ExperimentResult("figure6", text, data, checks)
 
 
 # ----------------------------------------------------------------------
@@ -537,11 +534,8 @@ def figure6(points: int = 9, scale: float = 1.0) -> ExperimentResult:
 def figure7(points: int = 9, scale: float = 1.0) -> ExperimentResult:
     """Beltway X.X.100 for X in {10, 25, 33, 50}."""
     collectors = ["10.10.100", "25.25.100", "33.33.100", "50.50.100"]
-    multipliers, gc_series = _geomean_figure(
-        collectors, "gc_cycles", BENCHMARK_NAMES, points, scale
-    )
-    _, total_series = _geomean_figure(
-        collectors, "total_cycles", BENCHMARK_NAMES, points, scale
+    multipliers, gc_series, total_series, text, data = _geomean_panels(
+        7, collectors, points, scale
     )
     indices = [
         i
@@ -558,23 +552,8 @@ def figure7(points: int = 9, scale: float = 1.0) -> ExperimentResult:
         means["10.10.100"] is not None
         and means["10.10.100"] > min(robust) * 1.02
     )
-    text = (
-        render_series(multipliers, gc_series, "Figure 7(a): GC time relative to best (geomean)")
-        + "\n\n"
-        + render_series(
-            multipliers, total_series, "Figure 7(b): total time relative to best (geomean)"
-        )
-        + "\n\n"
-        + ascii_chart(
-            multipliers, total_series, "Figure 7(b) as a chart (lower is better)"
-        )
-    )
-    return ExperimentResult(
-        "figure7",
-        text,
-        {"multipliers": multipliers, "gc": gc_series, "total": total_series, "means": means},
-        checks,
-    )
+    data["means"] = means
+    return ExperimentResult("figure7", text, data, checks)
 
 
 # ----------------------------------------------------------------------
@@ -583,11 +562,8 @@ def figure7(points: int = 9, scale: float = 1.0) -> ExperimentResult:
 def figure8(points: int = 9, scale: float = 1.0) -> ExperimentResult:
     """25.25 vs 25.25.100 vs Appel, plus the javac completeness anecdote."""
     collectors = ["25.25", "25.25.100", BASELINE]
-    multipliers, gc_series = _geomean_figure(
-        collectors, "gc_cycles", BENCHMARK_NAMES, points, scale
-    )
-    _, total_series = _geomean_figure(
-        collectors, "total_cycles", BENCHMARK_NAMES, points, scale
+    multipliers, gc_series, total_series, text, data = _geomean_panels(
+        8, collectors, points, scale
     )
     indices = range(len(multipliers))
     mean_xx, mean_complete = _paired_means(
@@ -617,23 +593,9 @@ def figure8(points: int = 9, scale: float = 1.0) -> ExperimentResult:
     checks["javac_punishes_incompleteness"] = (not xx.completed) or (
         complete.completed and floor_xx > 1.5 * floor_complete
     )
-    data = {
-        "multipliers": multipliers,
-        "gc": gc_series,
-        "total": total_series,
-        "javac_floors": {"25.25": floor_xx, "25.25.100": floor_complete},
-    }
-    text = (
-        render_series(multipliers, gc_series, "Figure 8(a): GC time relative to best (geomean)")
-        + "\n\n"
-        + render_series(
-            multipliers, total_series, "Figure 8(b): total time relative to best (geomean)"
-        )
-        + "\n\n"
-        + ascii_chart(
-            multipliers, total_series, "Figure 8(b) as a chart (lower is better)"
-        )
-        + "\n\njavac reclamation floor @1.5x min heap (lower = more garbage"
+    data["javac_floors"] = {"25.25": floor_xx, "25.25.100": floor_complete}
+    text += (
+        "\n\njavac reclamation floor @1.5x min heap (lower = more garbage"
         + " reclaimed):\n"
         + f"  25.25     {floor_xx} bytes retained"
         + f" ({'ok' if xx.completed else 'FAILED'})\n"
@@ -649,11 +611,8 @@ def figure8(points: int = 9, scale: float = 1.0) -> ExperimentResult:
 def figure9(points: int = 9, scale: float = 1.0) -> ExperimentResult:
     """Beltway 25.25.100 vs Appel vs Fixed-25 (geomean GC & total time)."""
     collectors = ["25.25.100", BASELINE, "gctk:Fixed.25"]
-    multipliers, gc_series = _geomean_figure(
-        collectors, "gc_cycles", BENCHMARK_NAMES, points, scale
-    )
-    _, total_series = _geomean_figure(
-        collectors, "total_cycles", BENCHMARK_NAMES, points, scale
+    multipliers, gc_series, total_series, text, data = _geomean_panels(
+        9, collectors, points, scale
     )
     small = [i for i, m in enumerate(multipliers) if m <= 1.6]
     large = [i for i, m in enumerate(multipliers) if m >= 2.2]
@@ -675,8 +634,6 @@ def figure9(points: int = 9, scale: float = 1.0) -> ExperimentResult:
             ratios_large.append(b_large / a_large)
     ratio_small = geometric_mean(ratios_small) if ratios_small else None
     ratio_large = geometric_mean(ratios_large) if ratios_large else None
-    beltway_small, appel_small = ratio_small, 1.0
-    beltway_large, appel_large = ratio_large, 1.0
     checks = {}
     checks["beltway_wins_small_heaps"] = (
         ratio_small is not None and ratio_small < 1.0
@@ -695,29 +652,12 @@ def figure9(points: int = 9, scale: float = 1.0) -> ExperimentResult:
     checks["gc_time_reduced_in_small_heaps"] = (
         gc_small_b is not None and gc_small_a is not None and gc_small_b < gc_small_a
     )
-    text = (
-        render_series(multipliers, gc_series, "Figure 9(a): GC time relative to best (geomean)")
-        + "\n\n"
-        + render_series(
-            multipliers, total_series, "Figure 9(b): total time relative to best (geomean)"
-        )
-        + "\n\n"
-        + ascii_chart(
-            multipliers, total_series, "Figure 9(b) as a chart (lower is better)"
-        )
-        + f"\n\nsmall-heap (<=1.6x) total-time improvement over Appel: {improvement:.1f}%"
+    text += (
+        f"\n\nsmall-heap (<=1.6x) total-time improvement over Appel: "
+        f"{improvement:.1f}%"
     )
-    return ExperimentResult(
-        "figure9",
-        text,
-        {
-            "multipliers": multipliers,
-            "gc": gc_series,
-            "total": total_series,
-            "improvement_small_heaps_pct": improvement,
-        },
-        checks,
-    )
+    data["improvement_small_heaps_pct"] = improvement
+    return ExperimentResult("figure9", text, data, checks)
 
 
 # ----------------------------------------------------------------------

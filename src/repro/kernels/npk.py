@@ -17,8 +17,8 @@ Counter bit-identity (DESIGN §13): a batch call is defined as equivalent
 to the scalar sequence it replaces.  The vector paths therefore
 *validate everything first* using uncounted peeks, and apply counted
 effects only when no element can fault; any anomaly — misalignment, an
-unmapped frame, an unknown type, an out-of-range slot, an attached
-sanitizer or armed fault seam — reruns the whole batch through the
+unmapped frame, an unknown type, an out-of-range slot, anything attached
+through ``vm.seam`` — reruns the whole batch through the
 scalar reference path from the start, reproducing partial effects and
 the exact exception at the exact counter state.
 """
@@ -62,8 +62,12 @@ class BatchOps:
     """Batched mutator kernels bound to one VM (numpy tiers).
 
     Only the Beltway frame barrier is vectorised; gctk plans (boundary
-    barrier) and any batch that trips a validation or purity guard run
-    the scalar reference loop instead — same effects, same counters.
+    barrier) and any batch that trips a validation guard run the scalar
+    reference loop instead — same effects, same counters.  So does every
+    batch while ``vm.seam.active``: batching is only sound when nothing
+    wraps the scalar paths (sanitizer, profiler, armed faults), and the
+    seam's answer is stricter than necessary — telemetry alone also
+    falls back.
     """
 
     def __init__(self, vm):
@@ -72,11 +76,6 @@ class BatchOps:
         plan = vm.plan
         self.plan = plan
         self._is_beltway = hasattr(plan, "belts")
-        # Purity pins: batching is only sound while the compiled scalar
-        # paths are the pristine ones (no fault-injection recompiles) and
-        # the remset insert seam is unpatched.
-        self._pristine_write = plan.write_ref_field
-        self._pristine_init = plan._init_object
         self._np_slabs = []
         self._slab_words = self.space.slab_frames * self.space.frame_words
 
@@ -86,20 +85,6 @@ class BatchOps:
         if len(self._np_slabs) != len(slabs):
             self._np_slabs = [np.frombuffer(s, dtype=np.int64) for s in slabs]
         return self._np_slabs
-
-    def _pure(self) -> bool:
-        vm = self.vm
-        plan = self.plan
-        rs = plan.remsets
-        return (
-            vm.mutator_observer is None
-            and "write_ref" not in vm.__dict__
-            and "alloc" not in vm.__dict__
-            and plan.write_ref_field is self._pristine_write
-            and plan._init_object is self._pristine_init
-            and "insert" not in rs.__dict__
-            and "append" not in rs.__dict__
-        )
 
     def _gather(self, idx):
         """Read words at global slot indices ``idx`` (uncounted peek)."""
@@ -145,7 +130,7 @@ class BatchOps:
         the scalar sequence), or False having performed *nothing* — the
         caller then replays the batch through the scalar path.
         """
-        if not self._is_beltway or not self._pure():
+        if not self._is_beltway or self.vm.seam.active:
             return False
         space = self.space
         o = np.ascontiguousarray(objs, dtype=np.int64)
@@ -214,7 +199,7 @@ class BatchOps:
         path does not apply.  Counter accounting is identical to the same
         number of scalar ``plan.alloc`` calls.
         """
-        if not self._is_beltway or not self._pure():
+        if not self._is_beltway or self.vm.seam.active:
             return None
         plan = self.plan
         inc = plan.allocation_increment

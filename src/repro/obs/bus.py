@@ -43,7 +43,9 @@ class TelemetryBus:
         return sink
 
     def unsubscribe(self, sink) -> None:
-        self._sinks.remove(sink)
+        """Stop delivering to ``sink``; a no-op if it is not subscribed."""
+        if sink in self._sinks:
+            self._sinks.remove(sink)
 
     # ------------------------------------------------------------------
     def emit(self, kind: str, time: float, data: Dict[str, Any]) -> Optional[Event]:

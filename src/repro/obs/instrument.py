@@ -5,9 +5,9 @@ inlined Cheney trace) must stay bit-identical and unslowed when nobody is
 observing, so instrumentation is **attach-time wrapping**, not in-line
 hooks: :func:`attach` wraps a VM's collection entry points, frame
 acquisition, and (optionally, for profiling) its barriered store path as
-instance attributes.  A VM that was never attached executes code with no
-telemetry branches at all — that is the "compiled out when disabled"
-guarantee the golden-counter tests pin down.
+instance attributes through ``vm.seam``.  A VM that was never attached
+executes code with no telemetry branches at all — that is the "compiled
+out when disabled" guarantee the golden-counter tests pin down.
 
 The layering rule (DESIGN.md §10): instrumentation *reads* counters and
 the simulated clock and *never* issues loads/stores, draws from the
@@ -34,9 +34,6 @@ from typing import Dict, Optional
 
 from ..heap.address import WORD_BYTES
 from .bus import TelemetryBus
-
-#: Collection entry points wrapped on a plan (whichever exist).
-_COLLECT_ENTRIES = ("collect", "minor_collect", "major_collect")
 
 
 def attach(
@@ -85,56 +82,27 @@ class Instrumentation:
         self._since_snapshot = 0
         self._last_inserts = 0
         self._gc_seq = 0
-        self._depth = 0
-        self._entry_wall = 0.0
-        #: (obj, attr, original, was-instance-attr) per wrapped attribute,
-        #: in wrap order; :meth:`detach` unwinds it in reverse.
-        self._wrapped = []
-        self._detached = False
-        self._wrap_collect_entries()
-        self._wrap_acquire_frame()
+        #: Host time the current outermost collection was entered, else None.
+        self._entry_wall: Optional[float] = None
+        seam = vm.seam
+        self._handles = [
+            seam.around_collections(vm.plan, self._gc_begin, self._gc_end),
+            seam.wrap(vm.space, "acquire_frame", self._emit_regions),
+        ]
         if profile:
-            self._wrap_barrier()
-            self._wrap_verify()
+            self._handles += [
+                seam.wrap(vm, "_write_ref_field", self._timed("barrier")),
+                seam.wrap(vm.plan, "verify", self._timed("verify")),
+            ]
         vm.plan.collection_listeners.append(self._on_collection)
 
     # ------------------------------------------------------------------
-    # Wrappers
+    # Wrapper factories (installed and removed through ``vm.seam``)
     # ------------------------------------------------------------------
-    def _set_wrapper(self, obj, name: str, wrapper) -> None:
-        """Instance-patch ``obj.name``, remembering how to undo it."""
-        self._wrapped.append((obj, name, getattr(obj, name), name in vars(obj)))
-        setattr(obj, name, wrapper)
-
-    def _wrap_collect_entries(self) -> None:
-        plan = self.vm.plan
-        for entry in _COLLECT_ENTRIES:
-            inner = getattr(plan, entry, None)
-            if inner is not None:
-                self._set_wrapper(plan, entry, self._timed_entry(inner, entry))
-
-    def _timed_entry(self, inner, entry_name: str):
-        perf = time.perf_counter
-
-        def timed(*args, **kwargs):
-            if self._depth:  # delegation (collect -> minor_collect)
-                return inner(*args, **kwargs)
-            self._depth = 1
-            self._gc_seq += 1
-            reason = args[0] if args else kwargs.get("reason", entry_name)
-            self._emit_gc_start(str(reason))
-            self._entry_wall = t0 = perf()
-            try:
-                return inner(*args, **kwargs)
-            finally:
-                self._depth = 0
-                self.phases["collect"] += perf() - t0
-
-        return timed
-
-    def _emit_gc_start(self, reason: str) -> None:
+    def _gc_begin(self, reason: str) -> None:
         vm = self.vm
         space = vm.space
+        self._gc_seq += 1
         self.bus.emit("gc.start", vm.clock.now, {
             "seq": self._gc_seq,
             "reason": reason,
@@ -142,14 +110,18 @@ class Instrumentation:
             "heap_frames": space.heap_frames,
             "reserve_frames": self._reserve_frames(),
         })
+        self._entry_wall = time.perf_counter()
+
+    def _gc_end(self) -> None:
+        self.phases["collect"] += time.perf_counter() - self._entry_wall
+        self._entry_wall = None
 
     def _reserve_frames(self) -> int:
         current = getattr(self.vm.plan, "current_reserve_frames", None)
         return current() if current is not None else 0
 
-    def _wrap_acquire_frame(self) -> None:
+    def _emit_regions(self, inner):
         space = self.vm.space
-        inner = space.acquire_frame
         bus = self.bus
         clock = self.vm.clock
 
@@ -162,61 +134,40 @@ class Instrumentation:
             })
             return frame
 
-        self._set_wrapper(space, "acquire_frame", acquire_frame)
+        return acquire_frame
 
-    def _wrap_barrier(self) -> None:
-        vm = self.vm
-        inner = vm._write_ref_field
+    def _timed(self, phase: str):
+        """Factory charging the wrapped call's host time to ``phase``
+        (``profile=True``: the barriered store path and the verifier)."""
         phases = self.phases
         perf = time.perf_counter
 
-        def timed_write(obj, index, value):
-            t0 = perf()
-            try:
-                inner(obj, index, value)
-            finally:
-                phases["barrier"] += perf() - t0
+        def make(inner):
+            def timed(*args, **kwargs):
+                t0 = perf()
+                try:
+                    return inner(*args, **kwargs)
+                finally:
+                    phases[phase] += perf() - t0
 
-        self._set_wrapper(vm, "_write_ref_field", timed_write)
+            return timed
 
-    def _wrap_verify(self) -> None:
-        plan = self.vm.plan
-        inner = plan.verify
-        phases = self.phases
-        perf = time.perf_counter
-
-        def timed_verify(*args, **kwargs):
-            t0 = perf()
-            try:
-                return inner(*args, **kwargs)
-            finally:
-                phases["verify"] += perf() - t0
-
-        self._set_wrapper(plan, "verify", timed_verify)
+        return make
 
     # ------------------------------------------------------------------
     # Detach: return the VM to the untouched-code path
     # ------------------------------------------------------------------
     def detach(self) -> None:
-        """Unwind every wrapper and listener this attachment installed.
+        """Remove every wrapper and listener this attachment installed.
 
         After ``detach`` the VM executes structurally untouched code
-        again (the instance attributes added at attach time are removed,
-        not replaced), so fixed-seed counters from that point on are
-        bit-identical to a VM that was never attached.  Wrappers unwind
-        in reverse wrap order, so stacked attachments (telemetry over
-        sanitizer, profile over plain) nest correctly as long as they
-        detach LIFO.
+        again (the seam deletes the instance attributes it added), so
+        fixed-seed counters from that point on are bit-identical to a VM
+        that was never attached.  Safe to call twice, and in any order
+        relative to other attachments.
         """
-        if self._detached:
-            return
-        self._detached = True
-        while self._wrapped:
-            obj, name, original, was_instance = self._wrapped.pop()
-            if was_instance:
-                setattr(obj, name, original)
-            else:
-                delattr(obj, name)
+        for handle in self._handles:
+            handle.remove()
         listeners = self.vm.plan.collection_listeners
         if self._on_collection in listeners:
             listeners.remove(self._on_collection)
@@ -237,7 +188,8 @@ class Instrumentation:
             pause_start = pause_end = now
         # Host wall time from collection entry to this result's emission
         # (a batched collection's auxiliary results report partial times).
-        wall_s = time.perf_counter() - self._entry_wall if self._depth else 0.0
+        entered = self._entry_wall
+        wall_s = time.perf_counter() - entered if entered is not None else 0.0
         self.bus.emit("gc.end", now, {
             "id": result.collection_id,
             "reason": result.reason,

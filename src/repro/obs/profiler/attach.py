@@ -4,7 +4,7 @@ The profiler is a bus subscriber, like the tracer and the sanitizer: it
 consumes ``gc.start`` / ``gc.end`` / ``heap.snapshot`` / ``run.*``
 events (from a shared harness bus, or from a private bus + standard
 instrumentation when attached standalone) and adds exactly two direct
-hooks of its own, both instance-attribute wraps on existing seams:
+hooks of its own, both wrapped through ``vm.seam``:
 
 * ``vm.alloc`` — birth-stamps every allocation with the bytes-allocated
   clock (``MutatorContext`` resolves ``vm.alloc`` per call, so contexts
@@ -65,25 +65,17 @@ class Profiler:
         self._geometry_seq = 0
         self._identity = {}
         self._phases = {}
-        self._detached = False
-        #: (obj, attr, original, was-instance-attr), unwound LIFO.
-        self._wrapped: List[tuple] = []
-        self._wrap_alloc()
-        self._wrap_release_frame()
+        self._handles = [
+            vm.seam.wrap(vm, "alloc", self._stamp_births),
+            vm.seam.wrap(vm.space, "release_frame", self._resolve_stamps),
+        ]
         bus.subscribe(self)
 
     # ------------------------------------------------------------------
-    # Direct hooks (instance-attribute wrapping, nest/detach like
-    # ``Instrumentation``: originals restored, stacked wrappers preserved)
+    # Direct hooks (wrapper factories for ``vm.seam``, DESIGN §10)
     # ------------------------------------------------------------------
-    def _set_wrapper(self, obj, name: str, wrapper) -> None:
-        self._wrapped.append((obj, name, getattr(obj, name), name in vars(obj)))
-        setattr(obj, name, wrapper)
-
-    def _wrap_alloc(self) -> None:
-        vm = self.vm
-        inner = vm.alloc
-        plan = vm.plan
+    def _stamp_births(self, inner):
+        plan = self.vm.plan
         birth = self.census.birth
 
         def alloc(desc, length: int = 0) -> int:
@@ -95,14 +87,12 @@ class Profiler:
             )
             return addr
 
-        self._set_wrapper(vm, "alloc", alloc)
+        return alloc
 
-    def _wrap_release_frame(self) -> None:
-        space = self.vm.space
-        inner = space.release_frame
+    def _resolve_stamps(self, inner):
         census = self.census
         plan = self.vm.plan
-        shift = space.frame_shift
+        shift = self.vm.space.frame_shift
 
         def release_frame(frame) -> None:
             # Resolve stamps before the inner release zeroes the storage.
@@ -114,7 +104,7 @@ class Profiler:
             )
             inner(frame)
 
-        self._set_wrapper(space, "release_frame", release_frame)
+        return release_frame
 
     # ------------------------------------------------------------------
     # Bus subscriber
@@ -199,16 +189,9 @@ class Profiler:
         return report
 
     def detach(self) -> None:
-        """Unwind the hooks; the VM executes untouched code again."""
-        if self._detached:
-            return
-        self._detached = True
-        while self._wrapped:
-            obj, name, original, was_instance = self._wrapped.pop()
-            if was_instance:
-                setattr(obj, name, original)
-            else:
-                delattr(obj, name)
+        """Remove the hooks; the VM executes untouched code again."""
+        for handle in self._handles:
+            handle.remove()
         self.bus.unsubscribe(self)
         if self._inst is not None:
             self._inst.detach()

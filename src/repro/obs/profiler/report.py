@@ -110,9 +110,9 @@ class ProfileReport:
     @classmethod
     def from_dict(cls, obj: Dict[str, Any]) -> "ProfileReport":
         report = cls()
-        for name in vars(report):
-            if name in obj:
-                setattr(report, name, obj[name])
+        for field in vars(report):
+            if field in obj:
+                setattr(report, field, obj[field])
         report.mmu_curve = [tuple(point) for point in report.mmu_curve]
         return report
 

@@ -28,6 +28,7 @@ from ..sim.cost import CostModel, DEFAULT_COST_MODEL
 from ..sim.locality import NO_LOCALITY, LocalityModel
 from ..sim.stats import RunStats
 from ..heap.address import WORD_BYTES
+from .seam import Seam
 
 #: Frame size used by the scaled experiments (256 B; the workloads are
 #: scaled 1024x down from the paper's SPEC runs, see repro.bench.spec).
@@ -66,6 +67,8 @@ class VM:
         frame_bytes = 1 << frame_shift
         heap_frames = max(2, heap_bytes // frame_bytes)
         self.heap_bytes = heap_frames * frame_bytes
+        #: Where telemetry, profiler, sanitizer and faults attach (§10).
+        self.seam = Seam()
         self.space = AddressSpace(heap_frames, frame_shift)
         self.types = TypeRegistry()
         self.model = ObjectModel(self.space, self.types)

@@ -1,20 +1,19 @@
 """``attach_sanitizer(vm)``: wire the oracle, checker and invariants up.
 
-Mirrors ``attach_tracer``: attaching builds a private
-:class:`~repro.obs.bus.TelemetryBus`, hooks standard VM instrumentation
-to it for ``gc.start`` / ``gc.end`` boundaries, and wraps the VM's
-mutator-facing operations (``alloc`` / ``write_ref`` / ``write_int`` and
-root-table acquire/release via the ``runtime.mutator`` observer hook) as
-instance attributes feeding the shadow graph.  A VM that was never
-attached executes untouched code — the golden-counter and
-interpreter-call-ratio gates pin that down, exactly as they do for
-telemetry (DESIGN §10/§11).
+The sanitizer is a plain client of ``vm.seam`` (DESIGN §10/§11): it wraps
+the VM's mutator-facing operations (``alloc`` / ``write_ref`` /
+``write_int``, plus each root table's ``acquire`` / ``release`` from the
+``runtime.mutator`` observer hook — the table does not exist at attach
+time) to feed the shadow graph, and learns where collections begin and
+end from ``seam.around_collections`` and one ``collection_listeners``
+entry.  It builds no bus and no ``Instrumentation`` of its own.  A VM
+that was never attached executes untouched code.
 
 Check cadence:
 
-* ``gc.start`` — remset completeness (every edge the imminent collection
+* collection entry — remset completeness (every edge the imminent collection
   needs is remembered), belt/increment ordering, reserve accounting;
-* ``gc.end`` — ordering and reserve again, then the differential walk
+* collection result — ordering and reserve again, then the differential walk
   (object set, edges, payloads, forwarding coherence), whose clean
   pairing becomes the shadow's post-collection address index;
 * :meth:`Sanitizer.check_now` — everything at once, on demand (the
@@ -28,10 +27,9 @@ observable rather than at some later crash.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..errors import ConfigError
-from ..obs import TelemetryBus, attach
 from .diff import DifferentialChecker
 from .heapcheck import RawHeapReader
 from .invariants import (
@@ -59,43 +57,42 @@ class Sanitizer:
         self.shadow = ShadowGraph()
         self.reader = RawHeapReader(vm.space, vm.plan.model)
         self.differ = DifferentialChecker(self.reader, self.shadow)
-        self._tables: List[tuple] = []
-        self._detached = False
-        # Collection boundaries arrive over a private bus, like the tracer.
-        self.bus = TelemetryBus()
-        self._inst = attach(vm, self.bus, snapshot_every=0)
-        self.bus.subscribe(self)
-        # Mutator events: instance-attribute wrapping, shadow after the
-        # real operation succeeded.
-        self._inner_alloc = vm.alloc
-        self._inner_write_ref = vm.write_ref
-        self._inner_write_int = vm.write_int
-        vm.alloc = self._alloc
-        vm.write_ref = self._write_ref
-        vm.write_int = self._write_int
+        self._entries = 0  #: outermost collection entries seen
+        seam = vm.seam
+        # Shadow after the real operation succeeded.
+        self._handles = [
+            seam.wrap(vm, "alloc", self._shadow_alloc),
+            seam.wrap(vm, "write_ref", self._shadowed(self.shadow.on_write_ref)),
+            seam.wrap(vm, "write_int", self._shadowed(self.shadow.on_write_int)),
+            seam.around_collections(vm.plan, begin=self._on_entry),
+        ]
+        vm.plan.collection_listeners.append(self._on_result)
         vm.mutator_observer = self
 
     # ------------------------------------------------------------------
-    # Mutator hooks
+    # Mutator hooks (wrapper factories for ``vm.seam``)
     # ------------------------------------------------------------------
-    def _alloc(self, desc, length: int = 0) -> int:
-        addr = self._inner_alloc(desc, length)
-        error = self.shadow.on_alloc(addr, desc, length)
-        if error:
-            self._flag("shadow", error, addr)
-        return addr
+    def _shadow_alloc(self, inner):
+        def alloc(desc, length: int = 0) -> int:
+            addr = inner(desc, length)
+            error = self.shadow.on_alloc(addr, desc, length)
+            if error:
+                self._flag("shadow", error, addr)
+            return addr
 
-    def _write_ref(self, obj: int, index: int, value: int) -> None:
-        self._inner_write_ref(obj, index, value)
-        error = self.shadow.on_write_ref(obj, index, value)
-        if error:
-            self._flag("shadow", error, obj)
+        return alloc
 
-    def _write_int(self, obj: int, index: int, value: int) -> None:
-        self._inner_write_int(obj, index, value)
-        error = self.shadow.on_write_int(obj, index, value)
-        if error:
-            self._flag("shadow", error, obj)
+    def _shadowed(self, on_write):
+        def make(inner):
+            def write(obj: int, index: int, value: int) -> None:
+                inner(obj, index, value)
+                error = on_write(obj, index, value)
+                if error:
+                    self._flag("shadow", error, obj)
+
+            return write
+
+        return make
 
     def observe_mutator(self, mu) -> None:
         """``runtime.mutator`` hook: mirror this context's root table.
@@ -105,37 +102,41 @@ class Sanitizer:
         """
         table = mu.table
         shadow = self.shadow
-        inner_acquire = table.acquire
-        inner_release = table.release
 
-        def acquire(addr):
-            handle = inner_acquire(addr)
-            error = shadow.on_acquire(table, handle._index, addr)
-            if error:
-                self._flag("shadow", error, addr)
-            return handle
+        def make_acquire(inner):
+            def acquire(addr):
+                handle = inner(addr)
+                error = shadow.on_acquire(table, handle._index, addr)
+                if error:
+                    self._flag("shadow", error, addr)
+                return handle
 
-        def release(index):
-            inner_release(index)
-            shadow.on_release(table, index)
+            return acquire
 
-        table.acquire = acquire
-        table.release = release
-        self._tables.append((table, inner_acquire, inner_release))
+        def make_release(inner):
+            def release(index):
+                inner(index)
+                shadow.on_release(table, index)
+
+            return release
+
+        self._handles += [
+            self.vm.seam.wrap(table, "acquire", make_acquire),
+            self.vm.seam.wrap(table, "release", make_release),
+        ]
 
     # ------------------------------------------------------------------
-    # Bus subscriber: collection boundaries
+    # Collection boundaries
     # ------------------------------------------------------------------
-    def accept(self, event) -> None:
-        if event.kind == "gc.start":
-            self._boundary_check(
-                int(event.data.get("seq", -1)), completeness=True, diff=False
-            )
-        elif event.kind == "gc.end":
-            self.report.collections_checked += 1
-            self._boundary_check(
-                int(event.data.get("id", -1)), completeness=False, diff=True
-            )
+    def _on_entry(self, reason: str) -> None:
+        self._entries += 1
+        self._boundary_check(self._entries, completeness=True, diff=False)
+
+    def _on_result(self, result) -> None:
+        self.report.collections_checked += 1
+        self._boundary_check(
+            result.collection_id, completeness=False, diff=True
+        )
 
     def check_now(self) -> SanitizerReport:
         """Run the full suite immediately (harness calls this at run end)."""
@@ -186,17 +187,13 @@ class Sanitizer:
     # ------------------------------------------------------------------
     def detach(self) -> None:
         """Return the VM to the untouched-code path."""
-        if self._detached:
-            return
-        self._detached = True
-        vm = self.vm
-        del vm.alloc, vm.write_ref, vm.write_int
-        vm.mutator_observer = None
-        for table, _inner_acquire, _inner_release in self._tables:
-            del table.acquire, table.release
-        self._tables.clear()
-        self.bus.unsubscribe(self)
-        self._inst.detach()
+        for handle in self._handles:
+            handle.remove()
+        listeners = self.vm.plan.collection_listeners
+        if self._on_result in listeners:
+            listeners.remove(self._on_result)
+        if self.vm.mutator_observer is self:
+            self.vm.mutator_observer = None
 
 
 def attach_sanitizer(
@@ -204,7 +201,9 @@ def attach_sanitizer(
 ) -> Sanitizer:
     """Attach a :class:`Sanitizer` to ``vm`` and return it (public API).
 
-    Must be called before the first ``MutatorContext`` is created, and
-    after any faults are armed (:func:`repro.sanitizer.faults.arm_faults`).
+    Must be called before the first ``MutatorContext`` is created
+    (contexts cache bound methods); order relative to
+    :func:`repro.sanitizer.faults.arm_faults` and other attachments is
+    free.
     """
     return Sanitizer(vm, halt_on_violation=halt_on_violation)

@@ -1,9 +1,9 @@
 """Deterministic fault injection: break the collectors on purpose.
 
-Every fault is an *attach-time* wrapper around a collection-critical seam
-(the same mechanism telemetry and the sanitizer use, DESIGN §10/§11): a
+Every fault is a wrapper around a collection-critical method, installed
+through ``vm.seam`` like telemetry and the sanitizer (DESIGN §10/§11): a
 VM whose faults were never armed executes untouched code, and ``disarm``
-restores every patched attribute.  Faults are deterministic and
+removes every wrapper.  Faults are deterministic and
 seed-addressable — a :class:`FaultSpec` names the fault kind and either
 the exact occurrence to break (``nth``) or a ``seed`` from which the
 occurrence is derived — so the same spec breaks the same store in every
@@ -36,14 +36,14 @@ the invariant suite; see ``tests/sanitizer/test_fault_matrix.py``):
     After the nth collection, one reachable scalar payload word is
     incremented — detected by the differential walk's payload compare.
 
-Faults must be armed *before* the sanitizer attaches (the sanitizer
-re-snapshots the write path) and before any mutator context is built.
+Arm faults before any mutator context is built (contexts cache bound
+methods); order relative to the sanitizer and other attachments is free.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..errors import ConfigError
 from ..heap.objectmodel import HEADER_WORDS
@@ -85,13 +85,13 @@ class FaultSpec:
 
 
 class FaultInjector:
-    """Armed faults on one VM; tracks firings and owns the undo list."""
+    """Armed faults on one VM; tracks firings and owns the wrap handles."""
 
     def __init__(self, vm, specs: Sequence[FaultSpec]):
         self.vm = vm
         self.specs = list(specs)
         self.events: List[str] = []  #: one entry per fault firing
-        self._undo: List[Callable[[], None]] = []
+        self._handles: list = []
         for spec in self.specs:
             _ARMERS.get(spec.kind, _unknown_kind)(self, spec)
 
@@ -100,25 +100,14 @@ class FaultInjector:
         return bool(self.events)
 
     def disarm(self) -> None:
-        """Restore every patched attribute (LIFO, so stacked wrappers on
-        the same seam unwind correctly)."""
-        while self._undo:
-            self._undo.pop()()
+        """Remove every wrapper this injector installed."""
+        for handle in self._handles:
+            handle.remove()
 
-    # -- plumbing ------------------------------------------------------
-    def _patch(self, obj, name: str, wrapper) -> None:
-        """Instance-patch ``obj.name`` and register the exact inverse."""
-        had_instance_attr = name in vars(obj)
-        original = getattr(obj, name)
-        setattr(obj, name, wrapper)
-
-        def undo():
-            if had_instance_attr:
-                setattr(obj, name, original)
-            else:
-                delattr(obj, name)
-
-        self._undo.append(undo)
+    def _wrap(self, obj, name: str, make) -> None:
+        """Wrap ``obj.name`` through the seam (``make(inner)`` may be
+        re-invoked, so every armer keeps its state outside ``make``)."""
+        self._handles.append(self.vm.seam.wrap(obj, name, make))
 
 
 def arm_faults(vm, specs: Sequence[FaultSpec]) -> FaultInjector:
@@ -148,13 +137,14 @@ def _recompile_write_paths(injector: FaultInjector, plan, vm) -> None:
     """Re-bake the compiled store/init closures so they capture the
     wrapped insert (the originals froze ``remsets.insert`` into their
     namespace at construction — DESIGN §9)."""
-    injector._patch(
-        plan, "write_ref_field", plan.barrier.compile_write_field(plan.model)
+    barrier, model = plan.barrier, plan.model
+    injector._wrap(
+        plan, "write_ref_field", lambda _: barrier.compile_write_field(model)
     )
-    injector._patch(
-        plan, "_init_object", plan.barrier.compile_init_object(plan.model)
+    injector._wrap(
+        plan, "_init_object", lambda _: barrier.compile_init_object(model)
     )
-    injector._patch(vm, "_write_ref_field", plan.write_ref_field)
+    injector._wrap(vm, "_write_ref_field", lambda _: plan.write_ref_field)
 
 
 # ----------------------------------------------------------------------
@@ -167,49 +157,30 @@ def _arm_insert_fault(injector: FaultInjector, spec: FaultSpec,
     state = {"n": 0}
     events = injector.events
     if _is_beltway(plan):
-        remsets = plan.remsets
-        inner = remsets.insert
-
-        def insert(src, tgt, slot):
-            state["n"] += 1
-            if state["n"] == nth:
-                if corrupt:
-                    events.append(
-                        f"{spec.kind}: insert #{nth} pair ({src},{tgt}) "
-                        f"slot {slot:#x} corrupted to {slot ^ 8:#x}"
-                    )
-                    inner(src, tgt, slot ^ 8)
-                else:
-                    events.append(
-                        f"{spec.kind}: insert #{nth} pair ({src},{tgt}) "
-                        f"slot {slot:#x} dropped"
-                    )
-                return
-            inner(src, tgt, slot)
-
-        injector._patch(remsets, "insert", insert)
+        target, name, label = plan.remsets, "insert", "insert"
     else:
-        ssb = plan.ssb
-        inner = ssb.append
+        target, name, label = plan.ssb, "append", "SSB append"
 
-        def append(slot):
+    def make(inner):
+        def record(*args):  # Beltway (src, tgt, slot); GCTk (slot,)
             state["n"] += 1
-            if state["n"] == nth:
-                if corrupt:
-                    events.append(
-                        f"{spec.kind}: SSB append #{nth} slot {slot:#x} "
-                        f"corrupted to {slot ^ 8:#x}"
-                    )
-                    inner(slot ^ 8)
-                else:
-                    events.append(
-                        f"{spec.kind}: SSB append #{nth} slot {slot:#x} "
-                        f"dropped"
-                    )
-                return
-            inner(slot)
+            if state["n"] != nth:
+                return inner(*args)
+            *pair, slot = args
+            what = f"{spec.kind}: {label} #{nth} "
+            if pair:
+                what += f"pair ({pair[0]},{pair[1]}) "
+            if corrupt:
+                events.append(
+                    f"{what}slot {slot:#x} corrupted to {slot ^ 8:#x}"
+                )
+                inner(*pair, slot ^ 8)
+            else:
+                events.append(f"{what}slot {slot:#x} dropped")
 
-        injector._patch(ssb, "append", append)
+        return record
+
+    injector._wrap(target, name, make)
     _recompile_write_paths(injector, plan, injector.vm)
 
 
@@ -236,25 +207,26 @@ def _post_collection_seam(injector: FaultInjector, apply) -> None:
     plan = injector.vm.plan
     state = {"n": 0}
     if _is_beltway(plan):
-        collector = plan.collector
-        inner = collector.collect
+        def make(inner):
+            def collect(batch, reason):
+                result = inner(batch, reason)
+                state["n"] += 1
+                apply(state["n"])
+                return result
 
-        def collect(batch, reason):
-            result = inner(batch, reason)
-            state["n"] += 1
-            apply(state["n"])
-            return result
+            return collect
 
-        injector._patch(collector, "collect", collect)
+        injector._wrap(plan.collector, "collect", make)
     else:
-        inner = plan._emit
+        def make(inner):
+            def _emit(result):
+                state["n"] += 1
+                apply(state["n"])
+                return inner(result)
 
-        def _emit(result):
-            state["n"] += 1
-            apply(state["n"])
-            return inner(result)
+            return _emit
 
-        injector._patch(plan, "_emit", _emit)
+        injector._wrap(plan, "_emit", make)
 
 
 def _arm_skip_forward(injector: FaultInjector, spec: FaultSpec) -> None:
@@ -266,31 +238,14 @@ def _arm_skip_forward(injector: FaultInjector, spec: FaultSpec) -> None:
     snapshots = {"before": None}
     state = {"fired": False}
 
-    def snapshot():
+    def snapshot(reason):
         snapshots["before"] = [list(array) for array in plan.root_arrays]
 
-    # Take the pre-trace snapshot at every collection entry point (GCTk
-    # plans call minor/major directly from the allocator).
-    entered = {"depth": 0}
-    for entry in ("collect", "minor_collect", "major_collect"):
-        inner_entry = getattr(plan, entry, None)
-        if inner_entry is None:
-            continue
-
-        def make_entry(inner):
-            def wrapped(*args, **kwargs):
-                if entered["depth"]:
-                    return inner(*args, **kwargs)
-                entered["depth"] = 1
-                snapshot()
-                try:
-                    return inner(*args, **kwargs)
-                finally:
-                    entered["depth"] = 0
-
-            return wrapped
-
-        injector._patch(plan, entry, make_entry(inner_entry))
+    # Take the pre-trace snapshot at every outermost collection entry
+    # (GCTk plans call minor/major directly from the allocator).
+    injector._handles.append(
+        injector.vm.seam.around_collections(plan, begin=snapshot)
+    )
 
     def apply(count):
         if state["fired"] or count < nth:
@@ -358,27 +313,30 @@ def _arm_stale_stamp(injector: FaultInjector, spec: FaultSpec) -> None:
     nth = spec.resolved_nth()
     state = {"n": 0, "fired": False}
     events = injector.events
-    inner = plan.restamp
 
-    def restamp():
-        inner()
-        state["n"] += 1
-        if state["n"] < nth:
-            return
-        for belt in plan.belts:
-            for inc in belt.increments:
-                for frame in inc.region.frames:
-                    plan.space.orders[frame.index] = inc.stamp + 1
-                    if not state["fired"]:
-                        state["fired"] = True
-                        events.append(
-                            f"{spec.kind}: orders[{frame.index}] bumped to "
-                            f"{inc.stamp + 1} (belt {belt.index} front "
-                            f"stamp {inc.stamp}) at restamp #{state['n']}"
-                        )
-                    return
+    def make(inner):
+        def restamp():
+            inner()
+            state["n"] += 1
+            if state["n"] < nth:
+                return
+            for belt in plan.belts:
+                for inc in belt.increments:
+                    for frame in inc.region.frames:
+                        plan.space.orders[frame.index] = inc.stamp + 1
+                        if not state["fired"]:
+                            state["fired"] = True
+                            events.append(
+                                f"{spec.kind}: orders[{frame.index}] bumped "
+                                f"to {inc.stamp + 1} (belt {belt.index} "
+                                f"front stamp {inc.stamp}) at restamp "
+                                f"#{state['n']}"
+                            )
+                        return
 
-    injector._patch(plan, "restamp", restamp)
+        return restamp
+
+    injector._wrap(plan, "restamp", make)
 
 
 def _arm_reserve_shrink(injector: FaultInjector, spec: FaultSpec) -> None:
@@ -388,22 +346,24 @@ def _arm_reserve_shrink(injector: FaultInjector, spec: FaultSpec) -> None:
     shrink = max(1, spec.param)
     state = {"n": 0, "fired": False}
     events = injector.events
-    inner = plan.current_reserve_frames
 
-    def current_reserve_frames():
-        honest = inner()
-        state["n"] += 1
-        if state["n"] < nth or honest == 0:
-            return honest
-        if not state["fired"]:
-            state["fired"] = True
-            events.append(
-                f"{spec.kind}: reserve under-reported {honest} -> "
-                f"{max(0, honest - shrink)} from query #{state['n']}"
-            )
-        return max(0, honest - shrink)
+    def make(inner):
+        def current_reserve_frames():
+            honest = inner()
+            state["n"] += 1
+            if state["n"] < nth or honest == 0:
+                return honest
+            if not state["fired"]:
+                state["fired"] = True
+                events.append(
+                    f"{spec.kind}: reserve under-reported {honest} -> "
+                    f"{max(0, honest - shrink)} from query #{state['n']}"
+                )
+            return max(0, honest - shrink)
 
-    injector._patch(plan, "current_reserve_frames", current_reserve_frames)
+        return current_reserve_frames
+
+    injector._wrap(plan, "current_reserve_frames", make)
 
 
 _ARMERS = {

@@ -64,7 +64,6 @@ class Tracer:
         # tracer itself only folds bus events down to TraceEvents.
         self._inst = attach(vm, self.bus, snapshot_every=snapshot_every)
         self.bus.subscribe(self)
-        self._detached = False
 
     # ------------------------------------------------------------------
     # Bus subscriber
@@ -92,9 +91,6 @@ class Tracer:
         bit-identically to a never-traced VM from here on.  Safe to call
         more than once.
         """
-        if self._detached:
-            return
-        self._detached = True
         self._inst.detach()
         self.bus.unsubscribe(self)
 

@@ -36,12 +36,13 @@ _STATS_KEYS = (
 )
 
 
-def _sanitized_golden_run(bench_name, collector):
+def _sanitized_golden_run(bench_name, collector, sanitize=True, **options):
     cell = GOLDEN["cells"][f"{bench_name}/{collector}"]
     report = run(
         bench_name, collector, cell["heap_bytes"],
         options=RunOptions(
-            scale=GOLDEN["scale"], seed=GOLDEN["seed"], sanitize=True
+            scale=GOLDEN["scale"], seed=GOLDEN["seed"], sanitize=sanitize,
+            **options,
         ),
     )
     return report, cell
@@ -84,3 +85,50 @@ def test_report_summary_and_serialisation():
     text = sanitizer.summary()
     assert text.startswith("sanitizer OK")
     assert str(sanitizer.collections_checked) in text
+
+
+class _KindTally:
+    """Bus sink counting events by kind."""
+
+    def __init__(self):
+        self.kinds = {}
+
+    def accept(self, event):
+        self.kinds[event.kind] = self.kinds.get(event.kind, 0) + 1
+
+
+def test_sanitized_run_with_counters_shares_one_instrumentation(monkeypatch):
+    """``sanitize`` + ``counters`` stacks nothing extra under the harness
+    bus: one Instrumentation, one gc.start and one gc.end per collection,
+    and the counter snapshot is the unsanitized run's (host-time phases
+    aside)."""
+    from repro.obs.instrument import Instrumentation
+
+    built = []
+    init = Instrumentation.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Instrumentation, "__init__", counting_init)
+    tally = _KindTally()
+    report, _ = _sanitized_golden_run(
+        "jess", "25.25.100", counters=True, sinks=[tally]
+    )
+    assert len(built) == 1
+    plain, _ = _sanitized_golden_run(
+        "jess", "25.25.100", sanitize=False, counters=True
+    )
+    collections = report.stats.collections
+    assert collections > 0 and report.sanitizer.ok
+    assert tally.kinds["gc.start"] == tally.kinds["gc.end"] == collections
+    assert report.sanitizer.collections_checked == collections
+
+    def modelled(counters):
+        return {
+            key: value for key, value in counters.items()
+            if not key.startswith("phase_")
+        }
+
+    assert modelled(report.counters) == modelled(plain.counters)

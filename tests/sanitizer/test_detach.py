@@ -6,12 +6,17 @@ bit-identically to a VM that was never observed, and no instance-level
 wrapper may remain behind.
 """
 
+import pytest
+
 from repro import VM, MutatorContext, attach_tracer
+from repro.obs import TelemetryBus
+from repro.obs.profiler import attach_profiler
 from repro.sanitizer import attach_sanitizer
+from repro.sanitizer.faults import FaultSpec, arm_faults
 
 
-def _build(collector="25.25.100"):
-    vm = VM(heap_bytes=32 * 1024, collector=collector)
+def _build(collector="25.25.100", heap_bytes=32 * 1024):
+    vm = VM(heap_bytes=heap_bytes, collector=collector)
     node = vm.define_type("node", nrefs=1, nscalars=1)
     return vm, node
 
@@ -109,3 +114,92 @@ def test_sanitizer_detach_removes_every_wrapper():
     # New mutator contexts are built on the clean path.
     mu2 = MutatorContext(vm)
     assert "acquire" not in vars(mu2.table)
+
+
+# ----------------------------------------------------------------------
+# One seam (DESIGN §10): everything attaches and detaches in any order
+# ----------------------------------------------------------------------
+_NEVER = 10 ** 9  # a fault occurrence no run reaches: wrapped, but honest
+
+
+def _arm_dormant_faults(vm):
+    kinds = ["barrier.drop-entry"]  # also recompiles the write paths
+    if hasattr(vm.plan, "belts"):
+        kinds.append("reserve.shrink")
+    return arm_faults(vm, [FaultSpec(kind, nth=_NEVER) for kind in kinds])
+
+
+_ATTACH = {
+    "telemetry": lambda vm: vm.attach_telemetry(TelemetryBus()),
+    "profiler": attach_profiler,
+    "sanitizer": attach_sanitizer,
+    "faults": _arm_dormant_faults,
+    "tracer": attach_tracer,
+}
+_NAMES = list(_ATTACH)
+#: Every rotation plus the reversal: each attachment is first once and
+#: last once, and each adjacent pair appears in both orders.
+_ORDERS = [_NAMES[i:] + _NAMES[:i] for i in range(len(_NAMES))] + [_NAMES[::-1]]
+
+
+def _remove(handle):
+    (getattr(handle, "detach", None) or handle.disarm)()
+
+
+def _wrappable(vm):
+    plan = vm.plan
+    owners = [vm, plan, vm.space, plan.remsets,
+              getattr(plan, "ssb", None), getattr(plan, "collector", None)]
+    return [owner for owner in owners if owner is not None]
+
+
+def _callables(vm):
+    """Every callable instance attribute on the objects the seam wraps."""
+    return [
+        {name: value for name, value in vars(owner).items() if callable(value)}
+        for owner in _wrappable(vm)
+    ]
+
+
+def _initials(order):
+    return "".join(name[:2] for name in order)
+
+
+@pytest.mark.parametrize("collector", ["25.25.100", "gctk:Appel"])
+@pytest.mark.parametrize("detach_order", _ORDERS, ids=_initials)
+@pytest.mark.parametrize("attach_order", _ORDERS, ids=_initials)
+def test_attachments_come_off_in_any_order(collector, attach_order, detach_order):
+    segments = len(_NAMES) + 2
+    reference, node = _build(collector, heap_bytes=64 * 1024)
+    for k in range(segments):
+        _segment(reference, MutatorContext(reference), node, 100 * k, 40)
+
+    vm, node = _build(collector, heap_bytes=64 * 1024)
+    pristine = _callables(vm)
+    handles = {name: _ATTACH[name](vm) for name in attach_order}
+    assert vm.seam.active
+    sanitizer, profiler = handles["sanitizer"], handles["profiler"]
+    _segment(vm, MutatorContext(vm), node, 0, 40)
+    live = set(_NAMES)
+    for k, name in enumerate(detach_order, start=1):
+        _remove(handles[name])
+        live.remove(name)
+        # A fresh context per segment: contexts cache bound methods.
+        _segment(vm, MutatorContext(vm), node, 100 * k, 40)
+        if "sanitizer" in live:
+            assert sanitizer.check_now().ok
+            assert (sanitizer.report.collections_checked
+                    == len(vm.plan.collections))
+        if "profiler" in live:
+            assert profiler.census.stamped_objects == vm.plan.allocations
+    assert sanitizer.report.ok
+
+    assert not vm.seam.active
+    assert _callables(vm) == pristine  # exact restore, nothing left behind
+    assert vm.mutator_observer is None
+    assert vm.plan.collection_listeners == [vm._on_collection]
+    for handle in handles.values():  # a second detach is a no-op
+        _remove(handle)
+    assert _callables(vm) == pristine
+    _segment(vm, MutatorContext(vm), node, 100 * (segments - 1), 40)
+    assert vm.finish() == reference.finish()
