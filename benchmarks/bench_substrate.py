@@ -29,6 +29,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -323,19 +324,24 @@ def bench_attachment(quick: bool) -> dict:
     is ±5%, far above the 2% bound.
 
     Every variant is warmed once, so all replay the (spec, seed) tape
-    from the engine's cache — ``raw_seconds`` is a tape *hit*, reported
-    again as ``mutator_tape_replay_seconds`` beside
+    from the engine's cache — ``raw_seconds`` is a tape *hit*, timed
+    again once per available tier as ``mutator_tape_replay_seconds@tier``
+    (the cffi tier replays in C, DESIGN §13; the others in Python) beside
     ``mutator_tape_record_replay_seconds``, the same raw cell with the
-    cache cleared first (a *miss*: record the program, then replay it).
+    cache cleared first (a *miss*: record the program, then replay it),
+    and ``mutator_tape_replay_bail_ratio``: records the compiled kernel
+    handed back ÷ records on the tape, an exact count.
     """
     benchmark, heap, scale, seed = "jess", 48 * 1024, 0.2, 13
     rounds = 5 if quick else 9
 
-    def run_raw():
+    def run_raw(tier=None):
         spec = benchmark_spec(benchmark, scale)
         vm = VM(heap, collector="25.25.100", locality=spec.locality,
-                benchmark_name=spec.name)
-        SyntheticMutator(vm, spec, seed=seed).run()
+                benchmark_name=spec.name, tier=tier)
+        engine = SyntheticMutator(vm, spec, seed=seed)
+        engine.run()
+        return engine.replay_path
 
     def run_miss():
         TAPES.clear()
@@ -353,17 +359,22 @@ def bench_attachment(quick: bool) -> dict:
     for fn in variants.values():
         fn()  # warm-up
     calls = {name: _count_calls(fn) for name, fn in variants.items()}
+    tiers = [t for t, status in available().items() if status.startswith("ok")]
     timed = dict(variants, miss=run_miss)
+    timed.update({f"@{tier}": partial(run_raw, tier) for tier in tiers})
     best = {name: float("inf") for name in timed}
     for _ in range(rounds):
         for name, fn in timed.items():
             start = time.perf_counter()
-            fn()
+            returned = fn()
             best[name] = min(best[name], time.perf_counter() - start)
-    out = {
-        "mutator_tape_record_replay_seconds": best["miss"],
-        "mutator_tape_replay_seconds": best["raw"],
-    }
+            if name == "raw":
+                path = returned
+    out = {"mutator_tape_record_replay_seconds": best["miss"]}
+    for tier in tiers:
+        out[f"mutator_tape_replay_seconds@{tier}"] = best[f"@{tier}"]
+    if path.path == "cffi":
+        out["mutator_tape_replay_bail_ratio"] = path.bail_ratio
     for name in variants:
         out[f"{name}_seconds"] = best[name]
         out[f"{name}_calls"] = calls[name]

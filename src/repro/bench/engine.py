@@ -41,6 +41,7 @@ from ..runtime.mutator import MutatorContext
 from ..runtime.roots import Handle
 from ..runtime.tape import (
     RecordedHandle,
+    ReplayPath,
     Tape,
     TapeCache,
     TapeRecorder,
@@ -510,9 +511,11 @@ class SyntheticMutator:
 
     def run(self) -> RunStats:
         spec, seed = self.spec, self.seed
+        #: Which code replayed the tape (host-side; filled even on OOM).
+        self.replay_path = path = ReplayPath()
         tape = TAPES.fetch((seed, spec))
         if tape is not None:
-            replay(self.mu, tape.chunks, tape.type_names, tape.work_units)
+            replay(self.mu, tape.chunks, tape.type_names, tape.work_units, path)
             summary = tape.summary
         else:
             program = MutatorProgram(spec, seed, self.vm.types)
@@ -521,7 +524,9 @@ class SyntheticMutator:
             kept: List[array] = []
             if _replayable(spec):
                 chunks = TAPES.retaining(chunks, kept)
-            replay(self.mu, chunks, recorder.type_names, recorder.work_units)
+            replay(
+                self.mu, chunks, recorder.type_names, recorder.work_units, path
+            )
             summary = program.summary()
             if kept:
                 # The cache owns its key: a caller may go on to edit spec.

@@ -126,6 +126,11 @@ class BeltwayHeap:
         self.allocated_words += size
         return addr
 
+    def mutator_region(self):
+        """The one bump region mutator allocation is filling, if any."""
+        inc = self.allocation_increment
+        return inc.region if inc is not None else None
+
     def _alloc_slow(self, size: int) -> int:
         budget = 4 + 2 * (len(self.belts) + self.num_increments)
         collections = 0

@@ -84,6 +84,10 @@ class GctkPlan:
         self.allocated_words += size
         return addr
 
+    def mutator_region(self) -> BumpRegion:
+        """The one bump region mutator allocation is filling."""
+        return self._regions()[0]
+
     def _alloc_words(self, size: int) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
 

@@ -52,6 +52,7 @@ class SemiSpaceGctk(GctkPlan):
         )
         result.freed_frames = self._release_region(self.region)
         self.region = to_space
+        self.space.order_epoch += 1  # a wholesale relabel, like a restamp
         for frame in to_space.frames:
             self.space.set_order(frame, NURSERY_ORDER)
         return self._emit(result)

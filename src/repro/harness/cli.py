@@ -755,6 +755,8 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             ),
         )
         print(report.stats.summary_row())
+        if report.replay is not None and report.replay.why != "tier":
+            print(report.replay.summary_row())
         if args.profile:
             phases = report.phases
             total = phases["total"] or 1e-12

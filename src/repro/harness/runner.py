@@ -122,6 +122,11 @@ class RunReport:
     #: requested the full profiler (``"full"`` / ProfileOptions), else
     #: ``None``.
     profile: Optional[object] = None
+    #: :class:`~repro.runtime.tape.ReplayPath`: which code replayed the
+    #: mutator tape (compiled kernel or Python, and why), records run in
+    #: C and bails by reason.  Host-side counts, not part of ``stats``;
+    #: ``None`` for server workloads, which have no tape.
+    replay: Optional[object] = None
 
     @property
     def completed(self) -> bool:
@@ -221,6 +226,7 @@ def run(
         return RunReport(
             stats=stats,
             sanitizer=_sanitizer_report(sanitizer, injector),
+            replay=getattr(engine, "replay_path", None),
         )
 
     bus = TelemetryBus()
@@ -268,6 +274,7 @@ def run(
         trace_events_written=jsonl.count if jsonl is not None else 0,
         sanitizer=_sanitizer_report(sanitizer, injector),
         profile=profile_report,
+        replay=getattr(engine, "replay_path", None),
     )
 
 

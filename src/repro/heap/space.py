@@ -86,17 +86,16 @@ class AddressSpace:
         self._frames: List[Optional[Frame]] = [None]
         #: collect_order per frame index, kept flat for the hot barrier path.
         self.orders: List[int] = [UNASSIGNED_ORDER]
-        #: Byte-per-frame mapped flags, mirroring ``_frames[i].allocated``;
-        #: the substrate-kernel trace memmoves this straight into its C
-        #: view instead of walking the frame table (DESIGN §13).
+        #: Byte-per-frame mapped flags, mirroring ``_frames[i].allocated``:
+        #: what the compiled kernels' heap view copies (DESIGN §13).
         self.mapped_bytes = bytearray(1)
-        #: When not None, called with each newly acquired frame's index —
-        #: the compiled trace's hook for patching its C view incrementally
-        #: instead of rebuilding it after every copy-space refill.
-        self.acquire_hook = None
+        #: When not None, called with the index of each frame acquired or
+        #: released — how the compiled kernels' per-VM heap view learns
+        #: which entries to re-read instead of rebuilding itself.
+        self.frame_hook = None
         #: Bumped by whoever rewrites the stamps wholesale (a Beltway
-        #: restamp), so the compiled trace knows when its snapshot of
-        #: ``orders`` went stale.
+        #: restamp), so that heap view knows when its copy of ``orders``
+        #: went stale.
         self.order_epoch = 0
         self._free_pool: List[Frame] = []
         self.heap_frames_in_use = 0
@@ -145,8 +144,8 @@ class AddressSpace:
         self.mapped_bytes[frame.index] = 1
         if boot:
             self.set_order(frame, BOOT_ORDER)
-        if self.acquire_hook is not None:
-            self.acquire_hook(frame.index)
+        if self.frame_hook is not None:
+            self.frame_hook(frame.index)
         return frame
 
     def _frame_storage(self, index: int) -> memoryview:
@@ -175,6 +174,8 @@ class AddressSpace:
         if self._cache_index == frame.index:
             self._cache_index = -1
             self._cache_frame = None
+        if self.frame_hook is not None:
+            self.frame_hook(frame.index)
 
     def set_order(self, frame: Frame, order: int) -> None:
         """Stamp ``frame`` with its relative collection order."""

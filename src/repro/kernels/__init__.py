@@ -10,8 +10,8 @@ Python reference onto compiled substrates:
 * ``numpy`` — vectorised batch kernels: drain-time remset dedup, the
   batched mutator store/alloc paths (:class:`~repro.kernels.npk.BatchOps`);
 * ``cffi`` — an ahead-of-time-compiled C backend for the loops numpy
-  cannot batch (the pointer-chasing copy trace), layered *on top of* the
-  numpy kernels when numpy is present.
+  cannot batch (the pointer-chasing copy trace, the mutator's op tape),
+  layered *on top of* the numpy kernels when numpy is present.
 
 Tier contract (enforced by the golden-counter suite): every tier produces
 **bit-identical counters** — memory access counts, barrier fast/slow/null
@@ -31,6 +31,7 @@ Selection is explicit and layered per DESIGN §9: ``tier="python" |
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Dict, Optional
 
 #: Environment variable consulted when no explicit tier is passed.
@@ -86,7 +87,8 @@ class KernelSet:
     absent, so consumers probe with ``if kernels.x is not None``:
 
     * ``npk`` — the numpy kernel module (remset dedup, batch ops);
-    * ``cik`` — the compiled C kernel module (the copy-trace engine).
+    * ``cik`` — the compiled C kernel module (the copy-trace engine and
+      the tape replay kernel).
     """
 
     def __init__(self, name: str, requested: str):
@@ -94,6 +96,7 @@ class KernelSet:
         self.requested = requested
         self.npk = None
         self.cik = None
+        self._heap_view = None
         if name in ("numpy", "cffi"):
             from . import npk
 
@@ -112,11 +115,28 @@ class KernelSet:
         """Per-VM batched mutator kernels (numpy tiers), else None."""
         return self.npk.BatchOps(vm) if self.npk is not None else None
 
+    def _view(self, model):
+        """The one C heap view of this VM, shared by both cffi kernels."""
+        if self._heap_view is None:
+            self._heap_view = self.cik.HeapView(model)
+        return self._heap_view
+
     def trace_engine(self, model):
         """The compiled copy-trace engine opener for ``model``'s heap, or
         None for the Python engine (:func:`repro.heap.cheney.trace_engine`
         is the seam plans resolve through)."""
-        return self.cik.TraceEngine(model) if self.cik is not None else None
+        if self.cik is None:
+            return None
+        return partial(self.cik.TraceState, self._view(model))
+
+    def replayer(self, vm, table, rule: int, path):
+        """The compiled tape kernel (``cik.Replayer``) for ``vm`` and one
+        mutator's root ``table``, or None below the cffi tier.  ``rule``:
+        0 the frame-order record rule, 1 the nursery-boundary one;
+        ``path``: the ``ReplayPath`` its counts go to."""
+        if self.cik is None:
+            return None
+        return self.cik.Replayer(self._view(vm.model), vm, table, rule, path)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KernelSet {self.name} (requested {self.requested})>"

@@ -1,4 +1,5 @@
-"""cffi substrate kernels: the compiled C engine for the copy-trace loop.
+"""cffi substrate kernels: the compiled C engine for the copy-trace loop
+and for the mutator's tape.
 
 numpy cannot batch a Cheney trace — it is a pointer-chasing loop whose
 next load depends on the previous copy — so the ``cffi`` tier lowers the
@@ -7,6 +8,16 @@ ahead-of-time-compiled C extension working directly on the slab storage
 (:mod:`repro.heap.space`): every simulated word is one int64 slot, frame
 ``i`` lives at global word ``i * frame_words``, and slabs never move, so
 a C pointer per slab addresses the entire heap for the life of a space.
+The same extension holds ``k_replay``, which executes the fast-path
+records of a mutator tape against that storage (:class:`Replayer`; the
+bail-out rule of DESIGN §13).
+
+Both kernels read the heap through one :class:`HeapView` per VM — slab
+pointers, frame collection-order stamps, the mapped-frame map, nursery
+membership, the type table — kept current incrementally: the space's
+``frame_hook`` names each frame acquired or released, whose entries
+alone are re-read at the next :meth:`HeapView.sync`, and the stamps are
+re-exported wholesale only when ``space.order_epoch`` moved.
 
 Counter bit-identity (DESIGN §13) is preserved by construction:
 
@@ -24,18 +35,16 @@ Counter bit-identity (DESIGN §13) is preserved by construction:
   closes (batch-boundary semantics: nothing reads the remsets between
   the pre-trace ``slots_into`` drain and the post-trace ``drop_frames``,
   so deferral is unobservable; replay order is the discovery order);
-* frame collection-order stamps are snapshotted into a C buffer at trace
-  start and kept current incrementally: the space's acquire hook reports
-  each frame a refill maps (patching just that entry), and a wholesale
-  re-snapshot happens only when the space's ``order_epoch`` moved — the
-  only points where orders can change during a trace.
+* the view is synced when a trace opens and after every refill, the only
+  points where frames or orders can change during a trace.
 
 Two deliberate deviations, documented in DESIGN §13: a non-null pointer
 whose frame index falls outside the frame table aborts the trace with
 ``HeapCorruption`` where the reference would raise ``IndexError`` (or
 silently wrap a negative index), and a worklist overflow — impossible on
 a well-formed heap, the capacity is ``from_words // HEADER_WORDS`` — is
-also ``HeapCorruption``.
+also ``HeapCorruption``.  (``k_replay`` has none: what it cannot
+reproduce it leaves to the reference path.)
 
 The extension is compiled once into ``src/repro/kernels/_build/``
 (gitignored), keyed by a hash of the C source; later processes load the
@@ -49,13 +58,15 @@ import hashlib
 import importlib.util
 import os
 import tempfile
-from typing import Dict, List, Optional
+from array import array
+from typing import List, Optional
 
 from ..errors import HeapCorruption, InvalidAddress
 from ..heap.objectmodel import HEADER_WORDS
 
-# The C trace assumes the 3-word header layout (status, type, length).
-assert HEADER_WORDS == 3
+# The C trace assumes the 3-word header layout (status, type, length),
+# k_replay that a tape chunk's array('i') records are int32.
+assert HEADER_WORDS == 3 and array("i").itemsize == 4
 
 #: Abort codes shared with the C source (k_* set ctx->abort_code).
 _AB_PYERR = 1      # a Python callback stored an exception
@@ -65,11 +76,14 @@ _AB_TYPE = 4       # unknown type word (abort_addr = the bogus word)
 _AB_BADFRAME = 5   # pointer targets a frame outside the table
 _AB_WL = 6         # worklist overflow (impossible on well-formed heaps)
 
+#: k_replay's reasons for handing a record back, by ``BAIL_*`` code - 1.
+BAIL_REASONS = ("alloc_slow", "barrier_slow", "root_grow", "fault")
+
 #: Capacity of the C-side insert log, in (src, tgt, slot) triples; a full
 #: log flushes to Python (kr_flush) rather than aborting.
 _INS_TRIPLES = 4096
 
-_CDEF = r"""
+_STRUCTS = r"""
 typedef struct {
     int64_t **slabs;
     int64_t slab_shift;
@@ -80,10 +94,12 @@ typedef struct {
     int64_t frame_words;
     int64_t *orders;
     uint8_t *mapped;
+    uint8_t *young;
     uint8_t *in_from;
     int8_t  *frame_belt;
     int64_t *type_addr;
     int32_t *type_ref;
+    int32_t *type_scalar;
     int32_t *type_size;
     int64_t n_types;
     int64_t *wl;
@@ -99,47 +115,38 @@ typedef struct {
     int64_t abort_code, abort_addr;
 } kctx;
 
+typedef struct {
+    int64_t *roots;             /* RootTable.slots */
+    int64_t n_roots;
+    int64_t *free_slots;        /* RootTable._free, a stack */
+    int64_t free_cap;
+    int64_t *tdesc;             /* per tape type: addr, size, ref, scalar code */
+    int64_t n_tdesc;
+    double *units;              /* the tape's work-unit table */
+    int64_t n_units;
+    int64_t rule;               /* 0 frame-order compare, 1 nursery boundary */
+    int64_t limit;              /* end of the mutator's bump region tail */
+    double work;                /* vm.work_units, by value */
+    /* What a call leaves behind, one block (Replayer._fold unpacks it):
+     * counter deltas, then the region cursor and the free-stack depth. */
+    int64_t loads, stores, fast, nulls, reads, writes;
+    int64_t allocs, alloc_words;
+    int64_t executed, bail;
+    int64_t cursor, n_free;
+} kmut;
+"""
+
+_CDEF = _STRUCTS + r"""
 int64_t k_forward(kctx *c, int64_t obj);
 int k_drain(kctx *c, int mode);
 int k_scan_boot(kctx *c, int64_t *objs, int64_t n);
 int k_roots(kctx *c, int64_t *arr, int64_t n);
+int64_t k_replay(kctx *c, kmut *m, const int32_t *rec, int64_t pos, int64_t n);
 extern "Python" int64_t kr_refill(kctx *, int, int64_t);
 extern "Python" int kr_flush(kctx *);
 """
 
-_SOURCE = r"""
-#include <stdint.h>
-#include <string.h>
-
-typedef struct {
-    int64_t **slabs;
-    int64_t slab_shift;
-    int64_t slab_mask;
-    int64_t n_slabs;
-    int64_t shift;
-    int64_t n_frames;
-    int64_t frame_words;
-    int64_t *orders;
-    uint8_t *mapped;
-    uint8_t *in_from;
-    int8_t  *frame_belt;
-    int64_t *type_addr;
-    int32_t *type_ref;
-    int32_t *type_size;
-    int64_t n_types;
-    int64_t *wl;
-    int64_t wl_len, wl_cap, wl_head;
-    int64_t *ins;
-    int64_t ins_len, ins_cap;
-    int64_t *cursor;
-    int64_t *limit;
-    int64_t loads, stores;
-    int64_t copied_objects, copied_words;
-    int64_t scanned_objects, scanned_ref_slots;
-    int64_t boot_slots, root_slots;
-    int64_t abort_code, abort_addr;
-} kctx;
-
+_SOURCE = "#include <stdint.h>\n#include <string.h>\n" + _STRUCTS + r"""
 static int64_t kr_refill(kctx *, int, int64_t);
 static int kr_flush(kctx *);
 
@@ -343,6 +350,175 @@ int k_roots(kctx *c, int64_t *arr, int64_t n) {
     }
     return 0;
 }
+
+/* ------------------------------------------------------------------
+ * k_replay: the fast-path records of a mutator tape (runtime/tape.py,
+ * whose OP_* numbering this enum repeats).  No slow path lives here and
+ * nothing is called back: a record that would leave the fast path --
+ * a bump past the frame tail, a store the record rule would remember,
+ * a root table with no free slot, any access the reference path would
+ * raise on, an unknown op -- is handed back *untouched*: every test
+ * comes before the record's first store or counter charge.
+ * ------------------------------------------------------------------ */
+enum {
+    OP_ALLOC, OP_ALLOC_INT, OP_WORK, OP_DROP, OP_COUNT_READ, OP_COUNT,
+    OP_WRITE_REF, OP_WRITE_INT, OP_READ_REF, OP_READ_ROOTED, OP_ACQUIRE
+};
+enum { BAIL_ALLOC = 1, BAIL_BARRIER = 2, BAIL_ROOT = 3, BAIL_FAULT = 4 };
+
+/* The plan's record rule for a store of non-NULL `value` from mapped
+ * frame s: 1 remember, 0 do not, -1 the reference would raise. */
+static inline int remembers(kctx *c, kmut *m, int64_t s, int64_t value) {
+    int64_t t = value >> c->shift;
+    if (m->rule)  /* gctk: `t in nursery and s not in nursery` */
+        return t >= 0 && t < c->n_frames && c->young[t] && !c->young[s];
+    if (t == s) return 0;  /* Fig. 4 */
+    if (t < 0 || t >= c->n_frames) return -1;
+    return c->orders[t] < c->orders[s];
+}
+
+/* Header decode of the field ops: the object's words and its row in the
+ * type table, or NULL where the reference decode would raise. */
+static inline int64_t *decode(kctx *c, int64_t obj, int64_t *ti) {
+    if (obj & 3) return 0;
+    int64_t fi = obj >> c->shift;
+    if (!frame_ok(c, fi)) return 0;
+    if (((obj >> 2) & (c->frame_words - 1)) + 3 > c->frame_words) return 0;
+    int64_t *w = wordp(c, obj >> 2);
+    *ti = typefind(c, w[1]);
+    return *ti < 0 ? 0 : w;
+}
+
+/* Is payload word 3 + k of the object at obj inside its frame? */
+static inline int in_frame(kctx *c, int64_t obj, int64_t k) {
+    return ((obj >> 2) & (c->frame_words - 1)) + 3 + k < c->frame_words;
+}
+
+#define BAIL(why) do { m->bail = (why); goto out; } while (0)
+#define ROOT(dst, slot) do { \
+    if ((slot) < 0 || (slot) >= m->n_roots) BAIL(BAIL_FAULT); \
+    (dst) = m->roots[slot]; } while (0)
+/* The slot RootTable.acquire would hand out next; popped at commit. */
+#define NEXT_FREE(slot) do { \
+    if (!m->n_free) BAIL(BAIL_ROOT); \
+    (slot) = m->free_slots[m->n_free - 1]; \
+    if ((slot) < 0 || (slot) >= m->n_roots) BAIL(BAIL_FAULT); } while (0)
+
+int64_t k_replay(kctx *c, kmut *m, const int32_t *rec, int64_t pos, int64_t n) {
+    int64_t start = pos;
+    m->loads = m->stores = m->fast = m->nulls = m->reads = m->writes = 0;
+    m->allocs = m->alloc_words = 0;
+    m->bail = 0;
+    for (; pos < n; pos++) {
+        const int32_t *r = rec + 4 * pos;
+        int64_t a = r[1], b = r[2], d = r[3];
+        int64_t obj, ti, *w, count, slot;
+        switch (r[0]) {
+        case OP_ALLOC:
+        case OP_ALLOC_INT: {
+            if (a < 0 || a >= m->n_tdesc) BAIL(BAIL_FAULT);
+            const int64_t *t = m->tdesc + 4 * a;
+            int64_t length = r[0] == OP_ALLOC ? b : 0;
+            if (length < 0 || t[0] == 0) BAIL(BAIL_FAULT);
+            int64_t size = t[1] < 0 ? 3 + length : t[1];
+            obj = m->cursor;
+            if (size * 4 > m->limit - obj) BAIL(BAIL_ALLOC);
+            int64_t s = obj >> c->shift;
+            if (!frame_ok(c, s)) BAIL(BAIL_FAULT);
+            int rem = remembers(c, m, s, t[0]);  /* the TIB store */
+            if (rem) BAIL(rem < 0 ? BAIL_FAULT : BAIL_BARRIER);
+            NEXT_FREE(slot);
+            int64_t refs = t[2] < 0 ? length : t[2];
+            if (r[0] == OP_ALLOC_INT && (t[3] < 0 ? length : t[3]) < 1)
+                BAIL(BAIL_FAULT);
+            m->cursor = obj + size * 4;
+            w = wordp(c, obj >> 2);
+            w[0] = 0; w[2] = length; w[1] = t[0];
+            m->stores += 3; m->fast += 1;
+            m->allocs += 1; m->alloc_words += size;
+            m->n_free -= 1;
+            m->roots[slot] = obj;
+            if (r[0] == OP_ALLOC_INT) {  /* write_int(new, 0, b) */
+                m->writes += 1; m->loads += 2;
+                w[3 + refs] = b;
+                m->stores += 1;
+            }
+            break;
+        }
+        case OP_WORK:
+            if (a < 0 || a >= m->n_units) BAIL(BAIL_FAULT);
+            m->work += m->units[a];
+            break;
+        case OP_DROP:
+            if (a < 0 || a >= m->n_roots || m->n_free >= m->free_cap)
+                BAIL(BAIL_FAULT);
+            m->roots[a] = 0;
+            m->free_slots[m->n_free++] = a;
+            break;
+        case OP_COUNT:
+            ROOT(obj, a);
+            if (!decode(c, obj, &ti)) BAIL(BAIL_FAULT);
+            m->loads += 2;
+            break;
+        case OP_COUNT_READ:
+        case OP_READ_REF:
+        case OP_READ_ROOTED:
+            ROOT(obj, a);
+            if (!(w = decode(c, obj, &ti))) BAIL(BAIL_FAULT);
+            count = c->type_ref[ti] < 0 ? w[2] : c->type_ref[ti];
+            if (b < 0 || b >= count || !in_frame(c, obj, b)) BAIL(BAIL_FAULT);
+            if (r[0] == OP_READ_ROOTED) {
+                NEXT_FREE(slot);
+                m->n_free -= 1;
+                m->roots[slot] = w[3 + b];
+            }
+            m->loads += r[0] == OP_COUNT_READ ? 5 : 3;
+            m->reads += 1;
+            break;
+        case OP_WRITE_INT: {
+            ROOT(obj, a);
+            if (!(w = decode(c, obj, &ti))) BAIL(BAIL_FAULT);
+            int64_t refs = c->type_ref[ti] < 0 ? w[2] : c->type_ref[ti];
+            count = c->type_scalar[ti] < 0 ? w[2] : c->type_scalar[ti];
+            if (b < 0 || b >= count || refs < 0 || !in_frame(c, obj, refs + b))
+                BAIL(BAIL_FAULT);
+            m->writes += 1; m->loads += 2;
+            w[3 + refs + b] = d;
+            m->stores += 1;
+            break;
+        }
+        case OP_WRITE_REF: {
+            int64_t value = 0;
+            ROOT(obj, a);
+            if (d >= 0) ROOT(value, d);
+            if (!(w = decode(c, obj, &ti))) BAIL(BAIL_FAULT);
+            count = c->type_ref[ti] < 0 ? w[2] : c->type_ref[ti];
+            if (b < 0 || b >= count || !in_frame(c, obj, b)) BAIL(BAIL_FAULT);
+            if (value) {
+                int rem = remembers(c, m, obj >> c->shift, value);
+                if (rem) BAIL(rem < 0 ? BAIL_FAULT : BAIL_BARRIER);
+            } else {
+                m->nulls += 1;
+            }
+            m->writes += 1; m->loads += 2; m->fast += 1;
+            w[3 + b] = value;
+            m->stores += 1;
+            break;
+        }
+        case OP_ACQUIRE:
+            ROOT(obj, a);
+            NEXT_FREE(slot);
+            m->n_free -= 1;
+            m->roots[slot] = obj;
+            break;
+        default:
+            BAIL(BAIL_FAULT);
+        }
+    }
+out:
+    m->executed = pos - start;
+    return pos;
+}
 """
 
 # ----------------------------------------------------------------------
@@ -356,15 +532,22 @@ _tried = False
 #: The trace state the extern-Python callbacks dispatch to.  Collections
 #: are stop-the-world and never nest, so a one-deep stack suffices; kept
 #: as a stack anyway so a buggy nesting fails loudly in finalize.
-_ACTIVE: List["_TraceState"] = []
+_ACTIVE: List["TraceState"] = []
 
 
 def _build_dir() -> str:
     return os.path.join(os.path.dirname(os.path.abspath(__file__)), "_build")
 
 
+#: k_replay sums ``work_units`` as doubles and must round exactly as the
+#: interpreter's ``+=`` does, so the build never uses ``-ffast-math`` /
+#: ``-Ofast`` and says so to the compilers that have the switch.
+_COMPILE_ARGS = [] if os.name == "nt" else ["-fno-fast-math", "-ffp-contract=off"]
+
+
 def _module_name() -> str:
-    tag = hashlib.sha256((_CDEF + _SOURCE).encode()).hexdigest()[:16]
+    text = _CDEF + _SOURCE + " ".join(_COMPILE_ARGS)
+    tag = hashlib.sha256(text.encode()).hexdigest()[:16]
     return f"_repro_ck_{tag}"
 
 
@@ -424,7 +607,9 @@ def _build() -> None:
             os.makedirs(builddir, exist_ok=True)
             builder = cffi.FFI()
             builder.cdef(_CDEF)
-            builder.set_source(modname, _SOURCE)
+            builder.set_source(
+                modname, _SOURCE, extra_compile_args=_COMPILE_ARGS
+            )
             # Compile in a scratch dir, then atomically publish the
             # extension so concurrent processes never load a half-written
             # file (os.replace is atomic within a filesystem).
@@ -450,30 +635,151 @@ def build_error() -> Optional[str]:
 
 
 # ----------------------------------------------------------------------
-# The engine
+# The per-VM heap view
 # ----------------------------------------------------------------------
-class _TypeTable:
-    """The sorted (addr -> ref_code/size_code) table the C binary search
-    walks.  Types are only registered at boot, but staleness is guarded
-    by comparing registry size before each trace."""
+def _pointer(buf: array):
+    """``buf``'s storage as an ``int64_t *``: valid until ``buf`` is next
+    resized, and — unlike ``ffi.from_buffer`` — not an export that would
+    forbid that resize."""
+    return _ffi.cast("int64_t *", buf.buffer_info()[0])
 
-    def __init__(self, by_addr: Dict[int, object]):
-        self.size = len(by_addr)
+
+def _fold_cursor(region, cursor: int, synced: int) -> int:
+    """Fold a C-side bump of ``region``'s tail from ``synced`` to
+    ``cursor`` back into the Python region; returns the words bumped."""
+    delta = (cursor - synced) >> 2
+    if delta:
+        region._cursor = cursor
+        region._current.used_words = (cursor - region._frame_base) // 4
+        region.allocated_words += delta
+    return delta
+
+
+class HeapView:
+    """One VM's heap as the C kernels address it (module docstring):
+    the ``kctx`` both kernels take, and the buffers behind its pointers.
+    Whoever is about to enter C calls :meth:`sync` first."""
+
+    def __init__(self, model):
+        _build()
+        if _build_err is not None:  # pragma: no cover - probed earlier
+            raise RuntimeError(_build_err)
+        space = self.space = model.space
+        self.types = model.types
+        #: The gctk boundary barrier's nursery-frame set, once a
+        #: :class:`Replayer` needs its membership mirrored; else None.
+        self.young = None
+        ctx = self.ctx = _ffi.new("kctx *")
+        slab_words = space.slab_frames * space.frame_words
+        ctx.slab_shift = slab_words.bit_length() - 1
+        ctx.slab_mask = slab_words - 1
+        ctx.shift = space.frame_shift
+        ctx.frame_words = space.frame_words
+        self._ins_buf = _ffi.new("int64_t[]", _INS_TRIPLES * 3)
+        ctx.ins = self._ins_buf
+        ctx.ins_cap = _INS_TRIPLES * 3
+        self._n_types = -1
+        self._cap = 0
+        self._order_epoch = None
+        #: Frames acquired or released since the last sync.
+        self._touched: List[int] = []
+        space.frame_hook = self._touched.append
+        self.sync()
+
+    def sync(self) -> None:
+        """Bring the C view up to date with the space: new types (boot
+        time only) and slabs (rare), the entries of the frames touched
+        since the last sync, and every stamp if a restamp happened."""
+        space = self.space
+        touched = self._touched
+        if len(self.types._by_addr) != self._n_types:
+            self._export_types()
+        elif not touched and space.order_epoch == self._order_epoch:
+            return
+        n = len(space._frames)
+        if n > self._cap:
+            self._allocate(n)
+        if len(space._slabs) > self._n_slabs:
+            self._register_slabs()
+        if touched:
+            self.ctx.n_frames = n
+            orders, mapped, young = space.orders, space.mapped_bytes, self.young
+            orders_buf, mapped_buf = self._orders_buf, self._mapped_buf
+            for fi in touched:
+                mapped_buf[fi] = mapped[fi]
+                orders_buf[fi] = orders[fi]
+            if young is not None:
+                young_buf = self._young_buf
+                for fi in touched:
+                    young_buf[fi] = fi in young
+            del touched[:]
+        if space.order_epoch != self._order_epoch:
+            self._order_epoch = space.order_epoch
+            self._orders_buf[0:n] = space.orders
+
+    def _allocate(self, n: int) -> None:
+        """Per-frame buffers with room for every frame the heap budget
+        can still map (plus slack for late boot frames), filled from the
+        space.  Never runs mid-trace: a trace maps heap frames only."""
+        space = self.space
+        ctx = self.ctx
+        cap = self._cap = n + space.heap_frames_free() + 16
+        self._slab_arr = ctx.slabs = _ffi.new(
+            "int64_t *[]", cap // space.slab_frames + 2
+        )
+        self._slab_keep: List[object] = []
+        self._n_slabs = 0
+        self._orders_buf = ctx.orders = _ffi.new("int64_t[]", cap)
+        self._mapped_buf = ctx.mapped = _ffi.new("uint8_t[]", cap)
+        self._young_buf = ctx.young = _ffi.new("uint8_t[]", cap)
+        self._in_from_buf = ctx.in_from = _ffi.new("uint8_t[]", cap)
+        self._belt_buf = ctx.frame_belt = _ffi.new("int8_t[]", cap)
+        ctx.n_frames = n
+        # mapped_bytes mirrors _frames[i].allocated byte-for-byte.
+        _ffi.memmove(self._mapped_buf, space.mapped_bytes, n)
+        for fi in self.young or ():
+            self._young_buf[fi] = 1
+        del self._touched[:]
+        self._order_epoch = space.order_epoch - 1  # sync() exports orders
+
+    def _register_slabs(self) -> None:
+        slabs = self.space._slabs
+        for i in range(self._n_slabs, len(slabs)):
+            buf = _ffi.from_buffer("int64_t[]", slabs[i], require_writable=True)
+            self._slab_keep.append(buf)
+            self._slab_arr[i] = buf
+        self._n_slabs = self.ctx.n_slabs = len(slabs)
+
+    def _export_types(self) -> None:
+        """The sorted (addr -> ref/scalar/size code) table the C binary
+        search walks."""
+        by_addr = self.types._by_addr
+        ctx = self.ctx
         addrs = sorted(by_addr)
-        self.addr_buf = _ffi.new("int64_t[]", addrs)
-        self.ref_buf = _ffi.new(
-            "int32_t[]", [by_addr[a].ref_code for a in addrs]
-        )
-        self.size_buf = _ffi.new(
-            "int32_t[]", [by_addr[a].size_code for a in addrs]
-        )
+        self._n_types = ctx.n_types = len(addrs)
+        self._type_bufs = [_ffi.new("int64_t[]", addrs)] + [
+            _ffi.new("int32_t[]", [getattr(by_addr[a], code) for a in addrs])
+            for code in ("ref_code", "scalar_code", "size_code")
+        ]
+        (ctx.type_addr, ctx.type_ref, ctx.type_scalar,
+         ctx.type_size) = self._type_bufs
 
+    def track_young(self, frames) -> None:
+        """Mirror membership of ``frames`` (a set the plan keeps current
+        as it acquires and releases nursery frames) from now on."""
+        self.young = frames
+        for fi in frames:
+            self._young_buf[fi] = 1
 
-class _TraceState:
-    """One collection's compiled engine: the C context plus the
-    Python-side sync bookkeeping, behind the surface of
+# ----------------------------------------------------------------------
+# The trace engine
+# ----------------------------------------------------------------------
+class TraceState:
+    """One collection's compiled engine — the heap view's context plus
+    the Python-side sync bookkeeping — behind the surface of
     :class:`repro.heap.cheney.CheneyEngine` (``forward``,
-    ``forward_roots``, ``scan_boot``, ``drain``, opened with ``with``).
+    ``forward_roots``, ``scan_boot``, ``drain``, opened with ``with``):
+    ``TraceState(view, from_frames, to_space, result, remember=None)``.
 
     Destination contexts are not modelled — a plan whose policy routes
     copies through them must not be handed this engine
@@ -481,17 +787,18 @@ class _TraceState:
     and ignored.
     """
 
-    def __init__(self, model, type_table: _TypeTable, from_frames,
-                 to_space, result, remember):
-        space = model.space
-        self.space = space
-        self.types = model.types
+    def __init__(self, view: HeapView, from_frames, to_space, result,
+                 remember=None):
+        self.view = view
+        self.space = view.space
+        self.types = view.types
         self.to_space = to_space
         self.result = result
         #: The plan's remembering rule; a drain with one runs the order
         #: compares (mode 1) and logs inserts, one without (gctk) never
         #: reads ``ctx.orders``.
         self.remember = remember
+        self.from_frames = from_frames
         self.error: Optional[BaseException] = None
         self.inserts: List[int] = []  # flat (s, t, slot) triples
         n_lanes = 1 + max(from_frames.values(), default=0)
@@ -501,115 +808,28 @@ class _TraceState:
         #: is the compiled trace's hot Python edge.
         self.belt_state: List[Optional[tuple]] = [None] * n_lanes
         self.synced: List[int] = [0] * n_lanes
-        self._n_slabs = 0
-        self._slab_keep: List[object] = []
-        #: Frame indices acquired since the last (re)sync, fed by the
-        #: space's acquire hook so a refill patches exactly the frames
-        #: that changed instead of rebuilding the whole C view.
-        self._acquired: List[int] = []
-        self._order_epoch = space.order_epoch
         self._roots_buf = None
         self._roots_cap = 0
 
-        ffi = _ffi
-        # Frame-table capacity: frames only grow during a trace (releases
-        # happen in reclaim, after), bounded by the remaining heap budget.
-        cap = len(space._frames) + space.heap_frames_free() + 2
-        self._cap = cap
-        ctx = ffi.new("kctx *")
-        self.ctx = ctx
-        self._slab_arr = ffi.new("int64_t *[]", (cap >> 9) + 2)
-        ctx.slabs = self._slab_arr
-        slab_words = space.slab_frames * space.frame_words
-        ctx.slab_shift = slab_words.bit_length() - 1
-        ctx.slab_mask = slab_words - 1
-        ctx.shift = space.frame_shift
-        ctx.frame_words = space.frame_words
-        self._orders_buf = ffi.new("int64_t[]", cap)
-        self._mapped_buf = ffi.new("uint8_t[]", cap)
-        self._in_from_buf = ffi.new("uint8_t[]", cap)
-        self._belt_buf = ffi.new("int8_t[]", cap)
-        ctx.orders = self._orders_buf
-        ctx.mapped = self._mapped_buf
-        ctx.in_from = self._in_from_buf
-        ctx.frame_belt = self._belt_buf
-        ctx.type_addr = type_table.addr_buf
-        ctx.type_ref = type_table.ref_buf
-        ctx.type_size = type_table.size_buf
-        ctx.n_types = type_table.size
+        view.sync()
+        ctx = self.ctx = view.ctx
         # Every copied object is at least HEADER_WORDS long and comes out
         # of the collected increments' allocated words, so this worklist
         # can never overflow on a well-formed heap.
-        wl_cap = result.from_words // HEADER_WORDS + 8
-        self._wl_buf = ffi.new("int64_t[]", wl_cap)
-        ctx.wl = self._wl_buf
-        ctx.wl_cap = wl_cap
-        self._ins_buf = ffi.new("int64_t[]", _INS_TRIPLES * 3)
-        ctx.ins = self._ins_buf
-        ctx.ins_cap = _INS_TRIPLES * 3
-        self._cursor_buf = ffi.new("int64_t[]", n_lanes)
-        self._limit_buf = ffi.new("int64_t[]", n_lanes)
-        ctx.cursor = self._cursor_buf
-        ctx.limit = self._limit_buf
+        ctx.wl_cap = result.from_words // HEADER_WORDS + 8
+        self._wl_buf = ctx.wl = _ffi.new("int64_t[]", ctx.wl_cap)
+        ctx.wl_len = ctx.wl_head = 0
+        self._cursor_buf = ctx.cursor = _ffi.new("int64_t[]", n_lanes)
+        self._limit_buf = ctx.limit = _ffi.new("int64_t[]", n_lanes)
         for fi, lane in from_frames.items():
-            self._in_from_buf[fi] = 1
-            self._belt_buf[fi] = lane
-        self._export_views()
+            view._in_from_buf[fi] = 1
+            view._belt_buf[fi] = lane
         # A lane may already have a partially filled frame (Appel minors
         # copy into the live mature region): hand its tail to C up front.
         for lane in range(n_lanes):
             tail = to_space.tail(lane)
             if tail is not None:
                 self.export_belt(lane, *tail)
-
-    # -- C view maintenance --------------------------------------------
-    def _export_views(self) -> None:
-        """Export slab pointers, orders and the mapped set to C — the
-        full rebuild, run once at trace start — and install the acquire
-        hook.  ``resync`` keeps the view current across refills."""
-        self._register_slabs()
-        space = self.space
-        ctx = self.ctx
-        n = len(space._frames)
-        ctx.n_frames = n
-        if self.remember is not None:
-            self._orders_buf[0:n] = space.orders
-        # mapped_bytes mirrors _frames[i].allocated byte-for-byte.
-        _ffi.memmove(self._mapped_buf, space.mapped_bytes, n)
-        space.acquire_hook = self._acquired.append
-
-    def _register_slabs(self) -> None:
-        space = self.space
-        slabs = space._slabs
-        for i in range(self._n_slabs, len(slabs)):
-            buf = _ffi.from_buffer("int64_t[]", slabs[i], require_writable=True)
-            self._slab_keep.append(buf)
-            self._slab_arr[i] = buf
-        self._n_slabs = len(slabs)
-        self.ctx.n_slabs = len(slabs)
-
-    def resync(self) -> None:
-        """Patch the C view after a refill: only what a refill can change
-        — new slabs (rare), the frames it acquired, and (when orders are
-        compared) a wholesale restamp when an increment overflowed."""
-        space = self.space
-        ctx = self.ctx
-        if len(space._slabs) > self._n_slabs:
-            self._register_slabs()
-        acquired = self._acquired
-        if acquired:
-            ctx.n_frames = len(space._frames)
-            orders = space.orders
-            mapped = self._mapped_buf
-            obuf = self._orders_buf
-            for fi in acquired:
-                mapped[fi] = 1
-                obuf[fi] = orders[fi]
-            del acquired[:]
-        if self.remember is not None and space.order_epoch != self._order_epoch:
-            self._order_epoch = space.order_epoch
-            n = ctx.n_frames
-            self._orders_buf[0:n] = space.orders[:n]
 
     # -- bump-region synchronisation -----------------------------------
     def sync_belt(self, belt: int) -> None:
@@ -620,14 +840,10 @@ class _TraceState:
             return
         dest, region = state
         cursor = self._cursor_buf[belt]
-        delta = (cursor - self.synced[belt]) >> 2
-        if delta:
-            region._cursor = cursor
-            region._current.used_words = (cursor - region._frame_base) // 4
-            region.allocated_words += delta
-            if dest is not None:
-                dest.copied_in_words += delta
-            self.synced[belt] = cursor
+        delta = _fold_cursor(region, cursor, self.synced[belt])
+        if dest is not None:
+            dest.copied_in_words += delta
+        self.synced[belt] = cursor
 
     def export_belt(self, belt: int, dest, region) -> None:
         """Hand a (possibly new) destination region's tail to C."""
@@ -638,11 +854,12 @@ class _TraceState:
 
     def refill(self, belt: int, size: int) -> int:
         """The C bump allocator's slow path: run the plan's reference
-        copy allocation, then re-export the lane's (cursor, limit)."""
+        copy allocation, then re-export the lane's (cursor, limit) and
+        whatever frames and stamps that allocation touched."""
         self.sync_belt(belt)
         addr = self.to_space.alloc(belt, size)
         self.export_belt(belt, *self.to_space.tail(belt))
-        self.resync()
+        self.view.sync()
         return addr
 
     # -- insert log -----------------------------------------------------
@@ -650,7 +867,7 @@ class _TraceState:
         ctx = self.ctx
         n = int(ctx.ins_len)
         if n:
-            self.inserts.extend(_ffi.unpack(self._ins_buf, n))
+            self.inserts.extend(_ffi.unpack(ctx.ins, n))
             ctx.ins_len = 0
 
     # -- the engine surface ---------------------------------------------
@@ -677,22 +894,26 @@ class _TraceState:
         if _lib.k_scan_boot(self.ctx, buf, len(objs)) < 0:
             self.raise_abort()
 
-    def forward_roots(self, array: List[int], ctx=None) -> None:
-        """Run one root array through ``k_roots``, updating it in place.
-
-        The whole buffer is copied back even on abort, so the array shows
-        the reference's partial effect (forwarded prefix, original tail).
+    def forward_roots(self, roots, ctx=None) -> None:
+        """Run one root array through ``k_roots``, updating it in place:
+        a root table's ``array('q')`` in its own storage, anything else
+        through a scratch buffer that is copied back even on abort, so
+        the array shows the reference's partial effect (forwarded prefix,
+        original tail) either way.
         """
-        n = len(array)
+        n = len(roots)
         if n == 0:
             return
-        buf = self._roots_buf
-        if buf is None or self._roots_cap < n:
-            self._roots_cap = max(n, 2 * self._roots_cap, 256)
-            buf = self._roots_buf = _ffi.new("int64_t[]", self._roots_cap)
-        buf[0:n] = array
-        status = _lib.k_roots(self.ctx, buf, n)
-        array[0:n] = _ffi.unpack(buf, n)
+        if isinstance(roots, array) and roots.typecode == "q":
+            status = _lib.k_roots(self.ctx, _pointer(roots), n)
+        else:
+            buf = self._roots_buf
+            if buf is None or self._roots_cap < n:
+                self._roots_cap = max(n, 2 * self._roots_cap, 256)
+                buf = self._roots_buf = _ffi.new("int64_t[]", self._roots_cap)
+            buf[0:n] = roots
+            status = _lib.k_roots(self.ctx, buf, n)
+            roots[0:n] = _ffi.unpack(buf, n)
         if status < 0:
             self.raise_abort()
 
@@ -748,7 +969,7 @@ class _TraceState:
         ctx.scanned_objects = ctx.scanned_ref_slots = 0
         ctx.boot_slots = ctx.root_slots = 0
 
-    def __enter__(self) -> "_TraceState":
+    def __enter__(self) -> "TraceState":
         _ACTIVE.append(self)
         return self
 
@@ -763,7 +984,9 @@ class _TraceState:
         inline, so an aborted trace has recorded what it found so far.
         """
         _ACTIVE.pop()
-        self.space.acquire_hook = None
+        in_from = self.view._in_from_buf
+        for fi in self.from_frames:
+            in_from[fi] = 0
         self.flush_counters()
         for belt in range(len(self.belt_state)):
             self.sync_belt(belt)
@@ -774,24 +997,109 @@ class _TraceState:
             remember(triples[k], triples[k + 1], triples[k + 2])
 
 
-class TraceEngine:
-    """Opens one compiled engine per collection over ``model``'s heap:
-    ``TraceEngine(model)(from_frames, to_space, result, remember=None)``,
-    the contract of :mod:`repro.heap.cheney`."""
+# ----------------------------------------------------------------------
+# The tape kernel
+# ----------------------------------------------------------------------
+class Replayer:
+    """Runs a mutator's tape chunks through ``k_replay``.
 
-    def __init__(self, model):
-        _build()
-        if _build_err is not None:  # pragma: no cover - probed earlier
-            raise RuntimeError(_build_err)
-        self.model = model
-        self._type_table: Optional[_TypeTable] = None
+    ``bailed(chunk, descs, work_units)`` executes the chunk in C and
+    yields, in tape order, each record the kernel handed back (the
+    bail-out rule, DESIGN §13) for the caller to execute on the reference
+    path.  Before every yield the C side's counters, bump cursor, free
+    count and ``work_units`` are folded into the Python objects, and after
+    it whatever the reference path may have changed is exported again —
+    the mutator region's tail, the frames and stamps it touched
+    (:meth:`HeapView.sync`), and the root table's storage if it grew —
+    all O(1) plus O(frames touched).  Root slots and the free stack are
+    the table's own words on both sides.
+    """
 
-    def __call__(self, from_frames, to_space, result,
-                 remember=None) -> _TraceState:
-        by_addr = self.model.types._by_addr
-        table = self._type_table
-        if table is None or table.size != len(by_addr):
-            table = self._type_table = _TypeTable(by_addr)
-        return _TraceState(
-            self.model, table, from_frames, to_space, result, remember
-        )
+    def __init__(self, view: HeapView, vm, table, rule: int, path):
+        self.view = view
+        self.vm = vm
+        self.table = table
+        #: Where the counts go: ``in_c`` (records executed in C) and
+        #: ``bails`` (records handed back, by reason).
+        self.path = path
+        if rule:
+            view.track_young(vm.plan.barrier.nursery_frames)
+        m = self.m = _ffi.new("kmut *")
+        m.rule = rule
+        self._out = _ffi.cast("int64_t *", _ffi.addressof(m, "loads"))
+        self._descs = self._units = None
+        self._region = None
+        self._synced = 0
+
+    def bailed(self, chunk: array, descs, work_units):
+        m = self.m
+        if len(descs) != m.n_tdesc:
+            self._descs = m.tdesc = _ffi.new("int64_t[]", [
+                code for d in descs
+                for code in (d.addr, d.size_code, d.ref_code, d.scalar_code)
+            ])
+            m.n_tdesc = len(descs)
+        if len(work_units) != m.n_units:
+            self._units = m.units = _ffi.new("double[]", list(work_units))
+            m.n_units = len(work_units)
+        address, n = chunk.buffer_info()
+        records = _ffi.cast("const int32_t *", address)
+        n >>= 2
+        ctx = self.view.ctx
+        run = _lib.k_replay
+        pos = 0
+        while True:
+            self._export()
+            pos = run(ctx, m, records, pos, n)
+            bail = self._fold()
+            if pos >= n:
+                return
+            self.path.bails[BAIL_REASONS[bail - 1]] += 1
+            yield tuple(chunk[4 * pos : 4 * pos + 4])
+            pos += 1
+
+    def _export(self) -> None:
+        vm = self.vm
+        m = self.m
+        self.view.sync()
+        region = self._region = vm.plan.mutator_region()
+        if region is None:
+            m.cursor = m.limit = self._synced = 0
+        else:
+            m.cursor = self._synced = region._cursor
+            m.limit = region._limit
+        table = self.table
+        slots, free = table.slots, table._free
+        if len(slots) != m.n_roots or len(free) != m.free_cap:
+            # Only growth moves (or extends) the table's storage.
+            m.roots, m.n_roots = _pointer(slots), len(slots)
+            m.free_slots, m.free_cap = _pointer(free), len(free)
+        m.n_free = table._nfree
+        m.work = vm.work_units
+
+    def _fold(self) -> int:
+        (loads, stores, fast, nulls, reads, writes, allocs, alloc_words,
+         executed, bail, cursor, n_free) = _ffi.unpack(self._out, 12)
+        if executed:
+            self.path.in_c += executed
+            vm = self.vm
+            plan = vm.plan
+            space = vm.space
+            space.load_count += loads
+            space.store_count += stores
+            stats = plan.barrier.stats
+            stats.fast_path += fast
+            stats.null_stores += nulls
+            vm.field_reads += reads
+            vm.field_writes += writes
+            # By value, never as a delta: the C adds ran in tape order on
+            # this very double; `+= (after - before)` rounds differently.
+            vm.work_units = self.m.work
+            self.table._nfree = n_free
+            if allocs:
+                plan.allocations += allocs
+                plan.allocated_words += alloc_words
+                _fold_cursor(self._region, cursor, self._synced)
+                if space.heap_frames_in_use > vm.peak_footprint_frames:
+                    vm.peak_footprint_frames = space.heap_frames_in_use
+        return bail

@@ -5,11 +5,16 @@ benchmark kept in a Python variable across an allocation would silently
 dangle.  A :class:`Handle` is an index into a registered root array, so
 the collector's root scan updates it in place — the moral equivalent of
 the JNI local-reference discipline Jikes RVM's own Java code follows.
+
+The table's storage is two ``array('q')`` buffers, so the compiled replay
+kernel (:mod:`repro.kernels.cik`, DESIGN §13) acquires and releases slots
+in the very words this class does: nothing is copied when execution moves
+between the two.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from array import array
 
 from ..errors import HeapCorruption
 
@@ -58,24 +63,37 @@ class RootTable:
     """A growable root array with slot reuse, registered with the plan."""
 
     def __init__(self) -> None:
-        self.slots: List[int] = []
-        self._free: List[int] = []
+        #: One word per slot ever handed out; only ``acquire`` appends.
+        self.slots = array("q")
+        #: The released slots, a LIFO stack: ``_free[:_nfree]`` is live.
+        #: It is kept as long as ``slots`` (all a well-formed program can
+        #: ever release), so a push never has to grow it.
+        self._free = array("q")
+        self._nfree = 0
 
     def acquire(self, addr: int = 0) -> Handle:
-        if self._free:
-            index = self._free.pop()
+        n = self._nfree
+        if n:
+            self._nfree = n = n - 1
+            index = self._free[n]
             self.slots[index] = addr
         else:
             index = len(self.slots)
             self.slots.append(addr)
+            self._free.append(0)
         return Handle(self, index)
 
     def release(self, index: int) -> None:
         if index < 0 or index >= len(self.slots):
             raise HeapCorruption(f"releasing bogus root slot {index}")
         self.slots[index] = 0
-        self._free.append(index)
+        n = self._nfree
+        if n < len(self._free):
+            self._free[n] = index
+        else:  # a slot released twice: keep the old (list) behaviour
+            self._free.append(index)
+        self._nfree = n + 1
 
     @property
     def live_slots(self) -> int:
-        return len(self.slots) - len(self._free)
+        return len(self.slots) - self._nfree

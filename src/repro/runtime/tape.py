@@ -21,11 +21,15 @@ copy order, addresses and the load/store counters) is reproduced exactly.
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass, field
 from struct import Struct
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.barrier import FrameBarrier
 from ..errors import ConfigError, HeapCorruption
+from ..gctk.ssb import BoundaryBarrier
 from ..heap.objectmodel import TypeDescriptor
+from ..kernels.cik import BAIL_REASONS  # importable without cffi
 from .mutator import MutatorContext
 
 # Record layouts, (op, a, b, c); unused fields are 0.
@@ -185,23 +189,80 @@ class TapeRecorder:
         return self._allocated(refs)
 
 
+#: The record rules ``k_replay`` mirrors, by their source text (so a
+#: barrier with any other rule is never handed to it) -> its rule code.
+_KERNEL_RULES = {FrameBarrier.record_rule: 0, BoundaryBarrier.record_rule: 1}
+
+
+@dataclass
+class ReplayPath:
+    """Which code replayed a tape: host-side tier reality (counts, not
+    timings), never part of ``RunStats``."""
+
+    #: ``"cffi"`` if any chunk went through the compiled kernel.
+    path: str = "python"
+    #: Why Python, if Python: ``"tier"`` (no compiled kernel), ``"plan"``
+    #: (no single mutator region, or an unknown record rule) or
+    #: ``"attached"`` (something wraps the VM and must see every call).
+    why: Optional[str] = None
+    records: int = 0
+    #: Records executed in C; the rest ran on the Python path, ``bails``
+    #: of them one at a time because the kernel handed them back.
+    in_c: int = 0
+    bails: Dict[str, int] = field(
+        default_factory=lambda: dict.fromkeys(BAIL_REASONS, 0)
+    )
+
+    @property
+    def bail_ratio(self) -> float:
+        return sum(self.bails.values()) / self.records if self.records else 0.0
+
+    def summary_row(self) -> str:
+        if self.path == "python":
+            return f"tape replay: python ({self.why}), {self.records} records"
+        bails = ", ".join(f"{k} {v}" for k, v in self.bails.items())
+        return (
+            f"tape replay: cffi, {self.in_c} of {self.records} records in C, "
+            f"bail ratio {self.bail_ratio:.4f} ({bails})"
+        )
+
+
 def replay(
     mu: MutatorContext,
     chunks: Iterable[array],
     type_names: Sequence[str],
     work_units: Sequence[float],
-) -> None:
-    """Drive ``mu`` through ``chunks`` in order.
+    path: Optional[ReplayPath] = None,
+) -> ReplayPath:
+    """Drive ``mu`` through ``chunks`` in order; ``path`` (returned) is
+    filled in with which code did it, also when an error ends the tape.
 
     ``chunks`` may be a generator still recording ahead of the replay, so
-    the side tables are read as each chunk arrives (they only grow).  The
-    VM entry points are looked up the way ``MutatorContext`` reaches them
-    — ``vm.alloc`` at run time, the stores and loads through the
-    context's bound-method caches, ``table.release`` on the instance — so
-    sanitizer, profiler and telemetry wrappers see every operation.
+    the side tables are read as each chunk arrives (they only grow).
+
+    There is one body of per-record code, below, and two ways a chunk
+    reaches it.  With anything attached (``vm.seam.active``, a
+    ``mutator_observer``), below the cffi tier, or on a plan the kernel
+    does not know, every record runs through it: the VM entry points are
+    looked up the way ``MutatorContext`` reaches them — ``vm.alloc`` at
+    run time, the stores and loads through the context's bound-method
+    caches, ``table.release`` on the instance — so sanitizer, profiler
+    and telemetry wrappers see every operation.  Otherwise the chunk goes
+    to the compiled kernel (``cik.Replayer``) and the body runs only the
+    records that kernel hands back, each of which would leave the fast
+    path (DESIGN §13, the bail-out rule).  The choice is made per chunk.
     Errors (``OutOfMemory`` above all) propagate from mid-tape.
     """
     vm = mu.vm
+    path = path or ReplayPath()
+    kernel = None
+    rule = _KERNEL_RULES.get(vm.plan.barrier.record_rule)
+    if vm.kernels.cik is None:
+        path.why = "tier"
+    elif rule is None or not hasattr(vm.plan, "mutator_region"):
+        path.why = "plan"
+    else:
+        kernel = vm.kernels.replayer(vm, mu.table, rule, path)
     by_name = vm.types.by_name
     ref_count_of = vm.model.compile_ref_count()
     vm_alloc = vm.alloc
@@ -216,7 +277,16 @@ def replay(
     descs: List[TypeDescriptor] = []
     for chunk in chunks:
         descs.extend(by_name(name) for name in type_names[len(descs):])
-        for op, a, b, c in unpack(chunk):
+        path.records += len(chunk) >> 2
+        if kernel is None:
+            records = unpack(chunk)
+        elif vm.seam.active or vm.mutator_observer is not None:
+            path.why = "attached"
+            records = unpack(chunk)
+        else:
+            path.path = "cffi"
+            records = kernel.bailed(chunk, descs, work_units)
+        for op, a, b, c in records:
             if op == OP_ALLOC_INT:
                 addr = vm_alloc(descs[a], 0)
                 acquire(addr)
@@ -251,6 +321,7 @@ def replay(
                 acquire(slots[a])
             else:
                 raise HeapCorruption(f"unknown tape op {op}")
+    return path
 
 
 class Tape:
