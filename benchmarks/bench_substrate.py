@@ -35,7 +35,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.bench.engine import TAPES, SyntheticMutator  # noqa: E402
+from repro.bench.engine import (  # noqa: E402
+    TAPES,
+    SyntheticMutator,
+    ensure_standard_types,
+)
 from repro.bench.spec import benchmark_spec  # noqa: E402
 from repro.core.remset import RememberedSets  # noqa: E402
 from repro.harness.runner import RunOptions, run as run_cell  # noqa: E402
@@ -44,6 +48,8 @@ from repro.heap.space import AddressSpace  # noqa: E402
 from repro.kernels import TIER_ENV, available, resolve  # noqa: E402
 from repro.runtime.mutator import MutatorContext  # noqa: E402
 from repro.runtime.vm import VM  # noqa: E402
+from repro.specs import load as load_spec  # noqa: E402
+from repro.workloads.engine import RequestProgram, ServerMutator  # noqa: E402
 
 #: Throughput of the seed (pre-rewrite, list-backed, word-at-a-time)
 #: substrate, measured on the same container immediately before the typed
@@ -437,6 +443,50 @@ def bench_grid_dispatch(min_seconds: float) -> float:
 
 
 #: Timing window per metric: ``--quick`` (the CI smoke) and full length.
+def bench_server_tape(quick: bool) -> dict:
+    """The server engine's tape (DESIGN §15), informational: kvstore at its
+    declared 1200 rps under ``gctk:Appel`` @ 256 KB.
+
+    ``server_tape_record_seconds`` is the request program alone (no VM
+    operation); ``server_tape_replay_seconds@tier`` a tape *hit*, on the
+    Python replay and through the compiled kernel; and
+    ``server_tape_marks_per_request`` the hand-backs to the engine's
+    boundary handler each request costs on either — an exact count.
+    """
+    ref = str(REPO_ROOT / "examples" / "workloads" / "kvstore.json")
+    spec, seed = load_spec(ref), 13
+    rounds = 5 if quick else 9
+
+    def cell(tier):
+        vm = VM(256 * 1024, collector="gctk:Appel", locality=spec.locality,
+                benchmark_name=spec.name, tier=tier)
+        engine = ServerMutator(vm, spec, seed=seed)
+        return engine.run().requests.count, engine.replay_path
+
+    def record():
+        vm = VM(256 * 1024)
+        ensure_standard_types(vm)
+        program = RequestProgram(spec, seed, vm.types)
+        return sum(map(len, program.segments(requests)))
+
+    requests, path = cell("python")  # also the warm-up: the tape is cached
+    timed = {"record": record}
+    timed.update({
+        f"replay_seconds@{tier}": partial(cell, tier)
+        for tier in ("python", "cffi") if available()[tier].startswith("ok")
+    })
+    best = {name: float("inf") for name in timed}
+    for _ in range(rounds):
+        for name, fn in timed.items():
+            start = time.perf_counter()
+            fn()
+            best[name] = min(best[name], time.perf_counter() - start)
+    out = {"server_tape_record_seconds": best.pop("record")}
+    out.update({f"server_tape_{name}": value for name, value in best.items()})
+    out["server_tape_marks_per_request"] = path.marks / requests
+    return out
+
+
 QUICK_SECONDS, FULL_SECONDS = 0.1, 0.4
 
 #: Gated throughput metric -> its benchmark, ``bench(min_seconds)``.
@@ -489,6 +539,7 @@ def run(quick: bool) -> dict:
         "tiers_available": available(),
         "metrics": metrics,
         "attachment": bench_attachment(quick),
+        "server_tape": bench_server_tape(quick),
         "pre_change": PRE_CHANGE,
         "speedup_vs_pre_change": {
             key: metrics[key] / PRE_CHANGE[key] for key in PRE_CHANGE
@@ -577,8 +628,9 @@ def main(argv=None) -> int:
         speedup = report["speedup_vs_pre_change"].get(key)
         suffix = f"   ({speedup:6.1f}x vs pre-change)" if speedup else ""
         print(f"{key:<28} {value:14.0f} /s{suffix}")
-    for key, value in report["attachment"].items():
-        print(f"{key:<36} {value:10.4f}")
+    for block in ("attachment", "server_tape"):
+        for key, value in report[block].items():
+            print(f"{key:<36} {value:10.4f}")
 
     if args.check:
         status = check(report, args.check, args.threshold)

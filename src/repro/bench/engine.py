@@ -10,7 +10,11 @@ observe exactly as they would a Java program's.
 What the program does is a function of (spec, seed) alone, so it is decided
 once — :class:`MutatorProgram` records it onto a tape — and every cell
 that holds the program constant replays the tape into its own VM
-(:class:`SyntheticMutator`; contract in DESIGN.md §9).
+(:class:`SyntheticMutator`; contract in DESIGN.md §9).  That
+record-then-replay substrate — :mod:`repro.runtime.tape` and the one
+cache :data:`TAPES` here — is the repo's only mutator engine; the
+open-loop server workloads are a second small program on top of it
+(:class:`repro.workloads.engine.RequestProgram`, DESIGN.md §15).
 
 The collector-relevant levers, mapped to the paper's five key ideas
 (§2.1):
@@ -67,10 +71,10 @@ WORKLOAD_TYPE_NAMES: Tuple[str, ...] = ("small", "node", "big", "refarr", "buf")
 def ensure_standard_types(vm: VM) -> None:
     """Define the shared object vocabulary on ``vm`` (idempotent).
 
-    Both mutator engines — the closed-loop :class:`SyntheticMutator` and
-    the request-driven server engine (:mod:`repro.workloads.engine`) —
-    allocate from this vocabulary, so their workload specs are portable
-    across engines.
+    Both recorded programs — the closed-loop :class:`MutatorProgram` and
+    the server :class:`~repro.workloads.engine.RequestProgram` — allocate
+    from this vocabulary, so allocation sites are portable between their
+    specs.
     """
     existing = {d.name for d in vm.types}
     for name, nrefs, nscalars in STANDARD_TYPES:

@@ -26,10 +26,12 @@ import sys
 import time
 from typing import List, Optional
 
+from ..bench.engine import TAPES
 from ..bench.spec import BENCHMARK_NAMES, KB
 from ..core.config import EXTENSION_CONFIGS, PAPER_CONFIGS
 from ..errors import ConfigError
 from ..kernels import TIER_ENV
+from ..runtime.tape import ReplayPath
 from .experiments import ALL_EXPERIMENTS
 from .runner import RunOptions, find_min_heap, run
 
@@ -390,6 +392,10 @@ def _finish_grid(store, code: int, close_trace=None) -> int:
         if store.corrupt_entries:
             summary += f", {store.corrupt_entries} corrupt entries recomputed"
         print(summary)
+    # ``run``'s rule, over the cells this process itself replayed.
+    replayed, TAPES.replayed = TAPES.replayed, ReplayPath()
+    if replayed.records and replayed.why != "tier":
+        print(replayed.summary_row())
     return code
 
 

@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from ..bench.engine import SyntheticMutator
+from ..bench.engine import TAPES, SyntheticMutator
 from ..core.config import BeltwayConfig
 from ..errors import ConfigError, OutOfMemory
 from ..obs import CounterSink, JsonlSink, RingBufferSink, TelemetryBus, attach
@@ -300,6 +300,8 @@ def _execute(engine, vm, sanitizer) -> RunStats:
         return _abort_stats(engine, vm, failure=str(error))
     except _sanitizer_violation() as error:
         return _abort_stats(engine, vm, failure=f"sanitizer: {error}")
+    finally:
+        TAPES.replayed.add(engine.replay_path)
 
 
 def _abort_stats(engine, vm, failure: str) -> RunStats:

@@ -129,14 +129,14 @@ class KernelSet:
             return None
         return partial(self.cik.TraceState, self._view(model))
 
-    def replayer(self, vm, table, rule: int, path):
+    def replayer(self, vm, mu, rule: int, path):
         """The compiled tape kernel (``cik.Replayer``) for ``vm`` and one
-        mutator's root ``table``, or None below the cffi tier.  ``rule``:
+        mutator context ``mu``, or None below the cffi tier.  ``rule``:
         0 the frame-order record rule, 1 the nursery-boundary one;
         ``path``: the ``ReplayPath`` its counts go to."""
         if self.cik is None:
             return None
-        return self.cik.Replayer(self._view(vm.model), vm, table, rule, path)
+        return self.cik.Replayer(self._view(vm.model), vm, mu, rule, path)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KernelSet {self.name} (requested {self.requested})>"

@@ -78,6 +78,8 @@ _AB_WL = 6         # worklist overflow (impossible on well-formed heaps)
 
 #: k_replay's reasons for handing a record back, by ``BAIL_*`` code - 1.
 BAIL_REASONS = ("alloc_slow", "barrier_slow", "root_grow", "fault")
+#: ...and the hand-back that is no miss: an ``OP_MARK`` (``ReplayPath.marks``).
+_BAIL_MARK = len(BAIL_REASONS) + 1
 
 #: Capacity of the C-side insert log, in (src, tgt, slot) triples; a full
 #: log flushes to Python (kr_flush) rather than aborting.
@@ -129,7 +131,7 @@ typedef struct {
     double work;                /* vm.work_units, by value */
     /* What a call leaves behind, one block (Replayer._fold unpacks it):
      * counter deltas, then the region cursor and the free-stack depth. */
-    int64_t loads, stores, fast, nulls, reads, writes;
+    int64_t loads, stores, fast, nulls, reads, writes, hits;
     int64_t allocs, alloc_words;
     int64_t executed, bail;
     int64_t cursor, n_free;
@@ -358,13 +360,16 @@ int k_roots(kctx *c, int64_t *arr, int64_t n) {
  * a bump past the frame tail, a store the record rule would remember,
  * a root table with no free slot, any access the reference path would
  * raise on, an unknown op -- is handed back *untouched*: every test
- * comes before the record's first store or counter charge.
+ * comes before the record's first store or counter charge.  So is every
+ * OP_MARK: no clock and no request logic lives here.
  * ------------------------------------------------------------------ */
 enum {
     OP_ALLOC, OP_ALLOC_INT, OP_WORK, OP_DROP, OP_COUNT_READ, OP_COUNT,
-    OP_WRITE_REF, OP_WRITE_INT, OP_READ_REF, OP_READ_ROOTED, OP_ACQUIRE
+    OP_WRITE_REF, OP_WRITE_INT, OP_READ_REF, OP_READ_ROOTED, OP_ACQUIRE,
+    OP_READ_HIT, OP_MARK
 };
-enum { BAIL_ALLOC = 1, BAIL_BARRIER = 2, BAIL_ROOT = 3, BAIL_FAULT = 4 };
+enum { BAIL_ALLOC = 1, BAIL_BARRIER = 2, BAIL_ROOT = 3, BAIL_FAULT = 4,
+       BAIL_MARK = 5 };
 
 /* The plan's record rule for a store of non-NULL `value` from mapped
  * frame s: 1 remember, 0 do not, -1 the reference would raise. */
@@ -407,6 +412,7 @@ static inline int in_frame(kctx *c, int64_t obj, int64_t k) {
 int64_t k_replay(kctx *c, kmut *m, const int32_t *rec, int64_t pos, int64_t n) {
     int64_t start = pos;
     m->loads = m->stores = m->fast = m->nulls = m->reads = m->writes = 0;
+    m->hits = 0;
     m->allocs = m->alloc_words = 0;
     m->bail = 0;
     for (; pos < n; pos++) {
@@ -463,6 +469,7 @@ int64_t k_replay(kctx *c, kmut *m, const int32_t *rec, int64_t pos, int64_t n) {
         case OP_COUNT_READ:
         case OP_READ_REF:
         case OP_READ_ROOTED:
+        case OP_READ_HIT:
             ROOT(obj, a);
             if (!(w = decode(c, obj, &ti))) BAIL(BAIL_FAULT);
             count = c->type_ref[ti] < 0 ? w[2] : c->type_ref[ti];
@@ -474,6 +481,7 @@ int64_t k_replay(kctx *c, kmut *m, const int32_t *rec, int64_t pos, int64_t n) {
             }
             m->loads += r[0] == OP_COUNT_READ ? 5 : 3;
             m->reads += 1;
+            if (r[0] == OP_READ_HIT && w[3 + b]) m->hits += 1;
             break;
         case OP_WRITE_INT: {
             ROOT(obj, a);
@@ -511,6 +519,8 @@ int64_t k_replay(kctx *c, kmut *m, const int32_t *rec, int64_t pos, int64_t n) {
             m->n_free -= 1;
             m->roots[slot] = obj;
             break;
+        case OP_MARK:
+            BAIL(BAIL_MARK);
         default:
             BAIL(BAIL_FAULT);
         }
@@ -1015,10 +1025,11 @@ class Replayer:
     the table's own words on both sides.
     """
 
-    def __init__(self, view: HeapView, vm, table, rule: int, path):
+    def __init__(self, view: HeapView, vm, mu, rule: int, path):
         self.view = view
         self.vm = vm
-        self.table = table
+        self.mu = mu
+        self.table = mu.table
         #: Where the counts go: ``in_c`` (records executed in C) and
         #: ``bails`` (records handed back, by reason).
         self.path = path
@@ -1054,7 +1065,8 @@ class Replayer:
             bail = self._fold()
             if pos >= n:
                 return
-            self.path.bails[BAIL_REASONS[bail - 1]] += 1
+            if bail != _BAIL_MARK:
+                self.path.bails[BAIL_REASONS[bail - 1]] += 1
             yield tuple(chunk[4 * pos : 4 * pos + 4])
             pos += 1
 
@@ -1078,8 +1090,8 @@ class Replayer:
         m.work = vm.work_units
 
     def _fold(self) -> int:
-        (loads, stores, fast, nulls, reads, writes, allocs, alloc_words,
-         executed, bail, cursor, n_free) = _ffi.unpack(self._out, 12)
+        (loads, stores, fast, nulls, reads, writes, hits, allocs, alloc_words,
+         executed, bail, cursor, n_free) = _ffi.unpack(self._out, 13)
         if executed:
             self.path.in_c += executed
             vm = self.vm
@@ -1092,6 +1104,7 @@ class Replayer:
             stats.null_stores += nulls
             vm.field_reads += reads
             vm.field_writes += writes
+            self.mu.read_hits += hits
             # By value, never as a delta: the C adds ran in tape order on
             # this very double; `+= (after - before)` rounds differently.
             vm.work_units = self.m.work

@@ -37,6 +37,8 @@ class MutatorContext:
         self._vm_read_ref = vm.read_ref
         self._vm_write_int = vm.write_int
         self._vm_read_int = vm.read_int
+        #: Counted reads (the tape's ``OP_READ_HIT``) that found a reference.
+        self.read_hits = 0
 
     # ------------------------------------------------------------------
     # Handles

@@ -23,7 +23,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field
 from struct import Struct
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.barrier import FrameBarrier
 from ..errors import ConfigError, HeapCorruption
@@ -44,6 +44,8 @@ OP_WRITE_INT = 7  # (slot, index, value)
 OP_READ_REF = 8  # (slot, index, -)     read_ref, result discarded
 OP_READ_ROOTED = 9  # (slot, index, -)  acquire(read_ref(...))
 OP_ACQUIRE = 10  # (src slot, -, -)    acquire(slots[src]): copy_handle
+OP_READ_HIT = 11  # (slot, index, -)    read_ref; mu.read_hits += 1 if non-null
+OP_MARK = 12  # (kind, a, b)            on_mark(kind, a, b): never run in C
 
 _RECORD = Struct("4i")
 _INT_MIN, _INT_MAX = -(1 << 31), (1 << 31) - 1
@@ -93,6 +95,8 @@ class TapeRecorder:
         self.work_units: List[float] = []
         self._type_index = {}
         self._work_index = {}
+        #: Objects allocated so far.
+        self.allocs = 0
         # RootTable's slot discipline, simulated.
         self._slots = 0
         self._free: List[int] = []
@@ -121,6 +125,7 @@ class TapeRecorder:
         return slot
 
     def _allocated(self, refs: int) -> RecordedHandle:
+        self.allocs += 1
         handle = RecordedHandle(self, self._take_slot())
         handle.refs = refs
         handle.is_null = False
@@ -154,6 +159,11 @@ class TapeRecorder:
     def read_addr(self, src, index: int) -> None:
         self.ops.extend((OP_READ_REF, src.slot, index, 0))
 
+    def read_hit(self, src, index: int) -> None:
+        """``read_addr``, non-null results tallied in ``mu.read_hits``: the
+        one thing a recorded program learns from the heap, as a count."""
+        self.ops.extend((OP_READ_HIT, src.slot, index, 0))
+
     def write_int(self, dst, index: int, value: int) -> None:
         if not _INT_MIN <= value <= _INT_MAX:
             raise ConfigError(
@@ -180,6 +190,10 @@ class TapeRecorder:
     def count_and_read(self, h, index: int) -> None:
         """``ref_count(h)`` then ``read_addr(h, index)`` as one record."""
         self.ops.extend((OP_COUNT_READ, h.slot, index, 0))
+
+    def mark(self, kind: int, a: int = 0, b: int = 0) -> None:
+        """Hand the replaying engine control (``on_mark``): the clock's place."""
+        self.ops.extend((OP_MARK, kind, a, b))
 
     def alloc_int(self, type_index: int, refs: int, value: int):
         """``alloc`` of a fixed-shape type then ``write_int(new, 0, value)``
@@ -212,18 +226,33 @@ class ReplayPath:
     bails: Dict[str, int] = field(
         default_factory=lambda: dict.fromkeys(BAIL_REASONS, 0)
     )
+    #: ``OP_MARK`` records run, on either path: scheduled hand-backs to
+    #: the engine, not fast-path misses, so never part of ``bails``.
+    marks: int = 0
 
     @property
     def bail_ratio(self) -> float:
         return sum(self.bails.values()) / self.records if self.records else 0.0
 
+    def add(self, other: "ReplayPath") -> None:
+        """Fold another replay's counts into this one (a campaign's row)."""
+        if other.path == "cffi":
+            self.path = "cffi"
+        self.why = self.why or other.why
+        self.records += other.records
+        self.in_c += other.in_c
+        self.marks += other.marks
+        for reason, n in other.bails.items():
+            self.bails[reason] += n
+
     def summary_row(self) -> str:
+        marks = f", {self.marks} marks" if self.marks else ""
         if self.path == "python":
-            return f"tape replay: python ({self.why}), {self.records} records"
+            return f"tape replay: python ({self.why}), {self.records} records{marks}"
         bails = ", ".join(f"{k} {v}" for k, v in self.bails.items())
         return (
             f"tape replay: cffi, {self.in_c} of {self.records} records in C, "
-            f"bail ratio {self.bail_ratio:.4f} ({bails})"
+            f"bail ratio {self.bail_ratio:.4f} ({bails}){marks}"
         )
 
 
@@ -233,9 +262,11 @@ def replay(
     type_names: Sequence[str],
     work_units: Sequence[float],
     path: Optional[ReplayPath] = None,
+    on_mark: Optional[Callable[[int, int, int], None]] = None,
 ) -> ReplayPath:
     """Drive ``mu`` through ``chunks`` in order; ``path`` (returned) is
     filled in with which code did it, also when an error ends the tape.
+    ``on_mark`` answers the tape's ``OP_MARK`` records, on every path.
 
     ``chunks`` may be a generator still recording ahead of the replay, so
     the side tables are read as each chunk arrives (they only grow).
@@ -262,7 +293,7 @@ def replay(
     elif rule is None or not hasattr(vm.plan, "mutator_region"):
         path.why = "plan"
     else:
-        kernel = vm.kernels.replayer(vm, mu.table, rule, path)
+        kernel = vm.kernels.replayer(vm, mu, rule, path)
     by_name = vm.types.by_name
     ref_count_of = vm.model.compile_ref_count()
     vm_alloc = vm.alloc
@@ -319,23 +350,40 @@ def replay(
                     acquire(addr)
             elif op == OP_ACQUIRE:
                 acquire(slots[a])
+            elif op == OP_MARK:
+                path.marks += 1
+                on_mark(a, b, c)
+            elif op == OP_READ_HIT:
+                addr = slots[a]
+                if addr == 0:
+                    raise HeapCorruption("reference load through a null handle")
+                if read_ref(addr, b):
+                    mu.read_hits += 1
             else:
                 raise HeapCorruption(f"unknown tape op {op}")
     return path
 
 
 class Tape:
-    """A complete recording: chunks, side tables, and the program's final
-    bookkeeping (what ``SyntheticMutator`` reports after a run)."""
+    """A recording: chunks, side tables, and the program's bookkeeping —
+    final (what ``SyntheticMutator`` reports after a run), or, where a tape
+    grows on demand, the live ``RequestProgram`` itself (the side tables
+    are then its recorder's own, still-growing lists)."""
 
     __slots__ = ("chunks", "type_names", "work_units", "summary", "nbytes")
 
     def __init__(self, chunks, type_names, work_units, summary):
-        self.chunks: Tuple[array, ...] = tuple(chunks)
-        self.type_names: Tuple[str, ...] = tuple(type_names)
-        self.work_units: Tuple[float, ...] = tuple(work_units)
+        self.chunks: List[array] = []
+        self.type_names: Sequence[str] = type_names
+        self.work_units: Sequence[float] = work_units
         self.summary = summary
-        self.nbytes = sum(len(chunk) * chunk.itemsize for chunk in self.chunks)
+        self.nbytes = 0
+        for chunk in chunks:
+            self.append(chunk)
+
+    def append(self, chunk: array) -> None:
+        self.chunks.append(chunk)
+        self.nbytes += len(chunk) * chunk.itemsize
 
 
 class TapeCache:
@@ -349,6 +397,9 @@ class TapeCache:
     def __init__(self, budget_bytes: int):
         self.budget_bytes = budget_bytes
         self._entries: List[Tuple[object, Tape]] = []
+        #: What this process has replayed, summed (``harness.runner.run``
+        #: adds each cell's path): the CLI's campaign ``tape replay:`` row.
+        self.replayed = ReplayPath()
 
     @property
     def nbytes(self) -> int:
@@ -360,12 +411,16 @@ class TapeCache:
     def clear(self) -> None:
         del self._entries[:]
 
-    def fetch(self, key) -> Optional[Tape]:
+    def fetch(self, key, take: bool = False) -> Optional[Tape]:
+        """The tape cached under ``key``, now the most recent — or, with
+        ``take``, checked out: a tape that will grow is out of the cache
+        until its user ``admit``s it again, so the budget follows it."""
         entries = self._entries
         for i, (have, tape) in enumerate(entries):
             if have == key:
-                if i:
-                    entries.insert(0, entries.pop(i))
+                entry = entries.pop(i)
+                if not take:
+                    entries.insert(0, entry)
                 return tape
         return None
 

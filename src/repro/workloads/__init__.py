@@ -15,9 +15,10 @@ This package models that axis on the simulated clock:
   cache behaviour;
 * :mod:`~repro.workloads.arrivals` — deterministic Poisson / bursty
   arrival-time generation in abstract cycles;
-* :mod:`~repro.workloads.engine` — :class:`ServerMutator`, the open-loop
-  request engine built on the same ``MutatorContext`` discipline as the
-  SPEC replays;
+* :mod:`~repro.workloads.engine` — the request program, recorded once
+  per (spec, seed) onto the same tape substrate the SPEC replays use, and
+  :class:`ServerMutator`, which replays it against a VM and does the
+  clock's part (idle, expiry, latencies) at the tape's marks;
 * :mod:`~repro.workloads.latency` — :class:`RequestStats`, the
   request-latency percentiles reported next to ``RunStats``;
 * :mod:`~repro.workloads.config` — JSON/YAML loading with

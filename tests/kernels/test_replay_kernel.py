@@ -259,14 +259,6 @@ def test_armed_fault_replays_in_python_and_is_detected_on_a_hit():
     assert run("jess", "25.25.100", 24 * 1024, options=armed).replay.in_c == 0
 
 
-def test_server_workloads_have_no_tape(tmp_path):
-    from pathlib import Path
-
-    spec = Path(__file__).resolve().parents[2] / "examples/workloads/kvstore.json"
-    report = run(str(spec), "25.25.100", 192 * 1024, options=RunOptions(scale=0.1))
-    assert report.replay is None
-
-
 # ----------------------------------------------------------------------
 # The bail-count identity
 # ----------------------------------------------------------------------
