@@ -51,22 +51,14 @@ from repro.runtime.vm import VM  # noqa: E402
 from repro.specs import load as load_spec  # noqa: E402
 from repro.workloads.engine import RequestProgram, ServerMutator  # noqa: E402
 
-#: Throughput of the seed (pre-rewrite, list-backed, word-at-a-time)
-#: substrate, measured on the same container immediately before the typed
-#: storage + bulk-kernel rewrite landed.  Kept here so the JSON artefact
-#: always records how far the substrate has come since the seed.
-PRE_CHANGE = {
-    "copied_words_per_s": 2_195_206.0,
-    "store_words_per_s": 4_107_859.0,
-    "load_words_per_s": 4_486_097.0,
-    "allocs_per_s": 267_543.0,
-    "barrier_stores_per_s": 588_357.0,
-}
-
-#: Metrics gated by ``--check`` (end-to-end seconds are too noisy to gate).
-#: Collection-critical fast paths (ISSUE 2) are gated alongside the seed
-#: substrate metrics; ``check`` skips keys a baseline file predates.
-GATED_METRICS = tuple(PRE_CHANGE) + (
+#: Metrics gated by ``--check`` (end-to-end seconds are too noisy to gate);
+#: ``check`` skips keys a baseline file predates.
+GATED_METRICS = (
+    "copied_words_per_s",
+    "store_words_per_s",
+    "load_words_per_s",
+    "allocs_per_s",
+    "barrier_stores_per_s",
     "remset_inserts_per_s",
     "remset_drain_slots_per_s",
     "beltway_traced_words_per_s",
@@ -169,33 +161,23 @@ def bench_alloc(min_seconds: float) -> float:
     return n * 2000 / elapsed
 
 
-def bench_barrier(min_seconds: float, tier: str = None) -> float:
-    """Barriered reference stores/s (the paper's Fig. 4 fast path).
-
-    Re-pointed (ISSUE 6) at the batched mutator API: ``write_ref_batch``
-    is the substrate-kernel tier's store path — counter-bit-identical to
-    the scalar loop and vectorised on numpy/cffi tiers, falling back to
-    the exact scalar sequence on the python tier.
-    """
+def bench_barrier(min_seconds: float) -> float:
+    """Barriered reference stores/s (the paper's Fig. 4 fast path) through
+    ``vm.write_ref`` — the compiled-Python closure every barriered store
+    of every end-to-end workload goes through, the same on both tiers."""
     batch = 4096
-    vm = VM(heap_bytes=256 * 1024, collector="25.25.100", tier=tier)
+    vm = VM(heap_bytes=256 * 1024, collector="25.25.100")
     node = vm.define_type("node", nrefs=2, nscalars=1)
     mu = MutatorContext(vm)
-    a = mu.alloc(node)
-    b = mu.alloc(node)
-    try:
-        import numpy as np
+    a = mu.alloc(node).addr
+    b = mu.alloc(node).addr
 
-        objs = np.full(batch, a.addr, dtype=np.int64)
-        idxs = np.zeros(batch, dtype=np.int64)
-        vals = np.full(batch, b.addr, dtype=np.int64)
-    except ImportError:  # pragma: no cover - numpy is baked into the image
-        objs = [a.addr] * batch
-        idxs = [0] * batch
-        vals = [b.addr] * batch
+    def step():
+        write_ref = vm.write_ref
+        for _ in range(batch):
+            write_ref(a, 0, b)
 
-    best = _best_of(lambda: vm.write_ref_batch(objs, idxs, vals), min_seconds)
-    return batch / best
+    return batch / _best_of(step, min_seconds)
 
 
 def bench_remset_insert(min_seconds: float) -> float:
@@ -244,9 +226,7 @@ def _bench_trace(collector: str, min_seconds: float, tier: str = None) -> float:
     measurement is the scan/copy loop rather than per-frame grow
     bookkeeping — at the experiments' 64-word frames a 6-word object
     crosses a frame boundary every ~10 copies and refill accounting
-    dominates every tier equally.  The python-tier number is nearly
-    geometry-independent, so the speedup vs the pre-kernel baseline
-    stays like-for-like.
+    dominates every tier equally.
     """
     vm = VM(heap_bytes=1024 * 1024, collector=collector, frame_shift=12,
             tier=tier)
@@ -332,7 +312,7 @@ def bench_attachment(quick: bool) -> dict:
     Every variant is warmed once, so all replay the (spec, seed) tape
     from the engine's cache — ``raw_seconds`` is a tape *hit*, timed
     again once per available tier as ``mutator_tape_replay_seconds@tier``
-    (the cffi tier replays in C, DESIGN §13; the others in Python) beside
+    (the cffi tier replays in C, DESIGN §13; the python tier in Python) beside
     ``mutator_tape_record_replay_seconds``, the same raw cell with the
     cache cleared first (a *miss*: record the program, then replay it),
     and ``mutator_tape_replay_bail_ratio``: records the compiled kernel
@@ -511,7 +491,6 @@ METRIC_BENCHES = {
 #: individually (ISSUE 6 satellite: a tier that silently loses its kernels
 #: regresses its own gated entries, not just the auto-tier headlines).
 TIERED_METRICS = (
-    "barrier_stores_per_s",
     "beltway_traced_words_per_s",
     "gctk_traced_words_per_s",
 )
@@ -540,10 +519,6 @@ def run(quick: bool) -> dict:
         "metrics": metrics,
         "attachment": bench_attachment(quick),
         "server_tape": bench_server_tape(quick),
-        "pre_change": PRE_CHANGE,
-        "speedup_vs_pre_change": {
-            key: metrics[key] / PRE_CHANGE[key] for key in PRE_CHANGE
-        },
     }
 
 
@@ -614,7 +589,7 @@ def main(argv=None) -> int:
                         help="where to write the JSON report (default: "
                              "BENCH_substrate.json at the repo root; "
                              "suppressed in --check mode unless given)")
-    parser.add_argument("--tier", choices=("python", "numpy", "cffi", "auto"),
+    parser.add_argument("--tier", choices=("python", "cffi", "auto"),
                         help="force the substrate-kernel tier for the "
                              "headline metrics (sets " + TIER_ENV + ")")
     args = parser.parse_args(argv)
@@ -625,9 +600,7 @@ def main(argv=None) -> int:
 
     report = run(args.quick)
     for key, value in report["metrics"].items():
-        speedup = report["speedup_vs_pre_change"].get(key)
-        suffix = f"   ({speedup:6.1f}x vs pre-change)" if speedup else ""
-        print(f"{key:<28} {value:14.0f} /s{suffix}")
+        print(f"{key:<28} {value:14.0f} /s")
     for block in ("attachment", "server_tape"):
         for key, value in report[block].items():
             print(f"{key:<36} {value:10.4f}")

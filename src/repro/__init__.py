@@ -148,7 +148,7 @@ from .workloads import (
     load_file as load_workload,
 )
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 __all__ = [
     # consolidated run API

@@ -63,7 +63,7 @@ class BeltwayHeap:
         #: pure-Python reference paths.
         self.kernels = kernels
         self.policy = make_policy(config)
-        self.remsets = RememberedSets(kernels)
+        self.remsets = RememberedSets()
         self.barrier = FrameBarrier(space, self.remsets)
         # Compiled mutator fast paths (ISSUE 2): instance attributes bound
         # once at heap construction, so every reference store and field

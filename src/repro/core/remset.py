@@ -40,9 +40,8 @@ pair-creation order (``_seq`` reproduces dict insertion order, including
 re-insertion after a drop moving a key to the back), and within a pair
 slots drain in the order they were first inserted (``_synced`` holds an
 insertion-ordered dict-as-set, never a hash-ordered ``set``).  First-
-insertion order is the one ordering every tier — a Python loop, a numpy
-``unique(return_index)`` dedup, or a C kernel replay — can reproduce
-exactly; CPython set iteration order is not.
+insertion order is the one ordering every tier — a Python loop or a C
+kernel replay — can reproduce exactly; CPython set iteration order is not.
 """
 
 from __future__ import annotations
@@ -56,24 +55,10 @@ _KEY_SHIFT = 32
 _KEY_MASK = (1 << _KEY_SHIFT) - 1
 
 
-#: Pending buffers at least this long drain through the substrate-kernel
-#: dedup when one is attached; shorter ones use the reference loop.
-_KERNEL_SYNC_THRESHOLD = 16
-
-
 class RememberedSets:
-    """All remsets of one collector, keyed by (src_frame, tgt_frame).
+    """All remsets of one collector, keyed by (src_frame, tgt_frame)."""
 
-    ``kernels`` is an optional :class:`repro.kernels.KernelSet`; numpy
-    tiers replace the drain-time dedup loop with a vectorised kernel that
-    preserves the canonical first-insertion order and the exact
-    ``duplicate_inserts`` accounting (DESIGN §13).
-    """
-
-    def __init__(self, kernels=None) -> None:
-        self._sync_kernel = (
-            kernels.remset_sync() if kernels is not None else None
-        )
+    def __init__(self) -> None:
         #: Drained (deduplicated) entries per pair, in pair-creation order.
         #: Each value is a dict-as-set: keys are slot addresses in
         #: first-insertion order (the canonical cross-tier drain order).
@@ -132,16 +117,11 @@ class RememberedSets:
         entries = self._synced[key]
         buf = self._pending[key]
         if buf:
-            kernel = self._sync_kernel
-            if kernel is not None and len(buf) >= _KERNEL_SYNC_THRESHOLD:
-                fresh, dups = kernel(entries, buf)
-            else:
-                before = len(entries)
-                for slot in buf:
-                    entries[slot] = None
-                fresh = len(entries) - before
-                dups = len(buf) - fresh
-            self._duplicate_inserts += dups
+            before = len(entries)
+            for slot in buf:
+                entries[slot] = None
+            fresh = len(entries) - before
+            self._duplicate_inserts += len(buf) - fresh
             self._total_entries += fresh
             del buf[:]
         return entries

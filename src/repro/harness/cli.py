@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import inspect
+import os
 import sys
 import time
 from typing import List, Optional
@@ -30,7 +31,7 @@ from ..bench.engine import TAPES
 from ..bench.spec import BENCHMARK_NAMES, KB
 from ..core.config import EXTENSION_CONFIGS, PAPER_CONFIGS
 from ..errors import ConfigError
-from ..kernels import TIER_ENV
+from .. import kernels
 from ..runtime.tape import ReplayPath
 from .experiments import ALL_EXPERIMENTS
 from .runner import RunOptions, find_min_heap, run
@@ -46,9 +47,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=1.0, help="workload length multiplier")
     parser.add_argument("--seed", type=int, default=13)
     parser.add_argument(
-        "--tier", choices=("python", "numpy", "cffi", "auto"), default=None,
+        "--tier", choices=("python", "cffi", "auto"), default=None,
         help="substrate-kernel tier for every VM this command builds "
-        "(default: the " + TIER_ENV + " environment variable, else auto; "
+        "(default: the " + kernels.TIER_ENV + " environment variable, else auto; "
         "results are bit-identical across tiers)",
     )
 
@@ -737,9 +738,18 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         # Through the environment rather than plumbing a parameter into
         # every run/sweep call: the VM resolves the tier at construction,
         # and worker processes of a parallel sweep inherit the setting.
-        import os
-
-        os.environ[TIER_ENV] = args.tier
+        os.environ[kernels.TIER_ENV] = args.tier
+    if os.environ.get(kernels.TIER_ENV):
+        # A degraded request still runs (and stdout stays golden-clean),
+        # but never silently: stderr, once per invocation.
+        kernel_set = kernels.resolve()
+        if kernel_set.requested not in ("auto", kernel_set.name):
+            status = kernels.available().get(kernel_set.requested, "retired")
+            print(
+                f"tier: requested {kernel_set.requested}, "
+                f"running {kernel_set.name} ({status})",
+                file=sys.stderr,
+            )
     if args.command == "list":
         print("benchmarks: " + ", ".join(BENCHMARK_NAMES))
         print("collectors: " + ", ".join(PAPER_CONFIGS))

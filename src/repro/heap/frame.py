@@ -26,10 +26,10 @@ Frames created by an :class:`~repro.heap.space.AddressSpace` do not own
 their storage: ``words`` is a writable memoryview into one of the space's
 contiguous *slabs* (``_SLAB_FRAMES`` frames per ``array('q')``), so
 consecutive frame indices are consecutive in memory.  That slab layout is
-what the substrate-kernel tier (:mod:`repro.kernels`) builds on — a numpy
-view or a C pointer per slab addresses every frame without per-frame
-indirection, and slabs are never resized, so those views stay valid for
-the slab's lifetime.  A standalone ``Frame`` (no ``storage`` argument)
+what the substrate-kernel tier (:mod:`repro.kernels`) builds on — a C
+pointer per slab addresses every frame without per-frame indirection, and
+slabs are never resized, so those pointers stay valid for the slab's
+lifetime.  A standalone ``Frame`` (no ``storage`` argument)
 allocates its own array, preserving the historical behaviour for direct
 construction in tests.
 """

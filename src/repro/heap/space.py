@@ -48,8 +48,8 @@ _ALIGN_MASK = WORD_BYTES - 1
 #: contiguous ``array('q')`` slabs so frame index ``i`` lives at slab
 #: ``i >> _SLAB_SHIFT``, word offset ``(i & (_SLAB_FRAMES-1)) *
 #: frame_words``; the substrate-kernel tier addresses the whole heap
-#: through one numpy view / C pointer per slab.  Slabs are never resized,
-#: so those views stay valid for the life of the space.
+#: through one C pointer per slab.  Slabs are never resized, so those
+#: pointers stay valid for the life of the space.
 _SLAB_SHIFT = 9
 _SLAB_FRAMES = 1 << _SLAB_SHIFT
 

@@ -1,7 +1,7 @@
 """cffi substrate kernels: the compiled C engine for the copy-trace loop
 and for the mutator's tape.
 
-numpy cannot batch a Cheney trace — it is a pointer-chasing loop whose
+A Cheney trace cannot be batched — it is a pointer-chasing loop whose
 next load depends on the previous copy — so the ``cffi`` tier lowers the
 whole trace (forward, bulk copy, gray-queue scan) into an
 ahead-of-time-compiled C extension working directly on the slab storage

@@ -29,7 +29,7 @@ is segmented into ``run:<n>`` partitions at ``run.start`` boundaries.
 Determinism contract: span ids are built from the cell's *input ordinal*
 and per-run collection ordinals — never from store keys (which
 fingerprint the substrate tier) or host times — so fixed-seed timelines
-are bit-identical across python/numpy/cffi tiers.  The
+are bit-identical across the python and cffi tiers.  The
 :meth:`Timeline.canonical` projection (run + gc spans only) is
 additionally bit-identical between a cold run whose telemetry was
 forwarded live and a warm replay synthesized from ``run.replay`` events,

@@ -14,7 +14,7 @@ at exactly collection granularity.
 
 from __future__ import annotations
 
-from typing import List, Optional, Union
+from typing import Optional, Union
 
 from ..core.beltway import BeltwayHeap
 from ..core.collector import CollectionResult
@@ -74,13 +74,12 @@ class VM:
         self.model = ObjectModel(self.space, self.types)
         self.boot = BootImage(self.space, self.types, self.model)
         self.boot.alloc_ballast(boot_ballast_slots)
-        # Substrate-kernel tier (DESIGN §13): python/numpy/cffi/auto, from
+        # Substrate-kernel tier (DESIGN §13): python/cffi/auto, from
         # the ``tier`` argument, then $REPRO_SUBSTRATE_TIER, then "auto".
         from ..kernels import resolve as _resolve_kernels
 
         self.kernels = _resolve_kernels(tier)
         self.plan = self._make_plan(collector, debug_verify)
-        self._batch_ops = self.kernels.batch_ops(self)
         # Mutator fast paths: the plan's compiled store/read closures plus
         # the model's compiled scalar accessors, bound once per VM.
         self._write_ref_field = self.plan.write_ref_field
@@ -161,46 +160,6 @@ class VM:
     def write_ref(self, obj: int, index: int, value: int) -> None:
         self.field_writes += 1
         self._write_ref_field(obj, index, value)
-
-    # ------------------------------------------------------------------
-    # Batched mutator operations (substrate-kernel tier, DESIGN §13)
-    # ------------------------------------------------------------------
-    def write_ref_batch(self, objs, indexes, values) -> None:
-        """``for o, i, v in zip(...): self.write_ref(o, i, v)`` — counter
-        bit-identical, vectorised on numpy tiers.  Falls back to the
-        scalar sequence (reproducing partial effects and exact errors)
-        whenever a kernel precondition fails."""
-        ops = self._batch_ops
-        if ops is not None and ops.try_write_ref_batch(objs, indexes, values):
-            self.field_writes += len(objs)
-            return
-        write = self.write_ref  # attribute lookup: sanitizer-aware
-        for obj, index, value in zip(objs, indexes, values):
-            write(int(obj), int(index), int(value))
-
-    def alloc_batch(self, desc: TypeDescriptor, length: int = 0,
-                    count: int = 1) -> List[int]:
-        """``[self.alloc(desc, length) for _ in range(count)]`` — counter
-        bit-identical; numpy tiers bump whole frame-tail segments with
-        strided header initialisation, dropping to the scalar path at
-        frame boundaries and collection triggers."""
-        out: List[int] = []
-        ops = self._batch_ops
-        while len(out) < count:
-            segment = (
-                ops.try_alloc_segment(desc, length, count - len(out))
-                if ops is not None
-                else None
-            )
-            if segment:
-                out.extend(segment)
-                continue
-            out.append(self.alloc(desc, length))
-        if ops is not None:
-            footprint = self.space.heap_frames_in_use
-            if footprint > self.peak_footprint_frames:
-                self.peak_footprint_frames = footprint
-        return out
 
     def read_ref(self, obj: int, index: int) -> int:
         self.field_reads += 1

@@ -135,3 +135,29 @@ def test_drop_frames_drains_pending_before_dropping():
     assert rs.drop_frames({1}) == 1
     assert rs.duplicate_inserts == 1
     assert len(rs) == 0
+
+
+def test_long_pending_buffer_dedups_in_first_insertion_order():
+    """One pair, a 40-entry pending buffer holding duplicates of itself and
+    of slots an earlier drain already synced: the shape no golden cell
+    produces (pending buffers there stay under 13 entries)."""
+    rs = RememberedSets()
+    synced = [0x900, 0x100, 0x500]
+    for slot in synced:
+        rs.insert(3, 1, slot)
+    assert list(rs.slots_into({1}, set())) == synced
+    # Descending, so first-insertion order is neither sorted nor hash order.
+    fresh = [0x800 - 8 * k for k in range(20)]
+    pending = []
+    for k, slot in enumerate(fresh):
+        pending.append(slot)
+        pending.append(synced[k % 3] if k % 2 else fresh[k // 2])
+    assert len(pending) == 40
+    for slot in pending:
+        rs.insert(3, 1, slot)
+    assert list(rs.slots_into({1}, set())) == synced + fresh
+    assert rs.inserts == 43
+    assert rs.total_entries == 23
+    assert rs.duplicate_inserts == 20
+    assert list(rs.slots_into({1}, set())) == synced + fresh
+    assert (rs.total_entries, rs.duplicate_inserts) == (23, 20)

@@ -9,7 +9,7 @@ The golden pins the *canonical projection* of the span model — run + gc
 spans (ids, names, nesting, start/end in simulated cycles) for a small
 fixed-seed campaign.  The projection is required to be bit-identical
 
-* across the python/numpy/cffi substrate tiers,
+* across the python and cffi substrate tiers,
 * between a cold run (telemetry forwarded live from the worker) and a
   warm replay (spans synthesized from stored ``RunStats``),
 

@@ -169,6 +169,30 @@ def test_cli_experiment_figure23(capsys):
     assert "shape checks PASS" in capsys.readouterr().out
 
 
+def test_cli_degraded_tier_is_announced_on_stderr_only(capsys, monkeypatch):
+    """A tier request that did not resolve to itself says so once, on
+    stderr; stdout (grepped against goldens in CI) does not change."""
+    from repro import kernels
+
+    argv = ["run", "--benchmark", "jess", "--collector", "25.25.100",
+            "--heap-kb", "48", "--scale", "0.1"]
+    kernels.available()  # fill the cache the next line patches
+    monkeypatch.setitem(kernels._availability_cache, "cffi",
+                        "unavailable: simulated")
+    seen = {}
+    for request in ("python", "numpy", "cffi"):
+        # numpy is no --tier choice any more: the variable is its only way in.
+        monkeypatch.setenv(kernels.TIER_ENV, request)
+        assert main(argv if request == "numpy" else argv + ["--tier", request]) == 0
+        seen[request] = capsys.readouterr()
+    assert seen["python"].err == ""
+    assert seen["numpy"].err == (
+        "tier: requested numpy, running python (retired)\n")
+    assert seen["cffi"].err == (
+        "tier: requested cffi, running python (unavailable: simulated)\n")
+    assert seen["python"].out == seen["numpy"].out == seen["cffi"].out != ""
+
+
 def test_cli_rejects_unknown_experiment():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["experiment", "figure99"])

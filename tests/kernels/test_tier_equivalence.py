@@ -1,8 +1,8 @@
 """Cross-tier equivalence for the substrate-kernel tier (DESIGN §13).
 
-The kernel tiers (``python`` reference, ``numpy`` batch kernels, ``cffi``
-compiled trace engine) are pure mechanism: a fixed-seed run must produce
-**bit-identical** statistics on every tier.  These tests replay a slice
+The kernel tiers (``python`` reference, ``cffi`` compiled trace engine
+and tape kernel) are pure mechanism: a fixed-seed run must produce
+**bit-identical** statistics on both.  These tests replay a slice
 of the golden-counter suite under each tier explicitly (the plain suite
 runs whatever ``auto`` resolves to), and run the sanitizer plus the
 fault-injection matrix on the fastest available tier — the checkers and
@@ -15,17 +15,21 @@ break (see ``repro.kernels.available``).
 """
 
 import functools
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro import VM, MutatorContext
+from repro.errors import ConfigError
 from repro.harness.runner import RunOptions, run
 from repro.kernels import TIER_ORDER, available, resolve
 from repro.sanitizer import FaultSpec, SanitizerViolation, arm_faults, attach_sanitizer
 
 from ..core.test_counter_equivalence import GOLDEN, replay
 
-TIERS = ("python", "numpy", "cffi")
+TIERS = ("python", "cffi")
 
 #: A slice of the golden grid spanning every benchmark and all four
 #: collector families (Beltway generational, MOS, Appel-style, gctk).
@@ -107,8 +111,6 @@ def test_unavailable_backend_degrades_not_raises(monkeypatch):
 
     monkeypatch.setitem(kernels._availability_cache, "cffi",
                         "unavailable: simulated")
-    monkeypatch.setitem(kernels._availability_cache, "numpy",
-                        "unavailable: simulated")
     resolved = resolve("cffi")
     assert resolved.name == "python"
     assert resolved.requested == "cffi"
@@ -119,6 +121,35 @@ def test_unavailable_backend_degrades_not_raises(monkeypatch):
     a, b = mu.alloc(node), mu.alloc(node)
     mu.write(a, 0, b)
     vm.collect("smoke")
+
+
+def test_numpy_is_a_retired_request_not_a_tier():
+    """The frozen e2e ledger still asks for ``numpy``; it gets the
+    reference tier.  Every other unknown name is still an error."""
+    resolved = resolve("numpy")
+    assert (resolved.name, resolved.requested) == ("python", "numpy")
+    assert "numpy" not in TIER_ORDER and "numpy" not in available()
+    with pytest.raises(ConfigError, match="unknown substrate tier 'numba'"):
+        resolve("numba")
+
+
+def test_no_tier_loads_numpy():
+    """Structural, not a stopwatch: a process that imports the package,
+    resolves its kernels and runs a cell on ``auto`` never imports numpy
+    (~11 MB of RSS and 0.05-0.13 s of start-up when it did)."""
+    program = (
+        "import sys, repro\n"
+        "from repro import kernels\n"
+        "kernels.resolve()\n"
+        "report = repro.run('jess', '25.25.100', 48 * 1024,\n"
+        "                   options=repro.RunOptions(scale=0.1))\n"
+        "assert report.completed\n"
+        "sys.exit('numpy' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("REPRO_SUBSTRATE_TIER", None)
+    done = subprocess.run([sys.executable, "-c", program], env=env, timeout=120)
+    assert done.returncode == 0
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ GOLDEN = json.loads(
     .read_text()
 )
 JOBS = [tuple(job) for job in GOLDEN["jobs"]]
-TIERS = ("python", "numpy", "cffi")
+TIERS = ("python", "cffi")
 
 
 def _canonical(store=None):

@@ -61,7 +61,7 @@ def test_frontier_warm_replay_executes_nothing(collector, tmp_path):
     store.close()
 
 
-@pytest.mark.parametrize("tier", ("python", "numpy", "cffi"))
+@pytest.mark.parametrize("tier", ("python", "cffi"))
 def test_frontier_golden_on_every_tier(tier, monkeypatch):
     """Frontiers are substrate-independent: every available kernel tier
     reproduces the golden points (distilled fields included) bit for

@@ -3,6 +3,8 @@ export exists, the version is set, and the README quickstart runs."""
 
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -42,11 +44,19 @@ def test_removed_shims_stay_removed():
                          ("repro.gctk", "cheney_trace")):
         assert not hasattr(importlib.import_module(module), name)
     assert "repro.heap.verify" not in MODULES
+    # The numpy tier and its caller-less batched mutator API (PR 17).
+    assert "repro.kernels.npk" not in MODULES
+    for name in ("alloc_batch", "write_ref_batch"):
+        assert not hasattr(repro.VM, name)
     assert repro.heap.HeapVerifier is repro.sanitizer.heapcheck.HeapVerifier
 
 
 def test_version():
-    assert repro.__version__ == "1.7.0"
+    assert repro.__version__ == "1.8.0"
+    # The packaged version cannot drift from the imported one again.
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    (packaged,) = re.findall(r'^version = "(.+)"$', pyproject.read_text(), re.M)
+    assert packaged == repro.__version__
 
 
 def test_stable_run_surface():

@@ -19,7 +19,6 @@ import pytest
 
 from repro import RunOptions, run
 from repro.bench.engine import TAPES, ensure_standard_types, no_gc_heap_bytes
-from repro.kernels import available
 from repro.runtime.vm import VM
 from repro.workloads.engine import MARK_INSERT, RequestProgram, ServerMutator
 
@@ -35,11 +34,9 @@ from .server_reference import (
 )
 
 WANT = json.loads(REFERENCE.read_text())["cells"]
-#: The Python replay on every tier that is not the compiled one (whose
-#: half of this file is ``tests/kernels/test_server_replay_kernel.py``).
-TIERS = [
-    tier for tier in ("python", "numpy") if available()[tier].startswith("ok")
-]
+#: The Python replay; the compiled tier's half of this file is
+#: ``tests/kernels/test_server_replay_kernel.py``.
+TIERS = ("python",)
 
 
 @pytest.fixture(autouse=True)
