@@ -14,11 +14,11 @@ variables (defaults keep the full suite in the minutes range)::
 
 from __future__ import annotations
 
-import inspect
 import os
 from pathlib import Path
 
-from repro.harness.experiments import ALL_EXPERIMENTS, ExperimentResult
+from repro.harness import experiments
+from repro.harness.experiments import ExperimentResult
 
 #: Heap-grid points per sweep (the paper used 33).
 POINTS = int(os.environ.get("REPRO_BENCH_POINTS", "7"))
@@ -30,14 +30,7 @@ OUTPUT_DIR = Path(__file__).parent / "output"
 
 def run_experiment(name: str) -> ExperimentResult:
     """Run one experiment at the configured resolution and persist it."""
-    fn = ALL_EXPERIMENTS[name]
-    kwargs = {}
-    signature = inspect.signature(fn)
-    if "points" in signature.parameters:
-        kwargs["points"] = POINTS
-    if "scale" in signature.parameters:
-        kwargs["scale"] = SCALE
-    result = fn(**kwargs)
+    result = experiments.run_experiment(name, POINTS, SCALE)
     OUTPUT_DIR.mkdir(exist_ok=True)
     path = OUTPUT_DIR / f"{name}.txt"
     checks = "\n".join(

@@ -2,8 +2,9 @@
 """Substrate throughput benchmark: the perf trajectory of the hot paths.
 
 Times the simulated-memory fast paths every experiment funnels through —
-allocation, write-barrier stores, single-word loads/stores, the bulk copy
-kernel — plus the overhead of ``run()`` with and without attachments, and
+allocation, write-barrier stores, single-word loads/stores, remset
+inserts and drains, the trace loop — plus the overhead of ``run()`` with
+and without attachments, and
 writes the numbers to ``BENCH_substrate.json`` at the repository root so
 later PRs have a baseline to regress against.  (End-to-end cells and
 campaigns are ``benchmarks/e2e``'s job.)
@@ -43,7 +44,6 @@ from repro.bench.engine import (  # noqa: E402
 from repro.bench.spec import benchmark_spec  # noqa: E402
 from repro.core.remset import RememberedSets  # noqa: E402
 from repro.harness.runner import RunOptions, run as run_cell  # noqa: E402
-from repro.heap.objectmodel import ObjectModel, TypeRegistry  # noqa: E402
 from repro.heap.space import AddressSpace  # noqa: E402
 from repro.kernels import TIER_ENV, available, resolve  # noqa: E402
 from repro.runtime.mutator import MutatorContext  # noqa: E402
@@ -54,7 +54,6 @@ from repro.workloads.engine import RequestProgram, ServerMutator  # noqa: E402
 #: Metrics gated by ``--check`` (end-to-end seconds are too noisy to gate);
 #: ``check`` skips keys a baseline file predates.
 GATED_METRICS = (
-    "copied_words_per_s",
     "store_words_per_s",
     "load_words_per_s",
     "allocs_per_s",
@@ -100,20 +99,6 @@ def _best_of(fn, min_seconds: float) -> float:
         if elapsed < best:
             best = elapsed
     return best
-
-
-def bench_copy_words(min_seconds: float) -> float:
-    """Copied words/s of the bulk evacuation kernel (frame-sized bodies)."""
-    space = AddressSpace(heap_frames=8, frame_shift=12)
-    model = ObjectModel(space, TypeRegistry())
-    src = space.acquire_frame("src")
-    dst = space.acquire_frame("dst")
-    a, b = space.frame_base(src), space.frame_base(dst)
-    nwords = space.frame_words
-    for i in range(nwords):
-        space.store(a + i * 4, i)
-    n, elapsed = _time_loop(lambda: model.copy_words(a, b, nwords), min_seconds)
-    return n * nwords / elapsed
 
 
 def bench_store_words(min_seconds: float) -> float:
@@ -181,7 +166,7 @@ def bench_barrier(min_seconds: float) -> float:
 
 
 def bench_remset_insert(min_seconds: float) -> float:
-    """Remset inserts/s (the barrier slow path's SSB append)."""
+    """Remset inserts/s (the barrier slow path: pair lookup + dedup)."""
     inserts_per_step = 1024
 
     def step():
@@ -198,18 +183,21 @@ def bench_remset_insert(min_seconds: float) -> float:
 
 def bench_remset_drain(min_seconds: float) -> float:
     """Drained slots/s of ``slots_into`` over a populated table (the
-    collection-time remset walk, exercising the target-frame index)."""
+    collection-time remset walk, exercising the target-frame index).
+
+    Shaped like the traffic that occurs — many pairs of one or two slots
+    each (a pair holds 1.02–1.37 entries when drained on every e2e
+    workload, DESIGN §9), not a few fat ones."""
     rs = RememberedSets()
-    for src in range(2, 66):
-        for k in range(16):
+    for src in range(2, 514):
+        for k in range(1 + src % 2):
             rs.insert(src, 1, (src << 10) + (k << 2))  # into the target
-        rs.insert(src, src + 100, src << 10)  # noise pair, other target
+        rs.insert(src, src + 1000, src << 10)  # noise pair, other target
     targets = {1}
-    slots = sum(1 for _ in rs.slots_into(targets, set()))
+    slots = len(rs.slots_into(targets, set()))
 
     def step():
-        for _ in rs.slots_into(targets, set()):
-            pass
+        rs.slots_into(targets, set())
 
     n, elapsed = _time_loop(step, min_seconds)
     return n * slots / elapsed
@@ -471,7 +459,6 @@ QUICK_SECONDS, FULL_SECONDS = 0.1, 0.4
 
 #: Gated throughput metric -> its benchmark, ``bench(min_seconds)``.
 METRIC_BENCHES = {
-    "copied_words_per_s": bench_copy_words,
     "store_words_per_s": bench_store_words,
     "load_words_per_s": bench_load_words,
     "allocs_per_s": bench_alloc,

@@ -13,8 +13,10 @@ Metric extraction is artefact-shaped:
   results), pause percentiles (p50/p99/max via the shared nearest-rank
   definition in :mod:`repro.quantiles`) and MMU at a 1% window derived
   from the ``gc.end`` pause intervals.  Runs are matched by position:
-  grid-tagged partitions by input ordinal (``job0.``), untagged runs in
-  stream order (``run1.``); a single-run trace gets bare names.
+  grid-tagged partitions by input ordinal (``job0.``; the n-th run of a
+  re-dispatched ordinal ``job0#n.``), untagged runs in stream order
+  (``run1.``) — the span builder's partitions; a single-run trace gets
+  bare names.
 * **slo JSON**: every numeric per-point field of each frontier
   (``frontier.<collector>@<heap>.r<rate>.<field>``) and each search
   result's knee (``search.<collector>@<heap>.rate_rps``).
@@ -175,52 +177,29 @@ def _is_host_noise(name: str) -> bool:
     return any(mark in name for mark in _HOST_NOISE)
 
 
-def _trace_partitions(events) -> List[Tuple[str, List[dict]]]:
-    """Group trace events the same way the span builder partitions them."""
-    jobs: Dict[int, List[dict]] = {}
-    root: List[List[dict]] = []
-    for event in events:
-        kind = event.get("kind")
-        data = event
-        if kind == "grid.job":
-            continue
-        if kind == "run.replay" or "job" in data:
-            jobs.setdefault(int(data["job"]), []).append(event)
-        elif kind == "run.start":
-            root.append([event])
-        elif root:
-            root[-1].append(event)
-    out: List[Tuple[str, List[dict]]] = []
-    for index in sorted(jobs):
-        out.append((f"job{index}", jobs[index]))
-    for n, segment in enumerate(root, start=1):
-        out.append((f"run{n}", segment))
-    return out
-
-
-def _partition_metrics(events: List[dict]) -> Dict[str, float]:
-    """Metrics of one run partition: counters + pause stats + MMU."""
+def _partition_metrics(events) -> Dict[str, float]:
+    """Metrics of one run partition (``(kind, time, data)`` triples from
+    :func:`repro.obs.trace.partition_runs`): counters + pause stats + MMU."""
     metrics: Dict[str, float] = {}
     pauses: List[Tuple[float, float]] = []
     total_cycles: Optional[float] = None
-    for event in events:
-        kind = event.get("kind")
+    for kind, _, data in events:
         if kind == "run.end":
-            for name, value in event.get("counters", {}).items():
+            for name, value in data.get("counters", {}).items():
                 if isinstance(value, (int, float)) and not _is_host_noise(name):
                     metrics[name] = float(value)
             total_cycles = metrics.get("run_total_cycles")
         elif kind == "gc.end":
             pauses.append(
-                (float(event["pause_start"]), float(event["pause_end"]))
+                (float(data["pause_start"]), float(data["pause_end"]))
             )
         elif kind == "run.replay":
-            metrics["run_completed"] = float(bool(event["completed"]))
-            metrics["run_total_cycles"] = float(event["total_cycles"])
-            metrics["run_gc_cycles"] = float(event["gc_cycles"])
-            metrics["gc_collections_total"] = float(event["collections"])
-            total_cycles = float(event["total_cycles"])
-            pauses.extend((float(p[0]), float(p[1])) for p in event["pauses"])
+            metrics["run_completed"] = float(bool(data["completed"]))
+            metrics["run_total_cycles"] = float(data["total_cycles"])
+            metrics["run_gc_cycles"] = float(data["gc_cycles"])
+            metrics["gc_collections_total"] = float(data["collections"])
+            total_cycles = float(data["total_cycles"])
+            pauses.extend((float(p[0]), float(p[1])) for p in data["pauses"])
     if pauses:
         durations = sorted(end - start for start, end in pauses)
         metrics["gc_pause_p50_cycles"] = percentile(durations, 0.50)
@@ -279,8 +258,10 @@ def extract_metrics(path: Union[str, Path]) -> Dict[str, float]:
             f"{path}: unrecognised JSON artefact "
             "(expected an 'slo --json' document or a trace JSONL)"
         )
-    # JSONL trace: skip-don't-raise loading, like the span builder.
+    # JSONL trace: skip-don't-raise loading and the span builder's own
+    # partitioning, so a metric prefix names the run a span id names.
     from ..obs.sinks import JsonlLoadReport, iter_jsonl
+    from ..obs.trace import partition_runs
 
     report = JsonlLoadReport()
     events = list(iter_jsonl(path, validate=True, report=report))
@@ -289,12 +270,13 @@ def extract_metrics(path: Union[str, Path]) -> Dict[str, float]:
             f"{path}: no parseable telemetry events "
             f"({report.corrupt} corrupt, {report.invalid} invalid lines)"
         )
-    partitions = _trace_partitions(events)
+    partitions, _, _ = partition_runs(events)
     metrics: Dict[str, float] = {}
     if len(partitions) == 1:
         metrics.update(_partition_metrics(partitions[0][1]))
     else:
         for prefix, segment in partitions:
+            prefix = prefix.replace(":", "")  # job:0#2 -> job0#2, run:1 -> run1
             for name, value in _partition_metrics(segment).items():
                 metrics[f"{prefix}.{name}"] = value
     if not metrics:

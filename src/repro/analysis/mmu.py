@@ -29,12 +29,7 @@ def pause_time_in(
     t0: float,
     t1: float,
 ) -> float:
-    """Total pause time inside [t0, t1), given sorted pauses + prefix sums.
-
-    Public so the incremental MMU (:mod:`repro.obs.profiler.pauses`) can
-    evaluate window anchors with *exactly* this arithmetic — the
-    point-identity between streamed and post-hoc curves depends on both
-    sides sharing this function."""
+    """Total pause time inside [t0, t1), given sorted pauses + prefix sums."""
     if t1 <= t0:
         return 0.0
     # Pauses overlapping [t0, t1) are exactly indices [i, j): any pause
@@ -53,36 +48,39 @@ def pause_time_in(
     return max(0.0, total)
 
 
-#: Backwards-compatible private alias (pre-profiler name).
-_pause_time_in = pause_time_in
-
-
-def mmu(pauses: Sequence[Pause], total_time: float, window: float) -> float:
-    """Minimum mutator utilisation over all windows of length ``window``."""
+def worst_window(
+    pauses: Sequence[Pause], total_time: float, window: float
+) -> Tuple[float, float, float]:
+    """``(utilisation, start, paused)`` of the minimum-utilisation window
+    of length ``window``: where it sits and the GC time packed into it.
+    Of several windows attaining the minimum, the earliest."""
     if total_time <= 0:
-        return 1.0
+        return 1.0, 0.0, 0.0
     window = min(window, total_time)
     if window <= 0:
-        return 0.0 if pauses else 1.0
+        return (0.0 if pauses else 1.0), 0.0, 0.0
     starts = [p[0] for p in pauses]
     ends = [p[1] for p in pauses]
     prefix = [0.0]
     for s, e in pauses:
         prefix.append(prefix[-1] + (e - s))
-    worst = 0.0
     # Candidate anchors: windows starting at each pause start, windows
     # ending at each pause end, and the two run boundaries.
     anchors = [0.0, total_time - window]
-    anchors.extend(s for s in starts)
+    anchors.extend(starts)
     anchors.extend(e - window for e in ends)
-    best_util = 1.0
+    best = (1.0, 0.0, 0.0)
     for t0 in anchors:
         t0 = min(max(t0, 0.0), total_time - window)
         paused = pause_time_in(starts, ends, prefix, t0, t0 + window)
-        util = 1.0 - paused / window
-        if util < best_util:
-            best_util = util
-    return max(0.0, best_util)
+        # Tuple order: lowest utilisation, then earliest start.
+        best = min(best, (1.0 - paused / window, t0, paused))
+    return max(0.0, best[0]), best[1], best[2]
+
+
+def mmu(pauses: Sequence[Pause], total_time: float, window: float) -> float:
+    """Minimum mutator utilisation over all windows of length ``window``."""
+    return worst_window(pauses, total_time, window)[0]
 
 
 def mmu_curve(

@@ -18,8 +18,8 @@ from ..quantiles import percentile
 Pause = Tuple[float, float]
 
 #: Re-exported for callers that historically imported it from here; the
-#: definition lives in :mod:`repro.quantiles` so request-latency, pause
-#: and streaming-profiler percentiles are one implementation.
+#: definition lives in :mod:`repro.quantiles` so request-latency and
+#: pause percentiles are one implementation.
 __all__ = [
     "PauseSummary",
     "histogram",

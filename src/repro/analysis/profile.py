@@ -3,7 +3,7 @@
 The profiler's report (``RunReport.profile`` / ``beltway-bench profile
 --json``) is self-contained: every table here is a pure function of the
 report (or of its dict/JSON round trip), so survival curves, pause
-percentiles, incremental-MMU ladders and heap-geometry heatmaps can be
+percentiles, MMU ladders and heap-geometry heatmaps can be
 re-rendered — and re-styled — without re-running the benchmark.  Accepts
 either the live :class:`~repro.obs.profiler.ProfileReport` or the plain
 dict a JSON file parses to.
@@ -81,7 +81,7 @@ def survival_by_label_table(report: ReportLike) -> str:
 
 
 def pause_table(report: ReportLike) -> str:
-    """The streaming percentile summary as one table row."""
+    """The pause percentile summary as one table row."""
     data = _as_dict(report)
     p = data.get("pauses", {})
     row = [
@@ -101,7 +101,7 @@ def pause_table(report: ReportLike) -> str:
 
 
 def mmu_table(report: ReportLike) -> str:
-    """The incrementally computed MMU ladder with worst-window locations."""
+    """The MMU ladder with worst-window locations."""
     data = _as_dict(report)
     worst = {w["window"]: w for w in data.get("worst_windows", [])}
     rows = []
@@ -116,7 +116,7 @@ def mmu_table(report: ReportLike) -> str:
     return render_table(
         ["window", "MMU", "worst start", "paused"],
         rows,
-        title="minimum mutator utilisation (incremental)",
+        title="minimum mutator utilisation",
     )
 
 

@@ -91,6 +91,17 @@ class Collector:
         heap = self.heap
         if not batch:
             raise HeapCorruption("collect() called with an empty batch")
+        # §3.3.1, checked where every policy's batch passes: stamped lower
+        # means collected no later.  The barrier skips pointers *out of*
+        # lower-stamped increments, so one left behind would dangle.
+        last = max(batch, key=lambda inc: inc.stamp)
+        for belt in heap.belts:
+            for inc in belt.increments:
+                if inc.stamp < last.stamp and not inc.is_empty and inc not in batch:
+                    raise HeapCorruption(
+                        f"collection out of stamp order: {last!r} is in the "
+                        f"batch but the lower-stamped {inc!r} is not"
+                    )
         self._collections += 1
         result = CollectionResult(reason=reason, collection_id=self._collections)
         result.increments_collected = len(batch)
@@ -133,7 +144,7 @@ class Collector:
             # their objects are copied and re-scanned, and remsets between
             # increments collected together are deliberately ignored
             # (§3.3.2).
-            for slot in list(heap.remsets.slots_into(from_frames, from_frames)):
+            for slot in heap.remsets.slots_into(from_frames, from_frames):
                 result.remset_slots += 1
                 target = space.load(slot)
                 if target and (target >> shift) in from_frames:
@@ -207,6 +218,10 @@ class _ToSpace:
                 continue
             # Destination increment is full: overflow into a fresh one.
             dest = dests[belt_index] = heap.open_increment(heap.belts[belt_index])
+            if policy.copies_into_allocation_increment:
+                # Allocation resumes behind the survivors, so the
+                # allocation increment stays the belt's youngest.
+                heap.allocation_increment = dest
 
     def _choose_dest(self, belt_index: int) -> Increment:
         """Youngest open increment of the target belt not being collected,

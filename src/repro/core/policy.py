@@ -187,16 +187,8 @@ class OlderFirstMixPolicy(Policy):
         return True
 
     def choose_collection(self, heap: "BeltwayHeap") -> List[Increment]:
-        belt = heap.belts[0]
-        alloc_inc = heap.allocation_increment
-        for inc in belt.increments:
-            if not inc.is_empty and inc is not alloc_inc:
-                return [inc]
-        # Only the allocation increment remains: collect it (survivors go
-        # to a fresh increment, which becomes the new allocation point).
-        if alloc_inc is not None and not alloc_inc.is_empty:
-            return [alloc_inc]
-        return []
+        inc = heap.belts[0].oldest_collectible()
+        return [inc] if inc is not None else []
 
 
 class OlderFirstPolicy(Policy):

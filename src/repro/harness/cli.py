@@ -21,7 +21,7 @@ usage errors (argparse).
 from __future__ import annotations
 
 import argparse
-import inspect
+import contextlib
 import os
 import sys
 import time
@@ -33,7 +33,7 @@ from ..core.config import EXTENSION_CONFIGS, PAPER_CONFIGS
 from ..errors import ConfigError
 from .. import kernels
 from ..runtime.tape import ReplayPath
-from .experiments import ALL_EXPERIMENTS
+from .experiments import ALL_EXPERIMENTS, run_experiment
 from .runner import RunOptions, find_min_heap, run
 
 #: --benchmark help once the argument stopped being a closed choice list.
@@ -328,88 +328,66 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_store(parser: argparse.ArgumentParser, args, bus=None):
-    """Resolve the grid flags of one invocation to a ResultStore (or None)
-    and point the experiment layer at it (and at the campaign bus)."""
-    if not hasattr(args, "store"):
-        return None
-    if args.resume and not args.store:
-        parser.error("--resume requires --store (there is nothing to resume from)")
-    store = None
-    if args.store and not args.no_store:
-        from ..grid.store import ResultStore
+@contextlib.contextmanager
+def _campaign(parser: argparse.ArgumentParser, args):
+    """One grid campaign (any command with the :func:`_add_grid` flags).
 
-        store = ResultStore(args.store)
-    from . import experiments
-
-    experiments.configure_grid(store=store, max_workers=args.workers, bus=bus)
-    return store
-
-
-def _campaign_bus(args):
-    """The ``--trace`` campaign telemetry: a bus streaming to JSONL.
-
-    Returns ``(bus, close)`` — ``bus`` is ``None`` without ``--trace``;
-    ``close()`` flushes the sink and prints the trace summary line,
-    including the relay's drop count when any worker events were lost
-    (drops are never silent, see :mod:`repro.obs.relay`).
+    Yields ``(store, bus)`` — the ``--store`` ResultStore and the
+    ``--trace`` bus streaming to JSONL, each ``None`` when not asked for —
+    with the experiment layer pointed at both.  However the block is left,
+    the process-wide grid config is reset, the trace and the store are
+    closed, and the ``trace:`` / ``grid:`` / ``tape replay:`` rows are
+    printed — the first with the relay's drop count when any worker events
+    were lost (drops are never silent, see :mod:`repro.obs.relay`).
     """
-    if not getattr(args, "trace", None):
-        return None, lambda: None
     from ..obs import JsonlSink, TelemetryBus
     from ..obs.relay import DropTally
-
-    bus = TelemetryBus()
-    sink = bus.subscribe(JsonlSink(args.trace))
-    tally = bus.subscribe(DropTally())
-
-    def close() -> None:
-        count = sink.count
-        bus.close()
-        line = f"trace: {count} events -> {args.trace}"
-        if tally.dropped:
-            line += (
-                f" ({tally.dropped} worker events dropped at the "
-                f"forwarding buffer)"
-            )
-        print(line)
-
-    return bus, close
-
-
-def _finish_grid(store, code: int, close_trace=None) -> int:
-    """Close the trace and the store, print the campaign summary, pass
-    the exit code on."""
     from . import experiments
 
-    # The grid config is process-wide; a later in-process caller must
-    # not inherit this command's (now closed) trace bus or store.
-    experiments.configure_grid()
-    if close_trace is not None:
-        close_trace()
-    if store is not None:
-        store.close()
-        summary = f"grid: {store.hits} cached, {store.puts} executed"
-        if store.corrupt_entries:
-            summary += f", {store.corrupt_entries} corrupt entries recomputed"
-        print(summary)
-    # ``run``'s rule, over the cells this process itself replayed.
-    replayed, TAPES.replayed = TAPES.replayed, ReplayPath()
-    if replayed.records and replayed.why != "tier":
-        print(replayed.summary_row())
-    return code
+    if args.resume and not args.store:
+        parser.error("--resume requires --store (there is nothing to resume from)")
+    store = bus = None
+    try:
+        if args.store and not args.no_store:
+            from ..grid.store import ResultStore
+
+            store = ResultStore(args.store)
+        if args.trace:
+            sink = JsonlSink(args.trace)  # may raise: before the bus exists
+            bus = TelemetryBus()
+            bus.subscribe(sink)
+            tally = bus.subscribe(DropTally())
+        experiments.configure_grid(store=store, max_workers=args.workers, bus=bus)
+        yield store, bus
+    finally:
+        # The grid config is process-wide; a later in-process caller must
+        # not inherit this command's (now closed) trace bus or store.
+        experiments.configure_grid()
+        if bus is not None:
+            count = sink.count
+            bus.close()
+            line = f"trace: {count} events -> {args.trace}"
+            if tally.dropped:
+                line += (
+                    f" ({tally.dropped} worker events dropped at the "
+                    f"forwarding buffer)"
+                )
+            print(line)
+        if store is not None:
+            store.close()
+            summary = f"grid: {store.hits} cached, {store.puts} executed"
+            if store.corrupt_entries:
+                summary += f", {store.corrupt_entries} corrupt entries recomputed"
+            print(summary)
+        # ``run``'s rule, over the cells this process itself replayed.
+        replayed, TAPES.replayed = TAPES.replayed, ReplayPath()
+        if replayed.records and replayed.why != "tier":
+            print(replayed.summary_row())
 
 
 def _run_experiment(name: str, points: int, scale: float) -> bool:
-    fn = ALL_EXPERIMENTS[name]
-    kwargs = {}
-    signature = inspect.signature(fn)
-    if "points" in signature.parameters:
-        kwargs["points"] = points
-    if "scale" in signature.parameters:
-        kwargs["scale"] = scale
     started = time.time()
-    result = fn(**kwargs)
+    result = run_experiment(name, points, scale)
     print(result.text)
     elapsed = time.time() - started
     failed = result.failed_checks()
@@ -473,42 +451,41 @@ def _serve(parser: argparse.ArgumentParser, args) -> int:
     if args.heap_kb is None:
         parser.error("serve needs --heap-kb (unless --validate)")
     heap_bytes = int(args.heap_kb * KB)
-    bus, close_trace = _campaign_bus(args)
-    store = _open_store(parser, args, bus=bus)
     from .runner import run_many
 
-    # One grid batch whether the ladder has one rung or many: with
-    # --trace, campaign progress and every run's (relayed) telemetry
-    # land in one merged JSONL timeline; cached cells replay their
-    # stored pause lists (see repro.obs.relay).
-    rungs = ladder if ladder is not None else [None]
-    results = run_many(
-        [
-            (spec.with_rate(rate) if rate is not None else spec,
-             args.collector, heap_bytes, args.scale, args.seed)
-            for rate in rungs
-        ],
-        max_workers=args.workers,
-        store=store,
-        bus=bus,
-    )
-    ok = True
-    for rate, stats in zip(rungs, results):
-        ok = ok and stats.completed
-        print(stats.summary_row())
-        requests = stats.requests
-        if requests is not None:
-            print(requests.summary_row())
-            # The golden-snapshot grep line: full-precision reprs, so CI
-            # can assert bit-identity of the percentiles with grep -F.
-            at_rate = f"@{rate:g}rps" if rate is not None else ""
-            print(
-                f"latency-cycles {stats.benchmark}/{stats.collector}"
-                f"{at_rate}: "
-                f"p50={requests.p50_cycles!r} p99={requests.p99_cycles!r} "
-                f"p99.9={requests.p999_cycles!r} max={requests.max_cycles!r}"
-            )
-    return _finish_grid(store, 0 if ok else 1, close_trace)
+    with _campaign(parser, args) as (store, bus):
+        # One grid batch whether the ladder has one rung or many: with
+        # --trace, campaign progress and every run's (relayed) telemetry
+        # land in one merged JSONL timeline; cached cells replay their
+        # stored pause lists (see repro.obs.relay).
+        rungs = ladder if ladder is not None else [None]
+        results = run_many(
+            [
+                (spec.with_rate(rate) if rate is not None else spec,
+                 args.collector, heap_bytes, args.scale, args.seed)
+                for rate in rungs
+            ],
+            max_workers=args.workers,
+            store=store,
+            bus=bus,
+        )
+        ok = True
+        for rate, stats in zip(rungs, results):
+            ok = ok and stats.completed
+            print(stats.summary_row())
+            requests = stats.requests
+            if requests is not None:
+                print(requests.summary_row())
+                # The golden-snapshot grep line: full-precision reprs, so CI
+                # can assert bit-identity of the percentiles with grep -F.
+                at_rate = f"@{rate:g}rps" if rate is not None else ""
+                print(
+                    f"latency-cycles {stats.benchmark}/{stats.collector}"
+                    f"{at_rate}: "
+                    f"p50={requests.p50_cycles!r} p99={requests.p99_cycles!r} "
+                    f"p99.9={requests.p999_cycles!r} max={requests.max_cycles!r}"
+                )
+        return 0 if ok else 1
 
 
 def _slo_bound(args):
@@ -563,90 +540,89 @@ def _slo(parser: argparse.ArgumentParser, args) -> int:
         )
     if not args.search and args.rates is None:
         parser.error("frontier mode needs --rates (or use --search)")
-    bus, close_trace = _campaign_bus(args)
-    store = _open_store(parser, args, bus=bus)
-    sections: List[str] = []
-    artefact = {}
+    with _campaign(parser, args) as (store, bus):
+        sections: List[str] = []
+        artefact = {}
 
-    if args.search:
-        results = max_sustainable_rates(
-            args.spec,
-            [(collector, heap_bytes) for collector in collectors],
-            slo,
-            rate_step=args.rate_step,
-            max_rate=args.max_rate,
-            start_rate=args.start_rate,
-            scale=args.scale,
-            seed=args.seed,
-            store=store,
-            max_workers=args.workers,
-            bus=bus,
-        )
-        ordered = [results[(c, heap_bytes)] for c in collectors]
-        sections.append(render_search_results(ordered, slo.describe()))
-        sections.append("\n".join(result.line() for result in ordered))
-        artefact["search"] = {
-            "benchmark": spec.name,
-            "slo": slo.describe(),
-            "results": [result.to_dict() for result in ordered],
-        }
-    else:
-        rates = _parse_rates(parser, args.rates)
-        frontiers = [
-            sweep_frontier(
+        if args.search:
+            results = max_sustainable_rates(
                 args.spec,
-                collector,
-                heap_bytes,
-                rates,
+                [(collector, heap_bytes) for collector in collectors],
+                slo,
+                rate_step=args.rate_step,
+                max_rate=args.max_rate,
+                start_rate=args.start_rate,
                 scale=args.scale,
                 seed=args.seed,
                 store=store,
                 max_workers=args.workers,
                 bus=bus,
-                distill=not args.no_distill,
-                mmu_window_fraction=args.mmu_window,
             )
-            for collector in collectors
-        ]
-        for frontier in frontiers:
-            sections.append(render_frontier(frontier))
-        if len(frontiers) > 1:
-            sections.append(render_frontier_comparison(frontiers))
-        sections.append(
-            "\n".join(
-                line for frontier in frontiers
-                for line in frontier.point_lines()
-            )
-        )
-        if slo is not None:
+            ordered = [results[(c, heap_bytes)] for c in collectors]
+            sections.append(render_search_results(ordered, slo.describe()))
+            sections.append("\n".join(result.line() for result in ordered))
+            artefact["search"] = {
+                "benchmark": spec.name,
+                "slo": slo.describe(),
+                "results": [result.to_dict() for result in ordered],
+            }
+        else:
+            rates = _parse_rates(parser, args.rates)
+            frontiers = [
+                sweep_frontier(
+                    args.spec,
+                    collector,
+                    heap_bytes,
+                    rates,
+                    scale=args.scale,
+                    seed=args.seed,
+                    store=store,
+                    max_workers=args.workers,
+                    bus=bus,
+                    distill=not args.no_distill,
+                    mmu_window_fraction=args.mmu_window,
+                )
+                for collector in collectors
+            ]
+            for frontier in frontiers:
+                sections.append(render_frontier(frontier))
+            if len(frontiers) > 1:
+                sections.append(render_frontier_comparison(frontiers))
             sections.append(
                 "\n".join(
-                    f"knee {frontier.benchmark}/{frontier.collector}: "
-                    + (f"{knee:g} rps" if knee is not None else "none")
-                    + f" under {slo.describe()}"
-                    for frontier in frontiers
-                    for knee in (frontier.knee(slo),)
+                    line for frontier in frontiers
+                    for line in frontier.point_lines()
                 )
             )
-        artefact["frontiers"] = [frontier.to_dict() for frontier in frontiers]
+            if slo is not None:
+                sections.append(
+                    "\n".join(
+                        f"knee {frontier.benchmark}/{frontier.collector}: "
+                        + (f"{knee:g} rps" if knee is not None else "none")
+                        + f" under {slo.describe()}"
+                        for frontier in frontiers
+                        for knee in (frontier.knee(slo),)
+                    )
+                )
+            artefact["frontiers"] = [frontier.to_dict() for frontier in frontiers]
 
-    text = "\n\n".join(sections)
-    try:
-        if args.output:
-            with open(args.output, "w", encoding="utf-8") as stream:
-                stream.write(text + "\n")
-            print(f"slo report -> {args.output}")
-        else:
-            print(text)
-        if args.json_path:
-            with open(args.json_path, "w", encoding="utf-8") as stream:
-                json.dump(artefact, stream, indent=1, sort_keys=True)
-                stream.write("\n")
-            print(f"slo JSON -> {args.json_path}")
-    except OSError as error:
-        print(f"error: cannot write slo artefact: {error}", file=sys.stderr)
-        return _finish_grid(store, 1, close_trace)
-    return _finish_grid(store, 0, close_trace)
+        text = "\n\n".join(sections)
+        try:
+            if args.output:
+                with open(args.output, "w", encoding="utf-8") as stream:
+                    stream.write(text + "\n")
+                print(f"slo report -> {args.output}")
+            else:
+                print(text)
+            if args.json_path:
+                with open(args.json_path, "w", encoding="utf-8") as stream:
+                    json.dump(artefact, stream, indent=1, sort_keys=True)
+                    stream.write("\n")
+                print(f"slo JSON -> {args.json_path}")
+        except OSError as error:
+            print(f"error: cannot write slo artefact: {error}", file=sys.stderr)
+            return 1
+        return 0
 
 
 def _trace(args) -> int:
@@ -872,46 +848,41 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         return _trace(args)
     if args.command == "compare":
         return _compare(parser, args)
-    bus, close_trace = _campaign_bus(args)
-    store = _open_store(parser, args, bus=bus)
-    if args.command == "minheap":
-        minimum = find_min_heap(
-            args.benchmark, args.collector, scale=args.scale, seed=args.seed,
-            store=store, bus=bus,
-        )
-        print(f"{args.benchmark}/{args.collector}: min heap = {minimum / KB:.1f}KB")
-        return _finish_grid(store, 0, close_trace)
-    points = 33 if getattr(args, "full", False) else args.points
-    if args.command == "experiment":
-        return _finish_grid(
-            store,
-            0 if _run_experiment(args.name, points, args.scale) else 1,
-            close_trace,
-        )
-    if args.command == "all":
-        ok = True
-        for name in ALL_EXPERIMENTS:
-            ok = _run_experiment(name, points, args.scale) and ok
-        return _finish_grid(store, 0 if ok else 1, close_trace)
-    if args.command == "report":
-        from pathlib import Path
-
-        from .report import write_report
-
-        try:
-            results = write_report(
-                Path(args.output), points=points, scale=args.scale,
-                names=args.only,
+    with _campaign(parser, args) as (store, bus):
+        if args.command == "minheap":
+            minimum = find_min_heap(
+                args.benchmark, args.collector, scale=args.scale, seed=args.seed,
+                store=store, bus=bus,
             )
-        except OSError as error:
-            print(f"error: cannot write report: {error}", file=sys.stderr)
-            return _finish_grid(store, 1)
-        failed = [n for n, r in results.items() if not r.all_checks_pass]
-        print(f"wrote {args.output} ({len(results)} experiments)")
-        if failed:
-            print(f"FAILED shape checks in: {failed}")
-            return _finish_grid(store, 1)
-        return _finish_grid(store, 0)
+            print(f"{args.benchmark}/{args.collector}: min heap = {minimum / KB:.1f}KB")
+            return 0
+        points = 33 if getattr(args, "full", False) else args.points
+        if args.command == "experiment":
+            return 0 if _run_experiment(args.name, points, args.scale) else 1
+        if args.command == "all":
+            ok = True
+            for name in ALL_EXPERIMENTS:
+                ok = _run_experiment(name, points, args.scale) and ok
+            return 0 if ok else 1
+        if args.command == "report":
+            from pathlib import Path
+
+            from .report import write_report
+
+            try:
+                results = write_report(
+                    Path(args.output), points=points, scale=args.scale,
+                    names=args.only,
+                )
+            except OSError as error:
+                print(f"error: cannot write report: {error}", file=sys.stderr)
+                return 1
+            failed = [n for n, r in results.items() if not r.all_checks_pass]
+            print(f"wrote {args.output} ({len(results)} experiments)")
+            if failed:
+                print(f"FAILED shape checks in: {failed}")
+                return 1
+            return 0
     return 2  # pragma: no cover - argparse enforces choices
 
 

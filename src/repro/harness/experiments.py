@@ -16,11 +16,13 @@ run a coarser grid; shapes are stable across both.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.mmu import max_pause, mmu_curve, overall_utilisation
 from ..analysis.series import (
+    GAP,
     geomean_across,
     geometric_mean,
     improvement_percent,
@@ -184,8 +186,14 @@ def _geomean_figure(
     min_heaps(list(benchmarks), scale)  # fan the baseline searches out together
     per_collector: Dict[str, List[List[Optional[float]]]] = {c: [] for c in collectors}
     for benchmark in benchmarks:
+        # A run that did none of the measured work (no collection at this
+        # heap: ``gc_cycles == 0``) is not comparable on a ratio axis —
+        # a gap, like the paper's failed runs.
         raw = {
-            c: cached_sweep(benchmark, c, points, scale).series(metric)
+            c: [
+                value or GAP
+                for value in cached_sweep(benchmark, c, points, scale).series(metric)
+            ]
             for c in collectors
         }
         normalised = relative_to_best(raw)
@@ -973,3 +981,12 @@ ALL_EXPERIMENTS = {
     "responsiveness": responsiveness,
     "slo": slo,
 }
+
+
+def run_experiment(name: str, points: int, scale: float) -> ExperimentResult:
+    """Run one registered experiment at the given resolution; ``points``
+    and ``scale`` reach only the experiments that take them."""
+    fn = ALL_EXPERIMENTS[name]
+    accepted = inspect.signature(fn).parameters
+    given = {"points": points, "scale": scale}
+    return fn(**{key: given[key] for key in given if key in accepted})

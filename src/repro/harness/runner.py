@@ -71,7 +71,7 @@ class RunOptions:
     #: wall-time phase breakdown only (wraps the store path — adds
     #: per-store overhead, so only the *split* is meaningful).  ``"full"``
     #: or a :class:`~repro.obs.profiler.ProfileOptions`: additionally
-    #: attach the GC profiler (lifetime demographics, streaming pause
+    #: attach the GC profiler (lifetime demographics, pause
     #: analytics, heap-geometry timeline, cost attribution) and fill
     #: ``RunReport.profile`` with its :class:`ProfileReport`.
     profile: Union[bool, str, object] = False

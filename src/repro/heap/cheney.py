@@ -111,7 +111,7 @@ class CheneyEngine:
             space.load_count += 1
             new_addr = copy_alloc(from_frames[fi], size, ctx)
             # Inline single-frame copy (objects never span frames): same
-            # ``size`` loads + ``size`` stores as the copy_words kernel.
+            # ``size`` loads + ``size`` stores as a word-at-a-time copy.
             di = new_addr >> shift
             if di != dst_fi:
                 dst_words = resolve(di, new_addr, "store to").words

@@ -413,7 +413,3 @@ class ObjectModel:
         matches the paper's description of allocation in Jikes RVM."""
         self.space.store(addr + STATUS_WORD * WORD_BYTES, 0)
         self.space.store(addr + LENGTH_WORD * WORD_BYTES, length)
-
-    def copy_words(self, src: int, dst: int, nwords: int) -> None:
-        """Copy an object body in one bulk kernel call (collection copying)."""
-        self.space.copy_words(src, dst, nwords)

@@ -18,20 +18,16 @@ module, so it is written for the interpreter's fast paths:
   cache (``_cache_index``/``_cache_frame``) — consecutive accesses to the
   same frame, the overwhelmingly common pattern under bump allocation and
   Cheney scans, skip the table walk entirely;
-* the bulk kernels :meth:`load_slice`, :meth:`store_slice` and
-  :meth:`copy_words` move whole runs of words as typed-array slices (C
-  memcpy) instead of word-at-a-time Python loops.
-
-The bulk kernels account ``load_count``/``store_count`` *word-accurately*:
-``copy_words(src, dst, n)`` counts exactly ``n`` loads and ``n`` stores,
-identical to the word-at-a-time reference loop they replace, so every
-metric the cost model derives is bit-identical either way.
+* :meth:`load_slice` reads a whole run of words as one typed-array slice
+  (the heap verifier's reference-field scan) and counts exactly ``n``
+  loads for ``n`` words, identical to the word-at-a-time loop, so every
+  metric the cost model derives is bit-identical either way.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from ..errors import InvalidAddress, OutOfMemory
 from .address import (
@@ -250,9 +246,6 @@ class AddressSpace:
         self.store_count += 1
         frame.words[(addr >> 2) & self._word_mask] = value
 
-    # ------------------------------------------------------------------
-    # Bulk kernels (word-accurate counter accounting)
-    # ------------------------------------------------------------------
     def load_slice(self, addr: int, nwords: int) -> List[int]:
         """Load ``nwords`` consecutive words starting at ``addr``.
 
@@ -291,113 +284,6 @@ class AddressSpace:
                 frame = self._resolve(addr >> shift, addr, "load from")
                 offset = 0
         return out
-
-    def store_slice(self, addr: int, values: Sequence[int]) -> None:
-        """Store ``values`` into consecutive words starting at ``addr``.
-
-        Equivalent to ``for i, v in enumerate(values): self.store(addr +
-        i * WORD_BYTES, v)`` — including the ``store_count`` accounting.
-        """
-        if addr & _ALIGN_MASK:
-            raise InvalidAddress(f"misaligned store to {addr:#x}")
-        nwords = len(values)
-        if nwords == 0:
-            return
-        buf = values if isinstance(values, array) and values.typecode == "q" else array("q", values)
-        shift = self.frame_shift
-        word_mask = self._word_mask
-        frame_words = self.frame_words
-        # Resolve every touched frame before mutating anything, so a store
-        # run ending in unmapped memory fails without partial effects (the
-        # word-at-a-time loop would have stored a prefix; no caller relies
-        # on that, and all-or-nothing is the safer contract).
-        index = addr >> shift
-        frame = (
-            self._cache_frame
-            if index == self._cache_index
-            else self._resolve(index, addr, "store to")
-        )
-        offset = (addr >> LOG_WORD_BYTES) & word_mask
-        if offset + nwords <= frame_words:  # fast path: one frame
-            frame.words[offset : offset + nwords] = buf
-            self.store_count += nwords
-            return
-        end = addr + (nwords - 1) * WORD_BYTES
-        for probe in range((addr >> shift) + 1, (end >> shift) + 1):
-            self._resolve(probe, probe << shift, "store to")
-        self.store_count += nwords
-        pos = 0
-        while nwords:
-            frame = self._resolve(addr >> shift, addr, "store to")
-            offset = (addr >> LOG_WORD_BYTES) & word_mask
-            chunk = min(nwords, frame_words - offset)
-            frame.words[offset : offset + chunk] = buf[pos : pos + chunk]
-            pos += chunk
-            nwords -= chunk
-            addr += chunk * WORD_BYTES
-        return
-
-    def copy_words(self, src: int, dst: int, nwords: int) -> None:
-        """Copy ``nwords`` words from ``src`` to ``dst`` (both byte addrs).
-
-        The cross-frame bulk-copy kernel behind object evacuation:
-        equivalent to ``for i in range(nwords): self.store(dst + i*4,
-        self.load(src + i*4))`` — counting exactly ``nwords`` loads and
-        ``nwords`` stores — but the body is typed-array slice assignment.
-        """
-        if src & _ALIGN_MASK:
-            raise InvalidAddress(f"misaligned load from {src:#x}")
-        if dst & _ALIGN_MASK:
-            raise InvalidAddress(f"misaligned store to {dst:#x}")
-        if nwords < 0:
-            raise InvalidAddress(f"negative copy_words length {nwords}")
-        if nwords == 0:
-            return
-        shift = self.frame_shift
-        word_mask = self._word_mask
-        frame_words = self.frame_words
-        cache_index = self._cache_index
-        s_index = src >> shift
-        d_index = dst >> shift
-        s_frame = (
-            self._cache_frame
-            if s_index == cache_index
-            else self._resolve(s_index, src, "load from")
-        )
-        d_frame = (
-            self._cache_frame
-            if d_index == self._cache_index
-            else self._resolve(d_index, dst, "store to")
-        )
-        s_off = (src >> LOG_WORD_BYTES) & word_mask
-        d_off = (dst >> LOG_WORD_BYTES) & word_mask
-        self.load_count += nwords
-        self.store_count += nwords
-        if s_off + nwords <= frame_words and d_off + nwords <= frame_words:
-            # Fast path: both runs inside one frame each.  Slice the source
-            # first so an overlapping same-frame copy reads pre-copy words,
-            # exactly like the reference loop run front to back would for
-            # non-overlapping ranges (overlap never occurs in evacuation).
-            d_frame.words[d_off : d_off + nwords] = s_frame.words[
-                s_off : s_off + nwords
-            ]
-            return
-        while nwords:
-            chunk = min(nwords, frame_words - s_off, frame_words - d_off)
-            d_frame.words[d_off : d_off + chunk] = s_frame.words[
-                s_off : s_off + chunk
-            ]
-            nwords -= chunk
-            if not nwords:
-                return
-            src += chunk * WORD_BYTES
-            dst += chunk * WORD_BYTES
-            s_off = (s_off + chunk) & word_mask
-            d_off = (d_off + chunk) & word_mask
-            if s_off == 0:
-                s_frame = self._resolve(src >> shift, src, "load from")
-            if d_off == 0:
-                d_frame = self._resolve(dst >> shift, dst, "store to")
 
     def frame_base(self, frame: Frame) -> int:
         """Byte address of the first word of ``frame``."""

@@ -11,10 +11,7 @@ out when disabled" guarantee the golden-counter tests pin down.
 
 The layering rule (DESIGN.md §10): instrumentation *reads* counters and
 the simulated clock and *never* issues loads/stores, draws from the
-benchmark RNG, or mutates collector state.  The one subtlety is remset
-entry counts: reading ``len(remsets)`` drains pending SSB buffers early,
-which is explicitly counter-safe (dedup totals are order-independent —
-see ``repro.core.remset``).
+benchmark RNG, or mutates collector state.
 
 Event flow per collection::
 

@@ -1,11 +1,12 @@
 """repro.obs.profiler — the GC profiler on top of the telemetry bus.
 
 Lifetime demographics (birth-stamped allocation accounting, survival
-curves by age in bytes allocated, per-belt survivor fractions), streaming
-pause analytics (exact percentile sketch, incrementally computed MMU
-curves, worst-window identification), heap-geometry timelines and exact
-per-collection cost attribution — attached to a VM only at
-``attach_profiler`` time, so an unprofiled run executes untouched code.
+curves by age in bytes allocated, per-belt survivor fractions), pause
+analytics (percentiles, MMU curve and worst-window identification, from
+``repro.analysis`` over the finished run's pause list), heap-geometry
+timelines and exact per-collection cost attribution — attached to a VM
+only at ``attach_profiler`` time, so an unprofiled run executes untouched
+code.
 
 Typical use through the harness::
 
@@ -26,24 +27,22 @@ from .attach import Profiler, attach_profiler
 from .attribution import CostAttribution
 from .demographics import CollectionTally, LifetimeCensus
 from .geometry import GeometryTimeline
-from .pauses import (
+from .report import (
     DEFAULT_STREAM_WINDOWS,
-    IncrementalMMU,
-    StreamingPercentiles,
+    ProfileOptions,
+    ProfileReport,
+    aggregate_by_label,
 )
-from .report import ProfileOptions, ProfileReport, aggregate_by_label
 
 __all__ = [
     "CollectionTally",
     "CostAttribution",
     "DEFAULT_STREAM_WINDOWS",
     "GeometryTimeline",
-    "IncrementalMMU",
     "LifetimeCensus",
     "ProfileOptions",
     "ProfileReport",
     "Profiler",
-    "StreamingPercentiles",
     "aggregate_by_label",
     "attach_profiler",
 ]

@@ -23,20 +23,23 @@ against the golden counters, like the tracer and sanitizer before it).
 
 from __future__ import annotations
 
+import dataclasses
 from typing import List, Optional
 
+from ...analysis.mmu import mmu_curve, worst_window
+from ...analysis.pauses import summarise
 from ...heap.address import WORD_BYTES
 from ..bus import TelemetryBus
 from ..instrument import attach
 from .attribution import CostAttribution
 from .demographics import CollectionTally, LifetimeCensus
 from .geometry import GeometryTimeline
-from .pauses import IncrementalMMU, StreamingPercentiles
 from .report import ProfileOptions, ProfileReport, aggregate_by_label
 
 
 class Profiler:
-    """One VM's lifetime census, pause analytics and geometry timeline."""
+    """One VM's lifetime census, geometry timeline and cost attribution;
+    pause analytics are computed post-hoc in :meth:`finalise`."""
 
     def __init__(
         self,
@@ -56,8 +59,6 @@ class Profiler:
             self._inst = None
         self.bus = bus
         self.census = LifetimeCensus(vm.space.frame_shift)
-        self.percentiles = StreamingPercentiles()
-        self.mmu = IncrementalMMU(self.options.mmu_windows)
         self.geometry = GeometryTimeline()
         self.attribution = CostAttribution(vm.cost_model)
         self.survival_rows: List[dict] = []
@@ -113,8 +114,6 @@ class Profiler:
         kind = event.kind
         if kind == "gc.end":
             data = event.data
-            self.percentiles.add(data["pause_end"] - data["pause_start"])
-            self.mmu.add_pause(data["pause_start"], data["pause_end"])
             self.attribution.on_gc_end(data)
             self._flush_tally(data["id"], event.time)
             self._sample_geometry(event.time, "gc.end")
@@ -162,6 +161,20 @@ class Profiler:
         lives on).
         """
         total = stats.total_cycles
+        pauses = stats.pause_intervals()
+        windows = sorted(set(map(float, self.options.mmu_windows)))
+        worst_windows = []
+        for window in windows:
+            if not 0 < window < total:
+                continue  # clamps to the whole run: nothing to locate
+            util, start, paused = worst_window(pauses, total, window)
+            if util < 1.0:
+                worst_windows.append({
+                    "window": window,
+                    "utilisation": util,
+                    "start": start,
+                    "paused": paused,
+                })
         self.census.finalise(self.vm.plan.allocated_words * WORD_BYTES)
         report = ProfileReport(
             benchmark=stats.benchmark,
@@ -177,9 +190,9 @@ class Profiler:
             survival_curve=self.census.survival_curve(),
             survival_by_collection=list(self.survival_rows),
             survival_by_label=aggregate_by_label(self.survival_rows),
-            pauses=self.percentiles.summary(),
-            mmu_curve=self.mmu.finalise(total),
-            worst_windows=self.mmu.worst_windows(total),
+            pauses=dataclasses.asdict(summarise(pauses)),
+            mmu_curve=mmu_curve(pauses, total, windows),
+            worst_windows=worst_windows,
             geometry=self.geometry.rows,
             geometry_labels=self.geometry.labels,
             attribution=self.attribution.rows,

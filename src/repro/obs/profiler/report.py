@@ -1,6 +1,6 @@
 """ProfileReport: the self-contained artefact one profiled run produces.
 
-Everything the profiler computed — lifetime demographics, streaming pause
+Everything the profiler computed — lifetime demographics, pause
 analytics, heap-geometry timeline, per-collection cost attribution — in
 one plain-data object that serialises to JSON (``to_json``) and renders
 as a self-contained markdown report (``to_markdown``).  The analysis
@@ -15,7 +15,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .pauses import DEFAULT_STREAM_WINDOWS
+#: Default MMU window ladder (cycles): geometric steps of 4x from about
+#: 1e3 to 1e9 cycles, bracketing every scaled workload's pauses and run
+#: lengths.  A window longer than the run clamps to the run length.
+DEFAULT_STREAM_WINDOWS: Tuple[float, ...] = tuple(
+    float(4 ** k) for k in range(5, 16)
+)
 
 
 @dataclass(frozen=True)
@@ -23,8 +28,7 @@ class ProfileOptions:
     """How to profile a run (``RunOptions(profile=ProfileOptions(...))``;
     ``profile="full"`` means these defaults)."""
 
-    #: Window ladder (cycles) the incremental MMU evaluates while
-    #: streaming; windows longer than the run complete at finalise time.
+    #: Window ladder (cycles) of the report's MMU curve.
     mmu_windows: Tuple[float, ...] = DEFAULT_STREAM_WINDOWS
     #: Emit ``profiler.survival`` / ``profiler.geometry`` events back
     #: into the telemetry bus (they land in traces and ring buffers).
@@ -58,11 +62,13 @@ class ProfileReport:
     #: Whole-run per-label aggregate (nursery vs older belts).
     survival_by_label: List[dict] = field(default_factory=list)
 
-    #: Streaming percentile summary (count/total/mean/p50/p90/p99/max).
+    #: Percentile summary (count/total/mean/p50/p90/p99/max), the fields
+    #: of :class:`repro.analysis.pauses.PauseSummary`.
     pauses: Dict[str, float] = field(default_factory=dict)
-    #: (window, mmu) ladder evaluated incrementally during the stream.
+    #: (window, mmu) ladder over ``ProfileOptions.mmu_windows``.
     mmu_curve: List[Tuple[float, float]] = field(default_factory=list)
-    #: Worst-window identification per streamed window length.
+    #: Where the minimum-utilisation window sits, per window length
+    #: shorter than the run with MMU below 1.
     worst_windows: List[dict] = field(default_factory=list)
 
     #: Heap-geometry samples (per-label frames/words over time).
@@ -187,7 +193,7 @@ class ProfileReport:
             )
             lines.append("")
         if self.mmu_curve:
-            lines.append("### Minimum mutator utilisation (incremental)")
+            lines.append("### Minimum mutator utilisation")
             lines.append("")
             worst = {w["window"]: w for w in self.worst_windows}
             rows = []

@@ -22,7 +22,13 @@ from .export import (
     validate_perfetto,
     write_perfetto,
 )
-from .spans import PHASE_COMPONENTS, Span, Timeline, build_timeline
+from .spans import (
+    PHASE_COMPONENTS,
+    Span,
+    Timeline,
+    build_timeline,
+    partition_runs,
+)
 
 __all__ = [
     "PHASE_COMPONENTS",
@@ -30,6 +36,7 @@ __all__ = [
     "Timeline",
     "TraceExportSink",
     "build_timeline",
+    "partition_runs",
     "to_perfetto",
     "validate_perfetto",
     "write_perfetto",

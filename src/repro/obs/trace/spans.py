@@ -150,6 +150,45 @@ def _run_name(data: Dict[str, Any]) -> str:
     )
 
 
+def partition_runs(events: Iterable):
+    """Partition an event stream into runs — the one statement of the
+    provenance rule in the module docstring.
+
+    Returns ``(partitions, campaign, ignored)``.  ``partitions`` is a
+    list of ``(prefix, [(kind, time, data), ...])`` in timeline order:
+    grid cells by job ordinal, then the root stream's ``run:<n>``.  A
+    job ordinal can recur across sequential batches (adaptive searches
+    like minheap re-dispatch single-cell batches), so a job stream is
+    segmented at run boundaries just like the root stream; the first run
+    keeps the bare ``job:<i>`` prefix — single-batch campaign ids, the
+    golden case — and later ones are ``job:<i>#<n>``.  ``campaign`` is
+    the ``grid.job`` events as ``(time, data)``; ``ignored`` counts
+    events of unknown or orchestration-only kinds.
+    """
+    campaign: List[Tuple[float, Dict[str, Any]]] = []
+    jobs: Dict[int, List[Tuple[str, float, Dict[str, Any]]]] = {}
+    root: List[Tuple[str, float, Dict[str, Any]]] = []
+    ignored = 0
+    for event in events:
+        kind, time, data = _as_triple(event)
+        if kind == "grid.job":
+            campaign.append((time, data))
+        elif kind == "run.replay" or ("job" in data and kind in _RUN_KINDS):
+            jobs.setdefault(int(data["job"]), []).append((kind, time, data))
+        elif kind in _RUN_KINDS:
+            root.append((kind, time, data))
+        else:
+            ignored += 1
+    partitions = []
+    for index in sorted(jobs):
+        for n, segment in enumerate(_segments(jobs[index]), start=1):
+            prefix = f"job:{index}" if n == 1 else f"job:{index}#{n}"
+            partitions.append((prefix, segment))
+    for n, segment in enumerate(_segments(root), start=1):
+        partitions.append((f"run:{n}", segment))
+    return partitions, campaign, ignored
+
+
 def build_timeline(events: Iterable, *, cost_model: Optional[CostModel] = None) -> Timeline:
     """Fold an event stream into a :class:`Timeline`.
 
@@ -159,43 +198,20 @@ def build_timeline(events: Iterable, *, cost_model: Optional[CostModel] = None) 
     reader of last resort and must survive any schema-valid stream.
     """
     cost_model = cost_model or CostModel()
-    campaign: List[Tuple[float, Dict[str, Any]]] = []
-    jobs: Dict[int, List[Tuple[str, float, Dict[str, Any]]]] = {}
-    root: List[Tuple[str, float, Dict[str, Any]]] = []
-    total = ignored = 0
-
-    for event in events:
-        kind, time, data = _as_triple(event)
-        total += 1
-        if kind == "grid.job":
-            campaign.append((time, data))
-        elif kind == "run.replay" or ("job" in data and kind in _RUN_KINDS):
-            jobs.setdefault(int(data["job"]), []).append((kind, time, data))
-        elif kind in _RUN_KINDS:
-            root.append((kind, time, data))
-        else:
-            ignored += 1
-
+    partitions, campaign, ignored = partition_runs(events)
     timeline = Timeline()
     timeline.attrs = {
-        "events": total,
+        "events": ignored + len(campaign) + sum(len(p) for _, p in partitions),
         "ignored": ignored,
-        "jobs": len(jobs),
+        "jobs": sum(
+            prefix.startswith("job:") and "#" not in prefix
+            for prefix, _ in partitions
+        ),
         "truncated": [],
     }
-
     _build_campaign(timeline, campaign)
-    for index in sorted(jobs):
-        # A job ordinal can recur across sequential batches (adaptive
-        # searches like minheap re-dispatch single-cell batches), so a
-        # job stream is segmented at run boundaries just like the root
-        # stream; the first run keeps the bare ``job:<i>`` prefix so
-        # single-batch campaign ids — the golden case — are unaffected.
-        for n, segment in enumerate(_segments(jobs[index])):
-            prefix = f"job:{index}" if n == 0 else f"job:{index}#{n + 1}"
-            _build_partition(timeline, prefix, segment, cost_model)
-    for n, segment in enumerate(_segments(root), start=1):
-        _build_partition(timeline, f"run:{n}", segment, cost_model)
+    for prefix, segment in partitions:
+        _build_partition(timeline, prefix, segment, cost_model)
     return timeline
 
 

@@ -1,11 +1,11 @@
 """The one nearest-rank percentile implementation.
 
-Three layers report percentiles — request latencies
-(:mod:`repro.workloads.latency`), pause analytics
-(:mod:`repro.analysis.pauses`) and the streaming profiler
-(:mod:`repro.obs.profiler.pauses`) — and all of them are pinned
-bit-identical to each other by goldens and point-identity tests.  That
-contract only holds if every caller computes the *same* floats, so the
+Two layers report percentiles — request latencies
+(:mod:`repro.workloads.latency`) and pause analytics
+(:mod:`repro.analysis.pauses`, which the profiler's report reuses) — and
+they are pinned bit-identical to each other by goldens and point-identity
+tests.  That contract only holds if every caller computes the *same*
+floats, so the
 definition lives here, once, dependency-free (this module must stay
 importable from any layer without cycles).
 

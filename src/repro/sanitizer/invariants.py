@@ -25,9 +25,7 @@ walk has nothing to say:
 
 All heap access goes through the counter-free
 :class:`~repro.sanitizer.heapcheck.RawHeapReader`; remset reads use the
-drain-only accessors (``pairs`` / ``entries_for_pair``), which are
-counter-safe the same way ``len(remsets)`` is (dedup totals are
-order-independent).
+read-only accessors (``pairs`` / ``entries_for_pair``).
 """
 
 from __future__ import annotations

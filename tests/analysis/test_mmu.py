@@ -10,6 +10,7 @@ from repro.analysis.mmu import (
     mmu,
     mmu_curve,
     overall_utilisation,
+    worst_window,
 )
 
 
@@ -100,3 +101,19 @@ def test_default_windows_log_spaced():
 def test_window_longer_than_run_clamped():
     pauses = [(10.0, 20.0)]
     assert mmu(pauses, 100.0, 500.0) == pytest.approx(0.9)
+
+
+def test_worst_window_locates_the_minimum():
+    pauses = [
+        (100.0, 150.0), (400.0, 420.0), (420.0, 500.0), (1000.0, 1500.0),
+        (5000.0, 5010.0), (9000.0, 9900.0),
+    ]
+    # A 100-cycle window is fully paused in the back-to-back [400, 500)
+    # stretch and inside both long pauses; the earliest is reported.
+    assert worst_window(pauses, 10_000.0, 100.0) == (0.0, 400.0, 100.0)
+    # Every 200-cycle window holding all of [400, 500) ties; the earliest
+    # anchor is the one *ending* at 500.
+    assert worst_window(pauses[:3], 10_000.0, 200.0) == (0.5, 300.0, 100.0)
+    # Nothing to locate: no pauses, or a zero-length run.
+    assert worst_window([], 100.0, 10.0) == (1.0, 0.0, 0.0)
+    assert worst_window(pauses, 0.0, 10.0) == (1.0, 0.0, 0.0)

@@ -36,25 +36,13 @@ def test_monotone_in_q():
 
 def test_every_layer_shares_the_single_implementation():
     import repro.analysis.pauses as analysis_pauses
-    import repro.obs.profiler.pauses as profiler_pauses
+    import repro.obs.profiler.attach as profiler
     import repro.quantiles as quantiles
     import repro.workloads.latency as latency
 
     assert analysis_pauses.percentile is quantiles.percentile
     assert latency.percentile is quantiles.percentile
-    assert profiler_pauses.percentile is quantiles.percentile
-
-
-def test_streaming_and_batch_percentiles_agree():
-    from repro.obs.profiler.pauses import StreamingPercentiles
-
-    durations = [float((i * 104729) % 500) + 0.5 for i in range(257)]
-    sketch = StreamingPercentiles()
-    for duration in durations:
-        sketch.add(duration)
-    ordered = sorted(durations)
-    for q in (0.5, 0.9, 0.99, 0.999, 1.0):
-        assert sketch.percentile(q) == percentile(ordered, q)
+    assert profiler.summarise is analysis_pauses.summarise
 
 
 def test_request_stats_uses_the_shared_floats():

@@ -25,6 +25,23 @@ def test_collect_empty_batch_rejected():
         Collector(vm.plan).collect([], "test")
 
 
+def test_collect_out_of_stamp_order_rejected():
+    """§3.3.1: stamped lower means collected no later — collecting belt 1
+    while the nursery holds objects is refused, naming both increments."""
+    vm, mu = make_vm()
+    node = vm.types.by_name("node")
+    keep = [mu.alloc(node) for _ in range(20)]
+    vm.plan.collect("forced")  # promote to belt 1
+    keep.append(mu.alloc(node))  # the nursery is non-empty again
+    nursery = vm.plan.belts[0].oldest_collectible()
+    older = vm.plan.belts[1].oldest_collectible()
+    assert nursery.stamp < older.stamp
+    with pytest.raises(HeapCorruption, match="out of stamp order") as info:
+        vm.plan.collector.collect([older], "test")
+    assert repr(older) in str(info.value) and repr(nursery) in str(info.value)
+    vm.plan.collector.collect([nursery, older], "test")  # together: fine
+
+
 def test_result_counters_consistent():
     vm, mu = make_vm()
     node = vm.types.by_name("node")

@@ -8,6 +8,8 @@ objects are given time to die before being copied.
 
 import pytest
 
+from repro.harness.runner import RunOptions, run
+from repro.kernels import available
 from repro.runtime import VM, MutatorContext
 
 
@@ -145,6 +147,37 @@ def test_bofm_collecting_allocation_increment_resets_it():
     for h in keep:
         assert not h.is_null
     vm.plan.verify()
+
+
+#: Cells where copying overflows a full allocation increment.  Unless the
+#: overflow increment becomes the allocation increment, the stale one sinks
+#: to the front and its unremembered pointers into later ones dangle.
+BOFM_OVERFLOW_CELLS = [
+    ("javac", 24, 0.3), ("javac", 24, 1.0), ("javac", 28, 1.0),
+    ("javac", 32, 1.0), ("javac", 40, 1.0), ("pseudojbb", 40, 0.3),
+    ("pseudojbb", 40, 1.0), ("pseudojbb", 48, 1.0),
+]
+
+
+@pytest.mark.parametrize("bench_name,heap_kb,scale", BOFM_OVERFLOW_CELLS)
+def test_bofm_copy_overflow_keeps_collection_order(
+    bench_name, heap_kb, scale, monkeypatch
+):
+    """Each cell ends cleanly (completed or ``OutOfMemory``) under the
+    sanitizer with no violation, identically on both tiers."""
+    stats = {}
+    for tier in ("python", "cffi"):
+        if not available()[tier].startswith("ok"):
+            continue
+        monkeypatch.setenv("REPRO_SUBSTRATE_TIER", tier)
+        report = run(
+            bench_name, "BOFM.25", heap_kb * 1024,
+            options=RunOptions(scale=scale, sanitize=True),
+        )
+        assert report.sanitizer.ok and not report.sanitizer.violations
+        assert report.stats.completed or "exhausted" in report.stats.failure
+        stats[tier] = repr(report.stats)
+    assert len(set(stats.values())) == 1
 
 
 def test_older_first_barrier_unidirectional():

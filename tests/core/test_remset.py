@@ -1,5 +1,8 @@
 """Unit tests for the per-frame-pair remembered sets."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.remset import RememberedSets
 
 
@@ -72,7 +75,7 @@ def test_entries_for_pair():
 
 
 # ----------------------------------------------------------------------
-# SSB layout (ISSUE 2): target-frame index and drain-time dedup
+# Target-frame index, drain order, eager dedup
 # ----------------------------------------------------------------------
 
 def test_slots_into_scales_with_matching_pairs_only():
@@ -113,21 +116,21 @@ def test_pair_recreated_after_drop_moves_to_back():
 
 
 def test_duplicate_accounting_across_syncs():
-    """Dedup moved from insert time to drain time; the cumulative counters
-    must not notice (duplicates = inserts - distinct, order-independent)."""
+    """The cumulative counters are exact at every read, not only after a
+    drain (duplicates = inserts - distinct)."""
     rs = RememberedSets()
     rs.insert(3, 1, 0xA0)
-    rs.insert(3, 1, 0xA0)  # duplicate within the pending buffer
-    assert rs.duplicate_inserts == 1  # property forces a drain
-    rs.insert(3, 1, 0xA0)  # duplicate against the already-synced set
+    rs.insert(3, 1, 0xA0)
+    assert rs.duplicate_inserts == 1
+    rs.insert(3, 1, 0xA0)
     rs.insert(3, 1, 0xB0)
     assert rs.duplicate_inserts == 2
     assert rs.total_entries == 2
     assert rs.inserts == 4
 
 
-def test_drop_frames_drains_pending_before_dropping():
-    """Dropping a pair with an undrained buffer must still count its
+def test_drop_frames_counts_duplicates_of_never_drained_pair():
+    """Dropping a pair no drain ever visited must still have counted its
     duplicates and return the deduplicated entry count."""
     rs = RememberedSets()
     rs.insert(3, 1, 0xA0)
@@ -137,15 +140,15 @@ def test_drop_frames_drains_pending_before_dropping():
     assert len(rs) == 0
 
 
-def test_long_pending_buffer_dedups_in_first_insertion_order():
-    """One pair, a 40-entry pending buffer holding duplicates of itself and
-    of slots an earlier drain already synced: the shape no golden cell
-    produces (pending buffers there stay under 13 entries)."""
+def test_long_insert_run_dedups_in_first_insertion_order():
+    """One pair, 40 inserts between two drains holding duplicates of each
+    other and of slots the earlier drain already returned: the shape no
+    golden cell produces (a drain there meets under 13 entries)."""
     rs = RememberedSets()
     synced = [0x900, 0x100, 0x500]
     for slot in synced:
         rs.insert(3, 1, slot)
-    assert list(rs.slots_into({1}, set())) == synced
+    assert rs.slots_into({1}, set()) == synced
     # Descending, so first-insertion order is neither sorted nor hash order.
     fresh = [0x800 - 8 * k for k in range(20)]
     pending = []
@@ -161,3 +164,61 @@ def test_long_pending_buffer_dedups_in_first_insertion_order():
     assert rs.duplicate_inserts == 20
     assert list(rs.slots_into({1}, set())) == synced + fresh
     assert (rs.total_entries, rs.duplicate_inserts) == (23, 20)
+
+
+class NaiveRemsets:
+    """The specification: every live ``(src, tgt, slot)`` once, in
+    first-insertion order; a pair was created where its first triple sits."""
+
+    def __init__(self):
+        self.triples = []
+        self.inserts = self.duplicate_inserts = self.pairs_scanned = 0
+
+    def insert(self, s, t, slot):
+        self.inserts += 1
+        if (s, t, slot) in self.triples:
+            self.duplicate_inserts += 1
+        else:
+            self.triples.append((s, t, slot))
+
+    def pairs(self):
+        return list(dict.fromkeys((s, t) for s, t, _ in self.triples))
+
+    def entries_for_pair(self, s, t):
+        return {slot for ms, mt, slot in self.triples if (ms, mt) == (s, t)}
+
+    def slots_into(self, targets, exclude):
+        matched = [pair for pair in self.pairs() if pair[1] in targets]
+        self.pairs_scanned += len(matched)
+        return [
+            slot for pair in matched if pair[0] not in exclude
+            for s, t, slot in self.triples if (s, t) == pair
+        ]
+
+    def drop_frames(self, frames):
+        kept = [x for x in self.triples if x[0] not in frames and x[1] not in frames]
+        dropped, self.triples = len(self.triples) - len(kept), kept
+        return dropped
+
+
+_frame = st.integers(1, 5)
+_frames = st.sets(_frame, max_size=3)
+_remset_op = st.one_of(
+    st.tuples(st.just("insert"), _frame, _frame, st.integers(0, 7)),
+    st.tuples(st.just("slots_into"), _frames, _frames),
+    st.tuples(st.just("drop_frames"), _frames),
+    st.tuples(st.just("entries_for_pair"), _frame, _frame),
+)
+
+
+@given(st.lists(_remset_op, max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_eager_table_matches_naive_triple_list(ops):
+    rs, model = RememberedSets(), NaiveRemsets()
+    for op, *args in ops:
+        assert getattr(rs, op)(*args) == getattr(model, op)(*args)
+        assert len(rs) == rs.total_entries == len(model.triples)
+        assert rs.pairs() == model.pairs()
+        assert (rs.inserts, rs.duplicate_inserts, rs.pairs_scanned) == (
+            model.inserts, model.duplicate_inserts, model.pairs_scanned
+        )

@@ -9,7 +9,9 @@ JSON; usage errors exit 2.
 import json
 
 from repro.harness.cli import build_parser, main
-from repro.obs.trace import validate_perfetto
+from repro.analysis.compare import extract_metrics
+from repro.obs.sinks import iter_jsonl
+from repro.obs.trace import build_timeline, validate_perfetto
 
 SCALE = "0.05"
 
@@ -38,6 +40,13 @@ def test_minheap_trace_roundtrip_to_perfetto(tmp_path, capsys):
     assert "spans from" in out
     doc = json.loads(target.read_text())
     assert validate_perfetto(doc) > 0
+
+    # ``compare`` sees the span builder's runs: one per probe, all job 0.
+    runs = build_timeline(iter_jsonl(trace)).of_cat("run")
+    assert len(runs) > 1
+    assert {name.split(".")[0] for name in extract_metrics(trace)} == {
+        span.sid.split("/")[0].replace(":", "") for span in runs
+    }
 
 
 def test_trace_subcommand_missing_artefact_exits_2(tmp_path, capsys):

@@ -47,6 +47,31 @@ def test_geomean_figure_alignment():
     assert finite and min(finite) == pytest.approx(1.0)
 
 
+def test_geomean_figure_treats_zero_work_as_a_gap(monkeypatch):
+    """A benchmark that never collects at some heap has ``gc_cycles == 0``
+    there: not comparable on a ratio axis, so that column is a gap."""
+    from types import SimpleNamespace
+
+    series = {"A": [4.0, 2.0, 0.0], "B": [8.0, None, 1.0]}
+    monkeypatch.setattr(E, "min_heaps", lambda benchmarks, scale: None)
+    monkeypatch.setattr(
+        E, "cached_sweep", lambda benchmark, collector, points, scale:
+        SimpleNamespace(series=lambda metric: series[collector]),
+    )
+    _, combined = E._geomean_figure(["A", "B"], "gc_cycles", ["x", "y"], 3, 1.0)
+    # Zero work is a gap, not a crash; a failed run the gap it always was.
+    assert combined["A"][2] is None and combined["B"][1] is None
+    assert combined["A"][:2] + combined["B"][::2] == pytest.approx([4, 2, 8, 1])
+
+
+def test_figure5_renders_when_a_benchmark_never_collects():
+    """At this scale some cells finish without a single collection; the
+    figure renders its panels and judges its shape checks regardless."""
+    result = E.figure5(points=POINTS, scale=0.25)
+    assert "Figure 5(a)" in result.text and result.checks
+    assert any(None in curve for curve in result.data["gc"].values())
+
+
 def test_figure4_structure():
     result = E.figure4(scale=SCALE)
     assert set(result.data) == {"25.25.100", "Appel", "BOF.25", "gctk:Appel"}

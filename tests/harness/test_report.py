@@ -1,5 +1,6 @@
 """Tests for the markdown report generator and its CLI command."""
 
+import json
 from pathlib import Path
 
 from repro.harness.cli import main
@@ -42,3 +43,19 @@ def test_cli_report(tmp_path, capsys):
     assert code == 0
     assert out.exists()
     assert "wrote" in capsys.readouterr().out
+
+
+def test_cli_report_closes_its_trace(tmp_path, capsys):
+    """Every exit of ``report`` prints the ``trace:`` row, and the JSONL
+    is complete on disk when ``main`` returns, not at interpreter teardown."""
+    trace = tmp_path / "t.jsonl"
+    code = main(["report", "--only", "figure4", "--scale", "0.05",
+                 "--output", str(tmp_path / "r.md"), "--trace", str(trace)])
+    assert code in (0, 1)  # shape checks may not hold at this scale
+    events = trace.read_text().splitlines()
+    assert events and json.loads(events[-1])["kind"]
+    assert f"trace: {len(events)} events -> {trace}\n" in capsys.readouterr().out
+    # The unwritable-report exit closes the trace too.
+    assert main(["report", "--only", "figure23", "--trace", str(trace),
+                 "--output", str(tmp_path / "no-such-dir" / "r.md")]) == 1
+    assert f"trace: 0 events -> {trace}" in capsys.readouterr().out

@@ -1,9 +1,9 @@
-"""Equivalence tests: bulk kernels vs the word-at-a-time reference path.
+"""Equivalence tests: ``load_slice`` vs the word-at-a-time reference path.
 
-``load_slice``/``store_slice``/``copy_words`` must behave exactly like the
-single-word loops they replace — same values, same ``load_count``/
-``store_count`` accounting, same ``InvalidAddress`` errors at unmapped or
-misaligned addresses — including runs that span a frame boundary.
+``load_slice`` must behave exactly like the single-word loop it replaces —
+same values, same ``load_count`` accounting, same ``InvalidAddress`` errors
+at unmapped or misaligned addresses — including runs that span a frame
+boundary.
 """
 
 import pytest
@@ -64,98 +64,6 @@ def test_load_slice_zero_length_and_errors(space):
         space.load_slice(base + 60 * WORD_BYTES, 8)  # runs off the mapping
     with pytest.raises(InvalidAddress):
         space.load_slice(space.frame_bytes * 40, 1)  # wholly unmapped
-
-
-# ----------------------------------------------------------------------
-# store_slice
-# ----------------------------------------------------------------------
-def test_store_slice_matches_word_stores(space):
-    frame = space.acquire_frame("a")
-    base = space.frame_base(frame)
-    values = [i * 11 - 5 for i in range(40)]
-    before = space.store_count
-    space.store_slice(base + 8, values)
-    assert space.store_count - before == 40
-    assert reference_load(space, base + 8, 40) == values
-
-
-def test_store_slice_spans_frame_boundary(space):
-    a = space.acquire_frame("a")
-    space.acquire_frame("b")
-    base = space.frame_base(a)
-    start = base + 62 * WORD_BYTES
-    values = [9, -8, 7, -6, 5]
-    space.store_slice(start, values)
-    assert reference_load(space, start, 5) == values
-
-
-def test_store_slice_zero_length_and_errors(space):
-    frame = space.acquire_frame("a")
-    base = space.frame_base(frame)
-    before = space.store_count
-    space.store_slice(base, [])
-    assert space.store_count == before
-    with pytest.raises(InvalidAddress):
-        space.store_slice(base + 2, [1])  # misaligned
-    with pytest.raises(InvalidAddress):
-        space.store_slice(base + 62 * WORD_BYTES, [1, 2, 3])  # runs off
-    # The failed spanning store must not have touched the mapped prefix.
-    assert reference_load(space, base + 62 * WORD_BYTES, 2) == [0, 0]
-
-
-# ----------------------------------------------------------------------
-# copy_words
-# ----------------------------------------------------------------------
-def reference_copy(space, src, dst, nwords):
-    for i in range(nwords):
-        space.store(dst + i * WORD_BYTES, space.load(src + i * WORD_BYTES))
-
-
-def test_copy_words_matches_reference(space):
-    a = space.acquire_frame("a")
-    b = space.acquire_frame("b")
-    c = space.acquire_frame("c")
-    base = space.frame_base(a)
-    fill(space, base, 64)
-    loads, stores = space.load_count, space.store_count
-    space.copy_words(base + 4, space.frame_base(b) + 8, 20)
-    assert space.load_count - loads == 20
-    assert space.store_count - stores == 20
-    reference_copy(space, base + 4, space.frame_base(c) + 8, 20)
-    assert reference_load(space, space.frame_base(b) + 8, 20) == reference_load(
-        space, space.frame_base(c) + 8, 20
-    )
-
-
-def test_copy_words_spans_frame_boundaries(space):
-    a = space.acquire_frame("a")
-    b = space.acquire_frame("b")
-    c = space.acquire_frame("c")
-    d = space.acquire_frame("d")
-    assert [b.index - a.index, d.index - c.index] == [1, 1]
-    src = space.frame_base(a) + 58 * WORD_BYTES  # spans a→b
-    dst = space.frame_base(c) + 61 * WORD_BYTES  # spans c→d, different phase
-    fill(space, space.frame_base(a), 128)
-    space.copy_words(src, dst, 10)
-    assert reference_load(space, dst, 10) == reference_load(space, src, 10)
-
-
-def test_copy_words_zero_length_and_errors(space):
-    frame = space.acquire_frame("a")
-    base = space.frame_base(frame)
-    loads, stores = space.load_count, space.store_count
-    space.copy_words(base, base + 8, 0)
-    assert (space.load_count, space.store_count) == (loads, stores)
-    with pytest.raises(InvalidAddress):
-        space.copy_words(base + 2, base + 8, 2)  # misaligned src
-    with pytest.raises(InvalidAddress):
-        space.copy_words(base, base + 2, 2)  # misaligned dst
-    with pytest.raises(InvalidAddress):
-        space.copy_words(base, base, -4)
-    with pytest.raises(InvalidAddress):
-        space.copy_words(base + 60 * WORD_BYTES, base, 8)  # src runs off
-    with pytest.raises(InvalidAddress):
-        space.copy_words(base, base + 60 * WORD_BYTES, 8)  # dst runs off
 
 
 # ----------------------------------------------------------------------

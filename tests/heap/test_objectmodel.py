@@ -138,22 +138,6 @@ def test_scalar_array_has_only_type_ref(env):
     assert len(list(model.iter_ref_slot_addrs(obj))) == 1
 
 
-def test_copy_words(env):
-    space, _, model, boot = env
-    node = boot.define_type("node", nrefs=1, nscalars=2)
-    src = _alloc(space, model, node)
-    model.set_scalar(src, 0, 7)
-    model.set_scalar(src, 1, 8)
-    dst_frame = space.acquire_frame("test")
-    space.set_order(dst_frame, 2)
-    dst = space.frame_base(dst_frame)
-    dst_frame.used_words = node.size_words()
-    model.copy_words(src, dst, node.size_words())
-    assert model.type_of(dst) is node
-    assert model.get_scalar(dst, 0) == 7
-    assert model.get_scalar(dst, 1) == 8
-
-
 def test_type_of_garbage_raises(env):
     space, _, model, boot = env
     node = boot.define_type("node")

@@ -47,13 +47,14 @@ CELLS = (
 #: search and the campaign digests depend on a failing cell being the same
 #: cell on every tier, counters and failure string alike.  The first four
 #: die *inside* the trace (the copy reserve runs out mid-evacuation), the
-#: last in the allocator.
+#: fifth in the allocator; the BOFM cell overflows allocation increments.
 OOM_CELLS = (
     "javac/25.25.100@41984",
     "pseudojbb/100.100@76800",
     "pseudojbb/gctk:Appel@76800",
     "javac/gctk:SS@29696",
     "jack/gctk:Fixed.25@12288",
+    "javac/BOFM.25@24576",
 )
 
 

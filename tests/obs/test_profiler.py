@@ -6,8 +6,8 @@ Acceptance criteria pinned here:
   run that never asked for one) reproduces the golden fixed-seed
   counters bit-identically for all six specs;
 * **attached**: an attached run's RunStats still match the golden
-  counters (reads-never-acts), and the streamed pause percentiles,
-  incremental MMU curve and cost attribution agree exactly with the
+  counters (reads-never-acts), and the report's pause percentiles, MMU
+  curve, worst windows and cost attribution agree exactly with the
   post-hoc analysis layer on the same run;
 * **shape**: nursery survivor fractions sit below old-object survivor
   fractions on jess and db at generational-shaped configurations.
@@ -18,8 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.mmu import mmu, mmu_curve, mmu_curve_from_events
-from repro.analysis.pauses import percentile, summarise
+from repro.analysis.mmu import mmu_curve, mmu_curve_from_events
+from repro.analysis.pauses import summarise
 from repro.bench.engine import SyntheticMutator
 from repro.bench.spec import BENCHMARK_NAMES, benchmark_spec
 from repro.errors import ConfigError
@@ -27,10 +27,8 @@ from repro.harness.runner import RunOptions, run
 from repro.obs import validate_events
 from repro.obs.profiler import (
     DEFAULT_STREAM_WINDOWS,
-    IncrementalMMU,
     ProfileOptions,
     ProfileReport,
-    StreamingPercentiles,
     attach_profiler,
 )
 from repro.runtime.vm import VM
@@ -59,87 +57,15 @@ def _golden_stats(stats, golden):
 
 
 # ----------------------------------------------------------------------
-# Unit parity: streaming structures vs the post-hoc analysis layer
-# ----------------------------------------------------------------------
-def test_streaming_percentiles_match_posthoc():
-    durations = [17.0, 3.0, 90.0, 3.0, 41.5, 8.0, 120.0, 55.0, 2.0, 77.0]
-    sp = StreamingPercentiles()
-    for d in durations:
-        sp.add(d)
-    ranked = sorted(durations)
-    for q in (0.0, 0.25, 0.5, 0.9, 0.99, 1.0):
-        assert sp.percentile(q) == percentile(ranked, q)
-    assert sp.max == max(durations)
-    assert sp.total == sum(durations)
-    summary = sp.summary()
-    posthoc = summarise([(0.0, d) for d in durations])
-    for field in ("count", "total", "mean", "p50", "p90", "p99", "max"):
-        assert summary[field] == getattr(posthoc, field)
-
-
-SYNTHETIC_PAUSES = [
-    (100.0, 150.0),
-    (400.0, 420.0),
-    (420.0, 500.0),  # back-to-back
-    (1000.0, 1500.0),
-    (5000.0, 5010.0),
-    (9000.0, 9900.0),
-]
-
-
-@pytest.mark.parametrize("total_time", [10_000.0, 9_900.0, 20_000.0])
-def test_incremental_mmu_matches_posthoc_on_synthetic_pauses(total_time):
-    windows = [1.0, 25.0, 100.0, 333.0, 1024.0, 5000.0, 9999.0, 50_000.0]
-    inc = IncrementalMMU(windows)
-    for start, end in SYNTHETIC_PAUSES:
-        inc.add_pause(start, end)
-    streamed = dict(inc.finalise(total_time))
-    for w in windows:
-        expected = mmu(SYNTHETIC_PAUSES, total_time, w)
-        assert streamed[w] == expected
-        assert inc.mmu_at(w, total_time) == expected
-
-
-def test_incremental_mmu_edge_cases():
-    empty = IncrementalMMU([10.0])
-    assert empty.finalise(100.0) == [(10.0, 1.0)]
-    assert empty.mmu_at(10.0, 0.0) == 1.0  # zero-length run
-
-    one = IncrementalMMU([1000.0])
-    one.add_pause(5.0, 10.0)
-    # Window longer than the run clamps to the run length.
-    assert dict(one.finalise(50.0))[1000.0] == mmu([(5.0, 10.0)], 50.0, 1000.0)
-
-    ordered = IncrementalMMU([10.0])
-    ordered.add_pause(50.0, 60.0)
-    with pytest.raises(ValueError):
-        ordered.add_pause(30.0, 40.0)
-
-
-def test_incremental_mmu_worst_windows_are_attributed():
-    inc = IncrementalMMU([100.0])
-    for start, end in SYNTHETIC_PAUSES:
-        inc.add_pause(start, end)
-    inc.finalise(10_000.0)
-    rows = inc.worst_windows(10_000.0)
-    assert len(rows) == 1
-    row = rows[0]
-    assert row["window"] == 100.0
-    # The worst 100-cycle window sits inside the 500-cycle pause: fully paused.
-    assert row["utilisation"] == 0.0
-    assert row["paused"] == 100.0
-
-
-# ----------------------------------------------------------------------
 # End-to-end: attached runs match golden stats and post-hoc analytics
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("bench_name", BENCHMARK_NAMES)
 def test_attached_run_matches_golden_and_posthoc(bench_name):
     """All six specs with the profiler attached: RunStats bit-identical to
-    the golden counters; streamed percentiles/MMU identical to the
+    the golden counters; the report's percentiles/MMU identical to the
     post-hoc values computed from the same run's pause intervals and from
-    its telemetry events (the incremental-vs-``mmu_curve_from_events``
-    point-identity)."""
+    its telemetry events (the ``mmu_curve_from_events`` point-identity),
+    and every worst window really holds the pause time it claims."""
     cell = f"{bench_name}/25.25.100"
     golden = GOLDEN["cells"][cell]
     report = run(
@@ -156,13 +82,13 @@ def test_attached_run_matches_golden_and_posthoc(bench_name):
     profile = report.profile
     assert profile is not None
 
-    # Pause percentiles: streamed == post-hoc nearest-rank on the run.
+    # Pause percentiles: the report's == post-hoc nearest-rank on the run.
     intervals = stats.pause_intervals()
     posthoc = summarise(intervals)
     for field in ("count", "total", "mean", "p50", "p90", "p99", "max"):
         assert profile.pauses[field] == getattr(posthoc, field)
 
-    # MMU: streamed curve == post-hoc curve from intervals == curve
+    # MMU: the report's curve == post-hoc curve from intervals == curve
     # recomputed from the telemetry event stream (point-identical).
     windows = [w for w, _ in profile.mmu_curve]
     assert windows == sorted(set(DEFAULT_STREAM_WINDOWS))
@@ -170,6 +96,20 @@ def test_attached_run_matches_golden_and_posthoc(bench_name):
     assert profile.mmu_curve == mmu_curve_from_events(
         report.events, stats.total_cycles, windows
     )
+
+    # Worst windows: one row per window shorter than the run with MMU
+    # below 1, each holding the pause time it claims by a direct sum.
+    assert [row["window"] for row in profile.worst_windows] == [
+        w for w, value in profile.mmu_curve
+        if w < stats.total_cycles and value < 1.0
+    ]
+    for row in profile.worst_windows:
+        t0, t1 = row["start"], row["start"] + row["window"]
+        assert 0.0 <= t0 and t1 <= stats.total_cycles
+        overlap = sum(max(0.0, min(e, t1) - max(s, t0)) for s, e in intervals)
+        assert overlap == pytest.approx(row["paused"])
+        assert row["utilisation"] == dict(profile.mmu_curve)[row["window"]]
+        assert row["utilisation"] == pytest.approx(1.0 - overlap / row["window"])
 
     # Cost attribution: the modelled decomposition sums *exactly* to the
     # charged pause, per collection (whole-number cost constants).
