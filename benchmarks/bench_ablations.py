@@ -4,7 +4,9 @@ Three mechanisms §3.3 credits for making Beltway efficient are switched
 off one at a time and measured on the jess workload:
 
 * **dynamic conservative copy reserve** (§3.3.4) → replaced by the classic
-  fixed half-heap reserve: the minimum heap grows (utilisation ablation);
+  fixed half-heap reserve: at the same heap, collections come more often
+  and GC work rises (utilisation ablation; the minimum heap itself does
+  not grow on this workload — 12.5 → 12.2 KB);
 * **collect-together optimisation** (§3.3.2) → disabled: the same heap
   sizes still work (escalation is the correctness path) but tight heaps
   do strictly more copying work;
@@ -17,7 +19,7 @@ import dataclasses
 from _util import OUTPUT_DIR, SCALE
 
 from repro.core.config import BeltwayConfig
-from repro.harness.runner import RunOptions, run
+from repro.harness.runner import RunOptions, find_min_heap, run
 
 BENCHMARK = "jess"
 
@@ -44,46 +46,13 @@ def _measure():
     rows = []
     baseline_min = None
     for config in _variants():
-        minimum = _min_heap_for(config)
+        minimum = find_min_heap(BENCHMARK, config, scale=SCALE)
         if baseline_min is None:
             baseline_min = minimum
         # measure every variant at the same heap (1.5x the baseline's min)
         stats = _run(config, int(1.5 * baseline_min))
         rows.append((config.name, minimum, stats))
     return rows, baseline_min
-
-
-def _min_heap_for(config) -> int:
-    """find_min_heap for a BeltwayConfig object (not just a name)."""
-    from repro.harness.runner import FRAME_BYTES
-    from repro.bench.spec import benchmark_spec
-
-    spec = benchmark_spec(BENCHMARK, SCALE)
-    lo = max(4 * FRAME_BYTES, spec.total_alloc_bytes // 64)
-    lo = (lo // FRAME_BYTES) * FRAME_BYTES
-
-    def completes(heap_bytes):
-        return _run(config, heap_bytes).completed
-
-    hi = lo
-    while not completes(hi):
-        hi *= 2
-        if hi > 4 * 1024 * 1024:
-            raise AssertionError("no heap size works")
-    if hi == lo:
-        while lo > 2 * FRAME_BYTES and completes(lo - FRAME_BYTES):
-            lo -= FRAME_BYTES
-        return lo
-    lo = hi // 2
-    while hi - lo > FRAME_BYTES:
-        mid = ((lo + hi) // 2 // FRAME_BYTES) * FRAME_BYTES
-        if mid in (lo, hi):
-            break
-        if completes(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _run(config, heap_bytes):

@@ -62,15 +62,6 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
         "are served from here and fresh ones checkpointed as they finish",
     )
     parser.add_argument(
-        "--no-store", action="store_true",
-        help="ignore --store and recompute every cell",
-    )
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted campaign from --store (only the "
-        "missing cells execute; requires --store)",
-    )
-    parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="cap the worker processes of parallel batches",
     )
@@ -329,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @contextlib.contextmanager
-def _campaign(parser: argparse.ArgumentParser, args):
+def _campaign(args):
     """One grid campaign (any command with the :func:`_add_grid` flags).
 
     Yields ``(store, bus)`` — the ``--store`` ResultStore and the
@@ -344,11 +335,9 @@ def _campaign(parser: argparse.ArgumentParser, args):
     from ..obs.relay import DropTally
     from . import experiments
 
-    if args.resume and not args.store:
-        parser.error("--resume requires --store (there is nothing to resume from)")
     store = bus = None
     try:
-        if args.store and not args.no_store:
+        if args.store:
             from ..grid.store import ResultStore
 
             store = ResultStore(args.store)
@@ -453,7 +442,7 @@ def _serve(parser: argparse.ArgumentParser, args) -> int:
     heap_bytes = int(args.heap_kb * KB)
     from .runner import run_many
 
-    with _campaign(parser, args) as (store, bus):
+    with _campaign(args) as (store, bus):
         # One grid batch whether the ladder has one rung or many: with
         # --trace, campaign progress and every run's (relayed) telemetry
         # land in one merged JSONL timeline; cached cells replay their
@@ -540,7 +529,7 @@ def _slo(parser: argparse.ArgumentParser, args) -> int:
         )
     if not args.search and args.rates is None:
         parser.error("frontier mode needs --rates (or use --search)")
-    with _campaign(parser, args) as (store, bus):
+    with _campaign(args) as (store, bus):
         sections: List[str] = []
         artefact = {}
 
@@ -707,6 +696,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # specs: usage errors, reported like argparse's own (exit 2).
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except OSError as error:
+        # An artefact (--trace, --store, an output file) that could not be
+        # opened or written, wherever no command said something more
+        # specific: the exit contract's 1, never a traceback.
+        print(f"error: {error}", file=sys.stderr)
+        return 1
 
 
 def _dispatch(parser: argparse.ArgumentParser, args) -> int:
@@ -848,7 +843,7 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
         return _trace(args)
     if args.command == "compare":
         return _compare(parser, args)
-    with _campaign(parser, args) as (store, bus):
+    with _campaign(args) as (store, bus):
         if args.command == "minheap":
             minimum = find_min_heap(
                 args.benchmark, args.collector, scale=args.scale, seed=args.seed,

@@ -34,8 +34,7 @@ from ..analysis.tables import render_mmu, render_series, render_table
 from ..bench.spec import BENCHMARK_NAMES, KB, benchmark_spec
 from ..runtime.vm import VM
 from ..runtime.mutator import MutatorContext
-from ..bench.engine import SyntheticMutator
-from .runner import RunOptions, find_min_heap, run, run_many
+from .runner import run_many
 
 #: The collector whose minimum heap defines each benchmark's 1.0x point,
 #: as in the paper ("minimum heap size in which an Appel-style collector
@@ -60,10 +59,7 @@ def configure_grid(store=None, parallel=None, max_workers=None, bus=None) -> Non
     settings (process-wide, like the caches; ``configure_grid()`` resets).
     With a telemetry ``bus``, every campaign batch emits ``grid.job``
     progress and relays worker run telemetry onto it."""
-    _grid["store"] = store
-    _grid["parallel"] = parallel
-    _grid["max_workers"] = max_workers
-    _grid["bus"] = bus
+    _grid.update(store=store, parallel=parallel, max_workers=max_workers, bus=bus)
 
 
 def grid_store():
@@ -91,26 +87,11 @@ class ExperimentResult:
 # ----------------------------------------------------------------------
 # Shared machinery
 # ----------------------------------------------------------------------
-def _run_stats(benchmark: str, collector, heap_bytes: int, scale: float = 1.0):
-    """One telemetry-free run; experiments only consume the stats."""
-    if isinstance(collector, str):
-        return _run_stats_many([(benchmark, collector, heap_bytes, scale, 13)])[0]
-    return run(
-        benchmark, collector, heap_bytes, options=RunOptions(scale=scale)
-    ).stats
-
-
 def _run_stats_many(jobs):
     """Batched telemetry-free runs through the grid executor: cells come
     from the configured store when present and fan out together when the
-    pool pays for itself — bit-identical to per-cell :func:`_run_stats`."""
-    return run_many(
-        jobs,
-        parallel=_grid["parallel"],
-        max_workers=_grid["max_workers"],
-        store=_grid["store"],
-        bus=_grid["bus"],
-    )
+    pool pays for itself — bit-identical to running each cell alone."""
+    return run_many(jobs, **_grid)
 
 
 def min_heap(benchmark: str, scale: float = 1.0) -> int:
@@ -130,12 +111,7 @@ def min_heaps(benchmarks: Sequence[str], scale: float = 1.0) -> Dict[str, int]:
         from ..grid.minsearch import find_min_heaps
 
         found = find_min_heaps(
-            [(b, BASELINE) for b in missing],
-            scale=scale,
-            store=_grid["store"],
-            parallel=_grid["parallel"],
-            max_workers=_grid["max_workers"],
-            bus=_grid["bus"],
+            [(b, BASELINE) for b in missing], scale=scale, **_grid
         )
         for (benchmark, _collector), minimum in found.items():
             _min_heap_cache[(benchmark, scale)] = minimum
@@ -154,10 +130,7 @@ def cached_sweep(
             heap_multipliers(points),
             scale=scale,
             seed=seed,
-            parallel=_grid["parallel"],
-            max_workers=_grid["max_workers"],
-            store=_grid["store"],
-            bus=_grid["bus"],
+            **_grid,
         )
     return _sweep_cache[key]
 
@@ -236,10 +209,6 @@ def _geomean_panels(
     )
     data = {"multipliers": multipliers, "gc": gc_series, "total": total_series}
     return multipliers, gc_series, total_series, text, data
-
-
-def _value_at(series: List[Optional[float]], index: int) -> Optional[float]:
-    return series[index] if 0 <= index < len(series) else None
 
 
 def _mean_over(series: List[Optional[float]], indices: Sequence[int]) -> Optional[float]:
@@ -927,10 +896,7 @@ def slo(scale: float = 1.0) -> ExperimentResult:
             rates,
             scale=scale,
             seed=13,
-            store=_grid["store"],
-            parallel=_grid["parallel"],
-            max_workers=_grid["max_workers"],
-            bus=_grid["bus"],
+            **_grid,
         )
         for collector in collectors
     ]

@@ -2,8 +2,8 @@
 
 Satellite coverage: ``sweep``/``sweep_grid`` share the auto-parallel
 default (the old ``False``-vs-``True`` split is gone), the experiment
-layer routes through a configured store, and the ``beltway-bench`` grid
-flags (``--store``/``--no-store``/``--resume``) behave end to end.
+layer routes through a configured store, and the ``beltway-bench``
+``--store`` flag behaves end to end.
 """
 
 import inspect
@@ -124,30 +124,12 @@ def test_cli_minheap_store_cold_then_warm(tmp_path, capsys):
     assert "min heap" in cold and "grid: 0 cached" in cold
     assert (root / "index.json").exists()
 
-    assert main(argv + ["--resume"]) == 0
+    assert main(argv) == 0
     warm = capsys.readouterr().out
-    assert ", 0 executed" in warm  # resume re-ran nothing
+    assert ", 0 executed" in warm  # the same --store again re-ran nothing
 
     index = json.loads((root / "index.json").read_text())
     assert index["cells"]  # the campaign is on disk
-
-
-def test_cli_no_store_skips_the_store(tmp_path, capsys):
-    root = tmp_path / "store"
-    assert main([
-        "minheap", "--benchmark", "jess", "--scale", str(SCALE),
-        "--store", str(root), "--no-store",
-    ]) == 0
-    out = capsys.readouterr().out
-    assert "grid:" not in out
-    assert not (root / "index.json").exists()
-
-
-def test_cli_resume_requires_store(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["experiment", "figure4", "--resume"])
-    assert excinfo.value.code == 2
-    assert "--resume requires --store" in capsys.readouterr().err
 
 
 def test_cli_experiment_with_store(tmp_path, capsys):

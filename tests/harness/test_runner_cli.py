@@ -193,6 +193,21 @@ def test_cli_degraded_tier_is_announced_on_stderr_only(capsys, monkeypatch):
     assert seen["python"].out == seen["numpy"].out == seen["cffi"].out != ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--benchmark", "jess", "--heap-kb", "25", "--trace", "{}/x.jsonl"],
+    ["minheap", "--benchmark", "jess", "--trace", "{}/x.jsonl"],
+    ["minheap", "--benchmark", "jess", "--store", "{}/store"],
+])
+def test_cli_unopenable_artefact_is_an_error_line(argv, tmp_path, capsys):
+    """Exit 1, "an output artefact that could not be written", also holds
+    for the flags no command wraps itself — never a traceback."""
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")  # nothing *under* a regular file can be opened
+    assert main([arg.format(blocker) for arg in argv] + ["--scale", "0.1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_rejects_unknown_experiment():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["experiment", "figure99"])

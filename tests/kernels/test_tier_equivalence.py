@@ -24,6 +24,7 @@ import pytest
 from repro import VM, MutatorContext
 from repro.errors import ConfigError
 from repro.harness.runner import RunOptions, run
+from repro.heap.cheney import CheneyEngine
 from repro.kernels import TIER_ORDER, available, resolve
 from repro.sanitizer import FaultSpec, SanitizerViolation, arm_faults, attach_sanitizer
 
@@ -104,6 +105,22 @@ def test_requested_tier_is_what_runs():
     for tier in TIERS:
         if available()[tier].startswith("ok"):
             assert resolve(tier).name == tier
+
+
+@pytest.mark.parametrize("tier", TIERS)
+@pytest.mark.parametrize("collector", (
+    "25.25.100", "BOF.25", "gctk:Appel", "gctk:SS", "gctk:Fixed.25", "25.25.MOS",
+))
+def test_plan_traces_with_its_tiers_engine(collector, tier):
+    """Identity, not speed: bit-identical engines keep every golden green
+    whichever runs.  MOS (``kernel_traceable = False``) is Python on both."""
+    _require(tier)
+    plan = VM(heap_bytes=64 * 1024, collector=collector, tier=tier).plan
+    engine = getattr(plan, "collector", plan)._open_engine.func
+    if tier == "cffi" and collector != "25.25.MOS":
+        assert engine is plan.kernels.cik.TraceState
+    else:
+        assert engine is CheneyEngine
 
 
 def test_unavailable_backend_degrades_not_raises(monkeypatch):

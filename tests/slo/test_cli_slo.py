@@ -24,8 +24,7 @@ def mini_file(tmp_path, rate=700):
 
 def test_slo_frontier_prints_table_and_grep_lines(tmp_path, capsys):
     spec = mini_file(tmp_path)
-    code = main(["slo", spec, "--heap-kb", "96", "--no-store",
-                 "--rates", "400,800"])
+    code = main(["slo", spec, "--heap-kb", "96", "--rates", "400,800"])
     assert code == 0
     out = capsys.readouterr().out
     assert "rate(rps)" in out  # the frontier table header
@@ -36,7 +35,7 @@ def test_slo_frontier_prints_table_and_grep_lines(tmp_path, capsys):
 
 def test_slo_frontier_multi_collector_comparison_and_knee(tmp_path, capsys):
     spec = mini_file(tmp_path)
-    code = main(["slo", spec, "--heap-kb", "96", "--no-store",
+    code = main(["slo", spec, "--heap-kb", "96",
                  "--rates", "400,800",
                  "--collector", "25.25.100", "--collector", "gctk:Appel",
                  "--slo-p99-ms", "1000"])
@@ -53,7 +52,7 @@ def test_slo_frontier_multi_collector_comparison_and_knee(tmp_path, capsys):
 
 def test_slo_frontier_no_distill_drops_overheads(tmp_path, capsys):
     spec = mini_file(tmp_path)
-    code = main(["slo", spec, "--heap-kb", "96", "--no-store",
+    code = main(["slo", spec, "--heap-kb", "96",
                  "--rates", "400", "--no-distill"])
     assert code == 0
     out = capsys.readouterr().out
@@ -64,7 +63,7 @@ def test_slo_frontier_json_and_output_artefacts(tmp_path, capsys):
     spec = mini_file(tmp_path)
     report = tmp_path / "report.txt"
     artefact = tmp_path / "slo.json"
-    code = main(["slo", spec, "--heap-kb", "96", "--no-store",
+    code = main(["slo", spec, "--heap-kb", "96",
                  "--rates", "400,800",
                  "--output", str(report), "--json", str(artefact)])
     assert code == 0
@@ -83,7 +82,7 @@ def test_slo_frontier_json_and_output_artefacts(tmp_path, capsys):
 def test_slo_search_finds_a_rate_and_writes_json(tmp_path, capsys):
     spec = mini_file(tmp_path)
     artefact = tmp_path / "search.json"
-    code = main(["slo", spec, "--heap-kb", "96", "--no-store", "--search",
+    code = main(["slo", spec, "--heap-kb", "96", "--search",
                  "--slo-p99-ms", "1000", "--rate-step", "200",
                  "--max-rate", "3200", "--json", str(artefact)])
     assert code == 0
@@ -100,7 +99,7 @@ def test_slo_search_finds_a_rate_and_writes_json(tmp_path, capsys):
 
 def test_slo_search_is_deterministic(tmp_path, capsys):
     spec = mini_file(tmp_path)
-    args = ["slo", spec, "--heap-kb", "96", "--no-store", "--search",
+    args = ["slo", spec, "--heap-kb", "96", "--search",
             "--slo-p99-ms", "1000", "--rate-step", "200",
             "--max-rate", "1600"]
     assert main(args) == 0
@@ -129,11 +128,10 @@ def test_slo_usage_errors(tmp_path):
     spec = mini_file(tmp_path)
     # Neither --rates nor --search.
     with pytest.raises(SystemExit):
-        main(["slo", spec, "--heap-kb", "96", "--no-store"])
+        main(["slo", spec, "--heap-kb", "96"])
     # --search without any SLO bound.
     with pytest.raises(SystemExit):
-        main(["slo", spec, "--heap-kb", "96", "--no-store", "--search"])
+        main(["slo", spec, "--heap-kb", "96", "--search"])
     # Closed-loop benchmark names are not servable.
     with pytest.raises(SystemExit):
-        main(["slo", "jess", "--heap-kb", "96", "--no-store",
-              "--rates", "400"])
+        main(["slo", "jess", "--heap-kb", "96", "--rates", "400"])

@@ -36,8 +36,7 @@ def test_serve_validate_examples(capsys):
 
 def test_serve_runs_and_prints_latency_line(tmp_path, capsys):
     spec = mini_file(tmp_path)
-    code = main(["serve", spec, "--collector", "25.25.100",
-                 "--heap-kb", "96", "--no-store"])
+    code = main(["serve", spec, "--collector", "25.25.100", "--heap-kb", "96"])
     assert code == 0
     out = capsys.readouterr().out
     assert "latency-cycles mini/25.25.100:" in out
@@ -46,8 +45,7 @@ def test_serve_runs_and_prints_latency_line(tmp_path, capsys):
 
 def test_serve_is_bit_identical_across_invocations(tmp_path, capsys):
     spec = mini_file(tmp_path)
-    args = ["serve", spec, "--collector", "25.25.100",
-            "--heap-kb", "96", "--no-store"]
+    args = ["serve", spec, "--collector", "25.25.100", "--heap-kb", "96"]
     assert main(args) == 0
     first = capsys.readouterr().out
     assert main(args) == 0
@@ -59,8 +57,7 @@ def test_serve_is_bit_identical_across_invocations(tmp_path, capsys):
 
 def test_serve_rate_override_changes_offered_load(tmp_path, capsys):
     spec = mini_file(tmp_path)
-    base = ["serve", spec, "--collector", "25.25.100",
-            "--heap-kb", "96", "--no-store"]
+    base = ["serve", spec, "--collector", "25.25.100", "--heap-kb", "96"]
     assert main(base) == 0
     slow = capsys.readouterr().out
     assert main(base + ["--rate", "2000"]) == 0
@@ -109,7 +106,7 @@ def test_serve_through_grid_store(tmp_path, capsys):
 def test_serve_rate_ladder_prints_one_line_per_rate(tmp_path, capsys):
     spec = mini_file(tmp_path)
     code = main(["serve", spec, "--collector", "25.25.100",
-                 "--heap-kb", "96", "--no-store", "--rate", "400,800"])
+                 "--heap-kb", "96", "--rate", "400,800"])
     assert code == 0
     out = capsys.readouterr().out
     assert "latency-cycles mini/25.25.100@400rps:" in out
@@ -119,7 +116,7 @@ def test_serve_rate_ladder_prints_one_line_per_rate(tmp_path, capsys):
 def test_serve_single_rate_keeps_unsuffixed_format(tmp_path, capsys):
     spec = mini_file(tmp_path)
     code = main(["serve", spec, "--collector", "25.25.100",
-                 "--heap-kb", "96", "--no-store", "--rate", "2000"])
+                 "--heap-kb", "96", "--rate", "2000"])
     assert code == 0
     out = capsys.readouterr().out
     assert "latency-cycles mini/25.25.100:" in out
@@ -136,7 +133,7 @@ def test_serve_rate_ladder_traces_one_merged_timeline(tmp_path, capsys):
 
     spec = mini_file(tmp_path)
     trace = tmp_path / "t.jsonl"
-    code = main(["serve", spec, "--heap-kb", "96", "--no-store",
+    code = main(["serve", spec, "--heap-kb", "96",
                  "--rate", "400,800", "--trace", str(trace)])
     assert code == 0
     out = capsys.readouterr().out
@@ -152,8 +149,7 @@ def test_serve_rate_ladder_rejects_garbage(tmp_path):
     spec = mini_file(tmp_path)
     for bad in ("0", "400,-8", "nope", ","):
         with pytest.raises(SystemExit):
-            main(["serve", spec, "--heap-kb", "96", "--no-store",
-                  "--rate", bad])
+            main(["serve", spec, "--heap-kb", "96", "--rate", bad])
 
 
 def test_run_subcommand_accepts_workload_file(tmp_path, capsys):
