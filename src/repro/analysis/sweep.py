@@ -4,13 +4,13 @@ The paper ran each program "on 33 heap sizes, ranging from the smallest
 one in which the program completes up to 3 times that size" (§4.1), with
 a log-scaled x-axis.  :func:`heap_multipliers` reproduces that grid (the
 point count is configurable so the quick benchmark targets can use a
-coarser grid), :func:`sweep` executes one collector across it, and
-:func:`sweep_grid` fans a whole (benchmark, collector, multiplier) grid
-out over worker processes.
+coarser grid), :func:`sweep_grid` runs a whole (benchmark, collector,
+multiplier) grid as one :func:`repro.grid.executor.execute_jobs` batch,
+and :func:`sweep` is its one-pair case.
 
-Every cell of a sweep is an independent fixed-seed simulation, so the
-parallel paths (``parallel=True``) return ``RunStats`` bit-identical to
-the serial loop — the experiment layer can use either interchangeably.
+Every cell of a sweep is an independent fixed-seed simulation, so however
+the executor runs the batch — pool, in-process, or straight from a store
+— the ``RunStats`` are bit-identical to the serial loop.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..runtime.vm import EXPERIMENT_FRAME_SHIFT
+from ..grid.executor import execute_jobs
+from ..grid.monotone import round_to_step
+from ..runtime.vm import FRAME_BYTES
 from ..sim.stats import RunStats
-
-FRAME_BYTES = 1 << EXPERIMENT_FRAME_SHIFT
 
 #: The paper's grid size.
 PAPER_POINTS = 33
@@ -46,11 +46,13 @@ class SweepResult:
     min_heap_bytes: int
     multipliers: List[float]
     runs: List[RunStats] = field(default_factory=list)
-    #: How the grid actually executed: ``"parallel"`` (process pool) or
-    #: ``"serial"`` — which may differ from the ``parallel=`` argument
-    #: when the auto-fallback vetoes a pool (one effective CPU, one job;
-    #: see :func:`repro.harness.runner.should_parallelise`).
-    execution_mode: str = "serial"
+    #: How the batch this sweep was part of executed, copied from
+    #: :attr:`repro.grid.executor.GridReport.execution_mode`:
+    #: ``"parallel"`` (process pool), ``"serial"`` — which may differ
+    #: from the ``parallel=`` argument when the executor vetoes a pool
+    #: (one effective CPU, one missing cell) — or ``"none"`` when the
+    #: store served every cell.
+    execution_mode: str = "none"
 
     @property
     def heap_sizes(self) -> List[int]:
@@ -73,15 +75,6 @@ class SweepResult:
     def gc_time_series(self) -> List[Optional[float]]:
         return self.series("gc_cycles")
 
-    def gc_fraction_series(self) -> List[Optional[float]]:
-        return self.series("gc_fraction")
-
-
-def _heap_at(min_heap_bytes: int, multiplier: float) -> int:
-    """Heap size for one grid point, rounded to frame granularity."""
-    heap = int(min_heap_bytes * multiplier)
-    return max(2 * FRAME_BYTES, (heap // FRAME_BYTES) * FRAME_BYTES)
-
 
 def sweep(
     benchmark: str,
@@ -95,45 +88,18 @@ def sweep(
     store=None,
     bus=None,
 ) -> SweepResult:
-    """Run ``collector`` on ``benchmark`` at every heap size in the grid.
+    """Run ``collector`` on ``benchmark`` at every heap size in the grid:
+    :func:`sweep_grid` for one (benchmark, collector) pair.
 
     Heap sizes are rounded to frame granularity; the minimum is the
     *benchmark's* minimum (under the baseline collector), so collectors
     with smaller minima simply succeed below 1.0× and collectors with
     larger minima leave gaps — exactly how the paper's figures read.
-
-    ``parallel`` defaults to the auto-decision
-    (:func:`repro.harness.runner.should_parallelise`, the same default as
-    :func:`sweep_grid`): the grid fans out over worker processes when a
-    pool can pay for itself, and runs in-process on a single effective
-    CPU or when ``parallel=False`` rules the pool out explicitly.
-    Results are bit-identical either way;
-    ``SweepResult.execution_mode`` records which path actually ran.
-    With a :class:`~repro.grid.store.ResultStore` as ``store``,
-    previously computed cells are served from disk and fresh ones are
-    checkpointed as they finish.
     """
-    # Local imports: avoids an import cycle with the harness.
-    from ..harness.runner import run_many, should_parallelise
-
-    result = SweepResult(
-        benchmark=benchmark,
-        collector=collector,
-        min_heap_bytes=min_heap_bytes,
-        multipliers=list(multipliers),
-    )
-    jobs = [
-        (benchmark, collector, _heap_at(min_heap_bytes, m), scale, seed)
-        for m in result.multipliers
-    ]
-    use_pool = should_parallelise(
-        len(jobs), parallel is not False, max_workers
-    )
-    result.execution_mode = "parallel" if use_pool else "serial"
-    result.runs.extend(
-        run_many(jobs, parallel=use_pool, max_workers=max_workers, store=store, bus=bus)
-    )
-    return result
+    return sweep_grid(
+        [benchmark], [collector], {benchmark: min_heap_bytes}, multipliers,
+        scale, seed, parallel, max_workers, store, bus,
+    )[(benchmark, collector)]
 
 
 def sweep_grid(
@@ -152,38 +118,37 @@ def sweep_grid(
 
     This is the experiment layer's unit of parallelism: the whole grid is
     flattened into independent jobs and handed to
-    :func:`repro.harness.runner.run_many` in one batch, so worker
+    :func:`repro.grid.executor.execute_jobs` in one batch, so worker
     processes stay busy across benchmark boundaries instead of draining
-    per-sweep.  ``parallel`` defaults to the same auto-decision as
-    :func:`sweep`; ``store`` short-circuits previously computed cells.
-    Returns one :class:`SweepResult` per (benchmark, collector) pair,
-    each bit-identical to what serial :func:`sweep` calls would produce
-    for the same seed.
+    per-sweep.  The executor alone decides how the batch runs
+    (``parallel=False`` rules a pool out; ``None`` / ``True`` let it use
+    one when it can pay for itself) and every
+    ``SweepResult.execution_mode`` records what it reported.  With a
+    :class:`~repro.grid.store.ResultStore` as ``store``, previously
+    computed cells are served from disk and fresh ones are checkpointed
+    as they finish.  Returns one :class:`SweepResult` per (benchmark,
+    collector) pair.
     """
-    # Local imports: avoids an import cycle with the harness.
-    from ..harness.runner import run_many, should_parallelise
-
     multipliers = list(multipliers)
     pairs = [(b, c) for b in benchmarks for c in collectors]
-    jobs = [
-        (b, c, _heap_at(min_heap_bytes[b], m), scale, seed)
-        for (b, c) in pairs
-        for m in multipliers
-    ]
-    use_pool = should_parallelise(
-        len(jobs), parallel is not False, max_workers
+    # Heap sizes sit on the frame lattice, never below the two-frame floor.
+    heaps = {
+        b: [round_to_step(min_heap_bytes[b] * m, FRAME_BYTES, 2 * FRAME_BYTES)
+            for m in multipliers]
+        for b in benchmarks
+    }
+    report = execute_jobs(
+        [(b, c, heap, scale, seed) for (b, c) in pairs for heap in heaps[b]],
+        store=store, parallel=parallel, max_workers=max_workers, bus=bus,
     )
-    mode = "parallel" if use_pool else "serial"
-    runs = run_many(jobs, parallel=use_pool, max_workers=max_workers, store=store, bus=bus)
     out: Dict[Tuple[str, str], SweepResult] = {}
     for i, (b, c) in enumerate(pairs):
-        result = SweepResult(
+        out[(b, c)] = SweepResult(
             benchmark=b,
             collector=c,
             min_heap_bytes=min_heap_bytes[b],
             multipliers=list(multipliers),
-            execution_mode=mode,
+            runs=report.results[i * len(multipliers) : (i + 1) * len(multipliers)],
+            execution_mode=report.execution_mode,
         )
-        result.runs.extend(runs[i * len(multipliers) : (i + 1) * len(multipliers)])
-        out[(b, c)] = result
     return out

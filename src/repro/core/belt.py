@@ -9,6 +9,7 @@ collected independently of each other (§2.2).
 from __future__ import annotations
 
 from collections import deque
+from itertools import count
 from typing import Deque, Iterator, List, Optional, Set
 
 from ..errors import HeapCorruption
@@ -20,11 +21,8 @@ from .config import BeltSpec
 class Increment:
     """An independently collectible unit: whole frames, bump allocated."""
 
-    _next_id = 0
-
     def __init__(self, belt: "Belt", max_frames: Optional[int]):
-        self.id = Increment._next_id
-        Increment._next_id += 1
+        self.id = next(belt.ids)
         self.belt = belt
         self.max_frames = max_frames  # None = growable
         self.region = BumpRegion(belt.space)
@@ -77,8 +75,19 @@ class Increment:
 class Belt:
     """A FIFO queue of increments."""
 
-    def __init__(self, index: int, spec: BeltSpec, space: AddressSpace, heap_frames: int):
+    def __init__(
+        self,
+        index: int,
+        spec: BeltSpec,
+        space: AddressSpace,
+        heap_frames: int,
+        ids: Optional[Iterator[int]] = None,
+    ):
         self.index = index
+        #: Where increments on this belt draw their ids.  The heap hands
+        #: all its belts one counter, so ids are unique heap-wide and
+        #: restart with every VM — never a function of process history.
+        self.ids = count() if ids is None else ids
         self.spec = spec
         self.space = space
         #: Max frames per increment on this belt (None = growable).

@@ -24,6 +24,7 @@ Allocation policy (the paper's behaviours, expressed as one loop):
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Callable, List, Optional
 
 from ..errors import HeapCorruption, OutOfMemory
@@ -75,8 +76,9 @@ class BeltwayHeap:
         self.read_ref_field, _, _ = model.compile_field_ops()
         self.triggers = Triggers(config)
         self.collector = Collector(self)
+        increment_ids = count()
         self.belts: List[Belt] = [
-            Belt(i, spec, space, space.heap_frames)
+            Belt(i, spec, space, space.heap_frames, increment_ids)
             for i, spec in enumerate(config.belts)
         ]
         #: BOF role tracking: which physical belt is the allocation belt A.

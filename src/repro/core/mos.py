@@ -32,6 +32,7 @@ completeness mechanism that replaces X.X.100's full top-belt collection.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import TYPE_CHECKING, List, Optional, Set
 
 from ..errors import HeapCorruption, OutOfMemory
@@ -58,11 +59,8 @@ MATURE_PERIOD = 2
 class Train:
     """A FIFO sequence of cars (increments) collected front-first."""
 
-    _next_id = 0
-
-    def __init__(self) -> None:
-        self.id = Train._next_id
-        Train._next_id += 1
+    def __init__(self, train_id: int) -> None:
+        self.id = train_id
         self.cars: List[Increment] = []
 
     @property
@@ -89,6 +87,7 @@ class MOSPolicy(GenerationalPolicy):
     def __init__(self, config: BeltwayConfig):
         super().__init__(config)
         self.trains: List[Train] = []
+        self._train_ids = count()  # per policy, so per heap
         self.trains_reclaimed = 0
         self._reclaim_counter = 0
         self._belt1_collections = 0
@@ -139,7 +138,7 @@ class MOSPolicy(GenerationalPolicy):
             youngest = usable[-1]
             if len(youngest.cars) < MAX_EXTERNAL_CARS:
                 return youngest
-        train = Train()
+        train = Train(next(self._train_ids))
         self.trains.append(train)
         return train
 

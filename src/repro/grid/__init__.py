@@ -26,8 +26,9 @@ package spends:
 
 * :mod:`repro.grid.monotone` — the doubling/bisection search over a
   monotone predicate as a resumable state machine
-  (:class:`MonotoneSearch`), shared by the minimum-heap search and the
-  SLO max-sustainable-rate search.
+  (:class:`MonotoneSearch`) and its one lockstep driver
+  (``drive_searches``), shared by the minimum-heap search and the SLO
+  max-sustainable-rate search.
 
 * :mod:`repro.grid.minsearch` — the minimum-heap instantiation, so the
   six benchmarks' searches fan their probes out together instead of

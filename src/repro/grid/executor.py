@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -59,11 +58,13 @@ from ..obs.relay import (
     replay_events,
 )
 from ..sim.stats import RunStats
+from ..specs import SpecRef, load as load_spec
 from .store import ResultStore, cell_key
 
-#: One grid cell: (benchmark, collector, heap_bytes, scale, seed) — the
-#: same shape as :data:`repro.harness.runner.RunJob`.
-Job = Tuple[str, str, int, float, int]
+#: One grid cell: (benchmark ref, collector, heap_bytes, scale, seed).
+#: The first element is any spec ref ``repro.specs.load`` resolves —
+#: a registry name, a workload-file path, or a spec object.
+Job = Tuple[SpecRef, str, int, float, int]
 
 
 @dataclass
@@ -98,41 +99,66 @@ class GridReport:
     #: Worker telemetry events lost to forwarding-buffer overflow
     #: (counted per cell, summed here; the CLI summary reports them).
     forwarded_dropped: int = 0
-    wall_s: float = 0.0
 
 
-def _default_runner(job: Job) -> RunStats:
-    from ..harness.runner import _run_job
+def effective_workers(max_workers: Optional[int] = None) -> int:
+    """Worker processes a parallel batch would actually get.
 
-    return _run_job(job)
+    Prefers ``os.process_cpu_count`` (3.13+: honours affinity masks and
+    cgroup quotas, i.e. what containerised CI actually grants) and falls
+    back to ``os.cpu_count`` on older interpreters.
+    """
+    cpus = getattr(os, "process_cpu_count", os.cpu_count)() or 1
+    if max_workers is not None:
+        cpus = min(cpus, max_workers)
+    return max(1, cpus)
 
 
-def _run_job_forwarded(job: Job, capacity: Optional[int]) -> ForwardedCell:
-    """Execute one cell with a bounded forwarding sink on its private bus.
+def should_parallelise(num_jobs: int, max_workers: Optional[int] = None) -> bool:
+    """Whether a batch of ``num_jobs`` independent cells should fan out.
 
-    Module-level (and dispatched via :func:`functools.partial`) so the
-    pool can pickle it.  The returned :class:`ForwardedCell` carries the
-    stats plus the retained telemetry prefix and the overflow count; the
-    coordinator replays the events onto its own bus.
+    Serial when there is at most one job or when only one CPU is
+    effectively available (and when the caller opted out, which
+    :func:`execute_jobs` checks first): a process pool on one
+    core pays fork + pickle + re-import per worker and can repay none of
+    it, so "parallel" sweeps on single-CPU runners measured *slower* than
+    the serial loop.  Results are bit-identical either way, so the
+    fallback is purely a scheduling decision, asked once per batch — of
+    the cells the store did not serve — and recorded in
+    ``GridReport.execution_mode``.
+    """
+    return num_jobs > 1 and effective_workers(max_workers) > 1
+
+
+def _run_cell(job: Job, forward: bool = False, capacity: Optional[int] = None):
+    """Execute one grid cell: its ``RunStats``, or with ``forward`` a
+    :class:`ForwardedCell` carrying the stats plus the telemetry prefix a
+    bounded forwarding sink retained and its overflow count, for the
+    coordinator to replay onto its own bus.
+
+    Module-level (dispatched via :func:`functools.partial`) so the pool
+    can pickle it; the one place below the harness that imports it.
     """
     from ..harness.runner import RunOptions, run
 
     benchmark, collector, heap_bytes, scale, seed = job
-    sink = ForwardingSink(capacity)
-    options = RunOptions(scale=scale, seed=seed, sinks=(sink,))
+    sinks = (ForwardingSink(capacity),) if forward else ()
+    options = RunOptions(scale=scale, seed=seed, sinks=sinks)
     stats = run(benchmark, collector, heap_bytes, options=options).stats
+    if not forward:
+        return stats
     return ForwardedCell(
         result=stats,
-        events=sink.events,
-        dropped=sink.dropped,
+        events=sinks[0].events,
+        dropped=sinks[0].dropped,
         worker=os.getpid(),
     )
 
 
-def _guarded(runner: Optional[Callable[[Job], RunStats]], job: Job):
+def _guarded(runner: Callable[[Job], RunStats], job: Job):
     """Worker-side wrapper: exceptions become values, not pool poison."""
     try:
-        return "ok", (runner or _default_runner)(job)
+        return "ok", runner(job)
     except BaseException as error:  # noqa: BLE001 - isolate the cell
         return "error", f"{type(error).__name__}: {error}"
 
@@ -142,25 +168,10 @@ def _cost_estimate(job: Job) -> float:
     collections scale with total allocation over heap size."""
     benchmark, _collector, heap_bytes, scale, _seed = job
     try:
-        from ..specs import load as load_spec
-
         alloc = load_spec(benchmark, scale).total_alloc_bytes
     except Exception:  # unknown spec: schedule it like a mid-size cell
         alloc = 64 * 1024
     return alloc / max(1, heap_bytes)
-
-
-def _failed_stats(job: Job, error: str) -> RunStats:
-    benchmark, collector, heap_bytes, _scale, _seed = job
-    if not isinstance(benchmark, str):
-        benchmark = getattr(benchmark, "name", str(benchmark))
-    return RunStats(
-        benchmark=benchmark,
-        collector=str(collector),
-        heap_bytes=heap_bytes,
-        completed=False,
-        failure=f"grid: {error}",
-    )
 
 
 def _job_identity(job: Job) -> Dict[str, object]:
@@ -176,79 +187,82 @@ def _job_identity(job: Job) -> Dict[str, object]:
     }
 
 
-class _Emitter:
-    """``grid.job`` / ``run.replay`` events on an optional telemetry bus;
-    time is the dispatch sequence number (grid events are host-side
-    orchestration, not simulated-clock phenomena).
+def _failed_stats(job: Job, error: str) -> RunStats:
+    identity = _job_identity(job)
+    return RunStats(
+        benchmark=identity["benchmark"],
+        collector=identity["collector"],
+        heap_bytes=identity["heap_bytes"],
+        completed=False,
+        failure=f"grid: {error}",
+    )
 
-    Tracks campaign totals so every ``grid.job`` event carries the
-    cached/executed/failed counts *including itself* — live progress is
-    computable from the bus alone, no report object needed.
+
+class _Emitter:
+    """``grid.job`` / ``run.replay`` events for one batch on an optional
+    telemetry bus; time is the dispatch sequence number (grid events are
+    host-side orchestration, not simulated-clock phenomena).
+
+    Every ``grid.job`` event carries the report's cached/executed/failed
+    totals as they stand once the cell it announces is booked — live
+    progress is computable from the bus alone, no report object needed.
     """
 
-    def __init__(self, bus):
+    def __init__(self, bus, report: GridReport, jobs, keys):
         self.bus = bus
+        self.report = report
+        self.jobs = jobs
+        self.keys = keys
         self.seq = 0
-        self.cached = 0
-        self.executed = 0
-        self.failed = 0
+
+    def _emit(self, kind: str, i: int, data: Dict[str, object]) -> None:
+        self.seq += 1
+        identity = _job_identity(self.jobs[i])
+        identity["key"] = self.keys[i] or ""
+        self.bus.emit(kind, float(self.seq), {**identity, **data})
 
     def emit(
         self,
-        job: Job,
-        key: str,
+        i: int,
         status: str,
         attempt: int = 0,
-        *,
-        index: int,
         worker: int = 0,
         extra: Optional[Dict[str, object]] = None,
     ) -> None:
-        self.seq += 1
-        if status == "cached":
-            self.cached += 1
-        elif status == "done":
-            self.executed += 1
-        elif status == "failed":
-            self.failed += 1
         if self.bus is None:
             return
-        data = _job_identity(job)
-        data.update(
+        self._emit(
+            "grid.job",
+            i,
             {
-                "key": key,
                 "status": status,
                 "attempt": attempt,
-                "job": index,
+                "job": i,
                 "worker": worker,
-                "cached": self.cached,
-                "executed": self.executed,
-                "failed": self.failed,
-            }
+                "cached": self.report.cached,
+                "executed": len(self.report.executed),
+                "failed": len(self.report.failures),
+                **(extra or {}),
+            },
         )
-        if extra:
-            data.update(extra)
-        self.bus.emit("grid.job", float(self.seq), data)
 
-    def replay(self, job: Job, key: str, index: int, stats: RunStats) -> None:
+    def replay(self, i: int, stats: RunStats) -> None:
         """One ``run.replay`` event for a store-served cell: everything
         the span layer needs to synthesize the cell's timeline."""
-        self.seq += 1
         if self.bus is None:
             return
-        data = _job_identity(job)
-        data.update(
+        self._emit(
+            "run.replay",
+            i,
             {
-                "key": key,
-                "job": index,
+                "job": i,
                 "completed": stats.completed,
                 "total_cycles": float(stats.total_cycles),
                 "gc_cycles": float(stats.gc_cycles),
                 "collections": stats.collections,
                 "pauses": [[p.start, p.end, p.reason] for p in stats.pauses],
-            }
+            },
         )
-        self.bus.emit("run.replay", float(self.seq), data)
 
 
 def execute_jobs(
@@ -261,72 +275,60 @@ def execute_jobs(
     bus=None,
     cell_runner: Optional[Callable[[Job], RunStats]] = None,
     force_pool: bool = False,
-    forward_telemetry: Optional[bool] = None,
     forward_capacity: Optional[int] = DEFAULT_FORWARD_CAPACITY,
 ) -> GridReport:
     """Run a batch of grid cells through the store and the executor.
 
     ``parallel=None`` (the default) and ``True`` both defer to
-    :func:`repro.harness.runner.should_parallelise` — a pool is used only
-    when it can pay for itself; ``False`` forces the in-process loop.
-    ``cell_runner`` replaces the real run for tests (must be a picklable
-    module-level callable when a pool is involved).  ``force_pool``
-    bypasses the single-CPU veto so the pool path stays testable on
-    one-core runners; real callers never need it.
+    :func:`should_parallelise` — a pool is used only when it can pay for
+    itself; ``False`` forces the in-process loop.  ``cell_runner``
+    replaces the real run for tests (must be a picklable module-level
+    callable when a pool is involved).  ``force_pool`` bypasses the
+    single-CPU veto so the pool path stays testable on one-core runners;
+    real callers never need it.
 
-    ``forward_telemetry=None`` forwards worker telemetry exactly when it
-    can land somewhere: a ``bus`` is attached and the cell runner is the
-    real run (a custom ``cell_runner`` may opt in by returning
+    Worker telemetry is forwarded exactly when it can land somewhere: a
+    ``bus`` is attached and the cell runner is the real run (a custom
+    ``cell_runner`` may opt in by returning
     :class:`~repro.obs.relay.ForwardedCell` values itself — the unwrap
     below handles either).  ``forward_capacity`` bounds the per-cell
     buffer (``None`` = unbounded; see :mod:`repro.obs.relay`).
     """
-    from ..harness.runner import effective_workers, should_parallelise
-
-    t0 = time.perf_counter()
     jobs = [tuple(job) for job in jobs]
     report = GridReport(results=[None] * len(jobs))
-    emitter = _Emitter(bus)
-
-    forward = (
-        forward_telemetry
-        if forward_telemetry is not None
-        else (bus is not None and cell_runner is None)
+    runner = cell_runner or functools.partial(
+        _run_cell, forward=bus is not None, capacity=forward_capacity
     )
-    runner = cell_runner
-    if forward and cell_runner is None:
-        runner = functools.partial(_run_job_forwarded, capacity=forward_capacity)
 
     keys: List[Optional[str]] = []
     for job in jobs:
-        benchmark, collector, heap_bytes, scale, seed = job
         # Non-string collector specs and unfingerprintable workload refs
         # (hand-built WorkloadSpec objects, unreadable files) have no
         # canonical identity; they execute uncached rather than risking
         # key aliasing.
         key = None
-        if isinstance(collector, str):
+        if isinstance(job[1], str):
             try:
-                key = cell_key(benchmark, collector, heap_bytes, scale, seed)
+                key = cell_key(*job)
             except ReproError:
-                key = None
+                pass
         keys.append(key)
+    emitter = _Emitter(bus, report, jobs, keys)
 
     missing: List[int] = []
-    for i, (job, key) in enumerate(zip(jobs, keys)):
+    for i, key in enumerate(keys):
         cached = store.get(key) if (store is not None and key is not None) else None
         if cached is not None:
             report.results[i] = cached
             report.cached += 1
-            emitter.emit(job, key, "cached", index=i)
+            emitter.emit(i, "cached")
             # Warm replays still need a timeline: the stored stats carry
             # no event stream, so ship the pause list in one event.
-            emitter.replay(job, key, i, cached)
+            emitter.replay(i, cached)
         else:
             missing.append(i)
 
     if not missing:
-        report.wall_s = time.perf_counter() - t0
         return report
 
     # Longest-first dispatch order (ties broken by input order so the
@@ -334,12 +336,29 @@ def execute_jobs(
     missing.sort(key=lambda i: (-_cost_estimate(jobs[i]), i))
 
     use_pool = force_pool or (
-        parallel is not False
-        and should_parallelise(len(missing), True, max_workers)
+        parallel is not False and should_parallelise(len(missing), max_workers)
     )
     report.execution_mode = "parallel" if use_pool else "serial"
+    attempts: Dict[int, int] = {}
 
-    def finish(i: int, value) -> None:
+    def settle(i: int, status: str, value) -> bool:
+        """Book one attempt at cell ``i``; True means run it again.
+
+        ``status`` is :func:`_guarded`'s (``ok`` / ``error``) or
+        ``crash`` for a cell in flight when the pool broke, which is
+        charged a retry but never given up on — the worker died, the
+        cell may be innocent.
+        """
+        if status != "ok":
+            attempts[i] = attempts.get(i, 0) + 1
+            failed = status == "error" and attempts[i] > retries
+            if failed:
+                report.failures.append(GridFailure(jobs[i], value, attempts[i]))
+                report.results[i] = _failed_stats(jobs[i], value)
+            else:
+                report.retries += 1
+            emitter.emit(i, "failed" if failed else "retry", attempts[i])
+            return not failed
         worker = 0
         stats = value
         extra = None
@@ -367,44 +386,23 @@ def execute_jobs(
         report.executed.append(jobs[i])
         if store is not None and keys[i] is not None:
             store.put(keys[i], stats)
-        emitter.emit(
-            jobs[i], keys[i] or "", "done", index=i, worker=worker, extra=extra
-        )
+        emitter.emit(i, "done", worker=worker, extra=extra)
+        return False
 
-    def run_serially(indices: List[int], attempts: Dict[int, int]) -> None:
+    def run_serially(indices: List[int]) -> None:
         for i in indices:
-            while True:
-                status, value = _guarded(runner, jobs[i])
-                if status == "ok":
-                    finish(i, value)
-                    break
-                attempts[i] = attempts.get(i, 0) + 1
-                if attempts[i] > retries:
-                    report.failures.append(
-                        GridFailure(jobs[i], value, attempts[i])
-                    )
-                    report.results[i] = _failed_stats(jobs[i], value)
-                    emitter.emit(
-                        jobs[i], keys[i] or "", "failed", attempts[i], index=i
-                    )
-                    break
-                report.retries += 1
-                emitter.emit(
-                    jobs[i], keys[i] or "", "retry", attempts[i], index=i
-                )
+            while settle(i, *_guarded(runner, jobs[i])):
+                pass
 
-    attempts: Dict[int, int] = {}
     if not use_pool:
-        run_serially(missing, attempts)
+        run_serially(missing)
     else:
         # Imported lazily: worker processes re-importing this module must
         # not pay for (or recursively trigger) executor machinery.
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         from concurrent.futures.process import BrokenProcessPool
 
-        workers = effective_workers(max_workers) if not force_pool else (
-            max_workers or 2
-        )
+        workers = (max_workers or 2) if force_pool else effective_workers(max_workers)
         unfinished = list(missing)
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -417,43 +415,21 @@ def execute_jobs(
                     done, pending = wait(pending, return_when=FIRST_COMPLETED)
                     for future in done:
                         i = futures[future]
-                        status, value = future.result()
-                        if status == "ok":
-                            finish(i, value)
-                            unfinished.remove(i)
+                        if settle(i, *future.result()):
+                            retry = pool.submit(_guarded, runner, jobs[i])
+                            futures[retry] = i
+                            pending.add(retry)
                         else:
-                            attempts[i] = attempts.get(i, 0) + 1
-                            if attempts[i] > retries:
-                                report.failures.append(
-                                    GridFailure(jobs[i], value, attempts[i])
-                                )
-                                report.results[i] = _failed_stats(jobs[i], value)
-                                emitter.emit(
-                                    jobs[i], keys[i] or "", "failed",
-                                    attempts[i], index=i,
-                                )
-                                unfinished.remove(i)
-                            else:
-                                report.retries += 1
-                                emitter.emit(
-                                    jobs[i], keys[i] or "", "retry",
-                                    attempts[i], index=i,
-                                )
-                                retry = pool.submit(_guarded, runner, jobs[i])
-                                futures[retry] = i
-                                pending.add(retry)
+                            unfinished.remove(i)
         except BrokenProcessPool:
             # A worker died hard (segfault, os._exit): every in-flight
             # future is lost but nothing already checkpointed is.  Finish
             # the remaining cells in-process, each isolated, charging one
             # retry to each — the poison cell fails alone, the rest land.
-            report.retries += len(unfinished)
             for i in unfinished:
-                attempts[i] = attempts.get(i, 0) + 1
-                emitter.emit(jobs[i], keys[i] or "", "retry", attempts[i], index=i)
-            run_serially(unfinished, attempts)
+                settle(i, "crash", None)
+            run_serially(unfinished)
 
     if store is not None and report.executed:
         store.rebuild_index()
-    report.wall_s = time.perf_counter() - t0
     return report

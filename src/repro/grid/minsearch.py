@@ -13,48 +13,29 @@ serial O(log n) ladders — and with a warm store, replay without a single
 run.
 
 The probe sequence of each search is exactly the sequential algorithm's
-(:func:`repro.harness.runner.find_min_heap` delegates here with a single
-target), so the returned minima are identical by construction.  The
-double → downward-bisect → upward-bisect state machine itself is the
-shared :class:`repro.grid.monotone.MonotoneSearch` (the SLO rate search
-drives the same machine over a rate lattice); here the searched value is
-the heap size, the lattice unit is :data:`FRAME_BYTES`, the floor is the
-two-frame minimum heap, and the monotone predicate is "the run
-completes".
+(``find_min_heap`` in the harness delegates here with a single target),
+so the returned minima are identical by construction.  Both the
+double → downward-bisect → upward-bisect state machine and the lockstep
+round loop are shared with the SLO rate search
+(:class:`repro.grid.monotone.MonotoneSearch`,
+:func:`repro.grid.monotone.drive_searches`); what this module supplies is
+the instantiation — the searched value is the heap size, the lattice unit
+is :data:`FRAME_BYTES`, the floor is the two-frame minimum heap, and the
+monotone predicate is "the run completes".
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..errors import OutOfMemory
-from .executor import execute_jobs
-from .monotone import MonotoneSearch, round_to_step
+from ..runtime.vm import FRAME_BYTES
+from ..specs import load as load_spec
+from .monotone import MonotoneSearch, drive_searches, round_to_step
 from .store import ResultStore
 
 #: One search target: (benchmark, collector).
 Target = Tuple[str, str]
-
-
-def _round_frames(nbytes: int, frame_bytes: int) -> int:
-    return round_to_step(nbytes, frame_bytes, 2 * frame_bytes)
-
-
-class _Search(MonotoneSearch):
-    """Minimum-heap instantiation of :class:`MonotoneSearch`.
-
-    ``probe()`` names the next heap size to test (``None`` when done);
-    ``feed(completed)`` consumes the outcome and advances the state.
-    Kept under its historical name (and heap-flavoured constructor) for
-    the property tests that pin the probe sequence.
-    """
-
-    def __init__(self, lo: int, max_bytes: int, frame_bytes: int):
-        super().__init__(
-            lo, max_bytes, frame_bytes, floor=2 * frame_bytes
-        )
-        self.frame = frame_bytes
-        self.max_bytes = max_bytes
 
 
 def find_min_heaps(
@@ -77,35 +58,23 @@ def find_min_heaps(
     search) execute in parallel.  Raises :class:`OutOfMemory` naming the
     first target for which no heap up to ``max_bytes`` completes.
     """
-    from ..harness.runner import FRAME_BYTES
-    from ..specs import load as load_spec
-
-    searches: Dict[Target, _Search] = {}
+    searches: Dict[Target, MonotoneSearch] = {}
     for benchmark, collector in targets:
         spec = load_spec(benchmark, scale)
         lo = start_bytes or max(4 * FRAME_BYTES, spec.total_alloc_bytes // 64)
-        lo = _round_frames(lo, FRAME_BYTES)
-        searches[(benchmark, collector)] = _Search(lo, max_bytes, FRAME_BYTES)
-
-    while True:
-        round_targets: List[Target] = []
-        jobs = []
-        for target, search in searches.items():
-            heap = search.probe()
-            if heap is not None:
-                round_targets.append(target)
-                jobs.append((target[0], target[1], heap, scale, seed))
-        if not jobs:
-            break
-        report = execute_jobs(
-            jobs,
-            store=store,
-            parallel=parallel,
-            max_workers=max_workers,
-            bus=bus,
+        searches[(benchmark, collector)] = MonotoneSearch(
+            round_to_step(lo, FRAME_BYTES, 2 * FRAME_BYTES), max_bytes, FRAME_BYTES
         )
-        for target, stats in zip(round_targets, report.results):
-            searches[target].feed(stats.completed)
+
+    drive_searches(
+        searches,
+        lambda target, heap: (*target, heap, scale, seed),
+        lambda _target, _heap, stats: stats.completed,
+        store=store,
+        parallel=parallel,
+        max_workers=max_workers,
+        bus=bus,
+    )
 
     for (benchmark, collector), search in searches.items():
         if search.failed:

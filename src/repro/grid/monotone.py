@@ -27,15 +27,21 @@ The probe sequence is exactly the one ``grid.minsearch`` has always
 issued (property-pinned against a linear reference in ``tests/grid``),
 so generalising did not move any minimum.  The driver protocol is
 ``probe()`` → next value to test (``None`` when done) and
-``feed(satisfied)`` → consume the outcome; callers run many searches in
-lockstep rounds and batch each round's probes through the grid executor.
+``feed(satisfied)`` → consume the outcome; :func:`drive_searches` is the
+one driver: it runs many searches in lockstep rounds and batches each
+round's probes through the grid executor.  A campaign supplies only what
+a probe *is* (its job tuple) and what its outcome *means* (the
+predicate).
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Dict, Hashable, Optional
 
-__all__ = ["MonotoneSearch", "round_to_step"]
+from ..sim.stats import RunStats
+from .executor import Job, execute_jobs
+
+__all__ = ["MonotoneSearch", "drive_searches", "round_to_step"]
 
 
 def round_to_step(value: float, step: int, floor: int) -> int:
@@ -128,3 +134,31 @@ class MonotoneSearch:
                 self.hi = value
             else:
                 self.lo = value
+
+
+def drive_searches(
+    searches: Dict[Hashable, MonotoneSearch],
+    job_for: Callable[[Hashable, int], Job],
+    satisfied: Callable[[Hashable, int, RunStats], bool],
+    **grid,
+) -> None:
+    """Advance every search to its terminal state, in lockstep rounds.
+
+    Each round takes one probe from every still-active search, runs them
+    as one :func:`~repro.grid.executor.execute_jobs` batch (``grid`` is
+    its keyword arguments: store, pool, bus, cell runner) and feeds
+    ``satisfied(target, value, stats)`` back to each, in ``searches``
+    order.  Every search issues exactly the probe sequence it would
+    alone, so results equal the sequential algorithm's by construction.
+    """
+    while True:
+        probes = [
+            (target, value)
+            for target, search in searches.items()
+            if (value := search.probe()) is not None
+        ]
+        if not probes:
+            return
+        report = execute_jobs([job_for(t, v) for t, v in probes], **grid)
+        for (target, value), stats in zip(probes, report.results):
+            searches[target].feed(satisfied(target, value, stats))

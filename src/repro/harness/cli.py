@@ -43,6 +43,26 @@ _REF_HELP = (
 )
 
 
+def _checked(cast, accepts, requirement: str):
+    """An argparse ``type=``: ``cast`` the text, then insist on
+    ``accepts(value)`` — out-of-range flags are usage errors (exit 2),
+    not tracebacks from wherever the value first lands."""
+    def parse(text: str):
+        value = cast(text)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # argparse: "invalid int value: 'x'"
+    return parse
+
+
+_points = _checked(int, lambda n: n >= 2, "a sweep needs at least two points")
+_snapshot_every = _checked(int, lambda n: n >= 0, "must be 0 or a positive count")
+_mmu_window = _checked(
+    float, lambda f: 0.0 < f <= 1.0, "must be a fraction of the run in (0, 1]"
+)
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scale", type=float, default=1.0, help="workload length multiplier")
     parser.add_argument("--seed", type=int, default=13)
@@ -95,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream telemetry events (gc, heap snapshots, phases) as JSON lines",
     )
     p_run.add_argument(
-        "--snapshot-every", type=int, default=1, metavar="N",
+        "--snapshot-every", type=_snapshot_every, default=1, metavar="N",
         help="with --trace: heap snapshot every N collections (0 disables)",
     )
     _add_common(p_run)
@@ -139,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the full ProfileReport as JSON",
     )
     p_prof.add_argument(
-        "--snapshot-every", type=int, default=1, metavar="N",
+        "--snapshot-every", type=_snapshot_every, default=1, metavar="N",
         help="heap-geometry sample every N collections (0: boundaries only)",
     )
     _add_common(p_prof)
@@ -210,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         "GC cost columns)",
     )
     p_slo.add_argument(
-        "--mmu-window", type=float, default=0.01, metavar="FRAC",
+        "--mmu-window", type=_mmu_window, default=0.01, metavar="FRAC",
         help="MMU window as a fraction of the run (default 0.01)",
     )
     p_slo.add_argument(
@@ -260,13 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="reproduce one table/figure")
     p_exp.add_argument("name", choices=sorted(ALL_EXPERIMENTS))
-    p_exp.add_argument("--points", type=int, default=9, help="heap grid points")
+    p_exp.add_argument("--points", type=_points, default=9, help="heap grid points")
     p_exp.add_argument("--full", action="store_true", help="use the paper's 33-point grid")
     _add_common(p_exp)
     _add_grid(p_exp)
 
     p_all = sub.add_parser("all", help="reproduce every table and figure")
-    p_all.add_argument("--points", type=int, default=9)
+    p_all.add_argument("--points", type=_points, default=9)
     p_all.add_argument("--full", action="store_true")
     _add_common(p_all)
     _add_grid(p_all)
@@ -308,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="write a full markdown report")
     p_rep.add_argument("--output", default="beltway-report.md")
-    p_rep.add_argument("--points", type=int, default=9)
+    p_rep.add_argument("--points", type=_points, default=9)
     p_rep.add_argument("--full", action="store_true")
     p_rep.add_argument(
         "--only", nargs="*", choices=sorted(ALL_EXPERIMENTS), default=None,

@@ -16,7 +16,6 @@ run a coarser grid; shapes are stable across both.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -62,11 +61,6 @@ def configure_grid(store=None, parallel=None, max_workers=None, bus=None) -> Non
     _grid.update(store=store, parallel=parallel, max_workers=max_workers, bus=bus)
 
 
-def grid_store():
-    """The ResultStore experiments are currently routed through (or None)."""
-    return _grid["store"]
-
-
 @dataclass
 class ExperimentResult:
     """Outcome of reproducing one table or figure."""
@@ -87,13 +81,6 @@ class ExperimentResult:
 # ----------------------------------------------------------------------
 # Shared machinery
 # ----------------------------------------------------------------------
-def _run_stats_many(jobs):
-    """Batched telemetry-free runs through the grid executor: cells come
-    from the configured store when present and fan out together when the
-    pool pays for itself — bit-identical to running each cell alone."""
-    return run_many(jobs, **_grid)
-
-
 def min_heap(benchmark: str, scale: float = 1.0) -> int:
     return min_heaps([benchmark], scale)[benchmark]
 
@@ -237,18 +224,19 @@ def _paired_means(
 # ----------------------------------------------------------------------
 # Table 1 — benchmark characteristics
 # ----------------------------------------------------------------------
-def table1(scale: float = 1.0) -> ExperimentResult:
+def table1(points: int = 9, scale: float = 1.0) -> ExperimentResult:
     """Min heap, total allocation, and GCs at large & small heaps (Appel)."""
     rows = []
     data = {}
     checks = {}
     minima = min_heaps(list(BENCHMARK_NAMES), scale)
-    stats = _run_stats_many(
+    stats = run_many(
         [
             (benchmark, BASELINE, heap, scale, 13)
             for benchmark in BENCHMARK_NAMES
             for heap in (minima[benchmark], 3 * minima[benchmark])
-        ]
+        ],
+        **_grid,
     )
     for pair, benchmark in enumerate(BENCHMARK_NAMES):
         spec = benchmark_spec(benchmark, scale)
@@ -355,7 +343,7 @@ def figure1(points: int = 9, scale: float = 1.0) -> ExperimentResult:
 # ----------------------------------------------------------------------
 # Figures 2 & 3 — belt/increment structure traces
 # ----------------------------------------------------------------------
-def figure23() -> ExperimentResult:
+def figure23(points: int = 9, scale: float = 1.0) -> ExperimentResult:
     """Structural traces of the six configurations of Figs. 2 and 3."""
     sections = []
     data = {}
@@ -402,7 +390,7 @@ def figure23() -> ExperimentResult:
 # ----------------------------------------------------------------------
 # Figure 4 — write barrier behaviour
 # ----------------------------------------------------------------------
-def figure4(scale: float = 1.0) -> ExperimentResult:
+def figure4(points: int = 9, scale: float = 1.0) -> ExperimentResult:
     """Fast/slow path statistics of the frame barrier vs the boundary
     barrier (the paper's separate statistics runs, §4.1)."""
     rows = []
@@ -410,8 +398,9 @@ def figure4(scale: float = 1.0) -> ExperimentResult:
     configs = ["25.25.100", "Appel", "BOF.25", "gctk:Appel"]
     benchmark = "javac"
     heap = 2 * min_heap(benchmark, scale)
-    all_stats = _run_stats_many(
-        [(benchmark, config, heap, scale, 13) for config in configs]
+    all_stats = run_many(
+        [(benchmark, config, heap, scale, 13) for config in configs],
+        **_grid,
     )
     for config, stats in zip(configs, all_stats):
         slow_pct = 100.0 * stats.barrier_slow / max(1, stats.barrier_fast)
@@ -559,11 +548,12 @@ def figure8(points: int = 9, scale: float = 1.0) -> ExperimentResult:
     # towards the live set at its full top-belt collections.
     javac_min = min_heap("javac", scale)
     javac_heap = int(1.5 * javac_min)
-    xx, complete = _run_stats_many(
+    xx, complete = run_many(
         [
             ("javac", "25.25", javac_heap, scale, 13),
             ("javac", "25.25.100", javac_heap, scale, 13),
-        ]
+        ],
+        **_grid,
     )
     floor_xx = xx.late_occupancy_floor()
     floor_complete = complete.late_occupancy_floor()
@@ -702,7 +692,7 @@ def figure10(points: int = 9, scale: float = 1.0) -> ExperimentResult:
 # ----------------------------------------------------------------------
 # Figure 11 — responsiveness (MMU)
 # ----------------------------------------------------------------------
-def figure11(scale: float = 1.0) -> ExperimentResult:
+def figure11(points: int = 9, scale: float = 1.0) -> ExperimentResult:
     """MMU curves for javac at two heap sizes (1.5x and 3x minimum)."""
     collectors = ["10.10", "10.10.100", "33.33", "33.33.100", BASELINE]
     javac_min = min_heap("javac", scale)
@@ -710,12 +700,13 @@ def figure11(scale: float = 1.0) -> ExperimentResult:
     data = {}
     checks = {}
     sizes = (("small", 1.5), ("large", 3.0))
-    all_stats = _run_stats_many(
+    all_stats = run_many(
         [
             ("javac", collector, int(javac_min * ratio), scale, 13)
             for _label, ratio in sizes
             for collector in collectors
-        ]
+        ],
+        **_grid,
     )
     for block, (label, ratio) in enumerate(sizes):
         heap = int(javac_min * ratio)
@@ -767,7 +758,7 @@ def _shared_windows(total_time: float, points: int = 16) -> List[float]:
 # §4.3 calls this exploration out as future work: "we have not yet
 # explored the configuration space fully ... to offer a tuning strategy")
 # ----------------------------------------------------------------------
-def responsiveness(scale: float = 1.0) -> ExperimentResult:
+def responsiveness(points: int = 9, scale: float = 1.0) -> ExperimentResult:
     """Sweep increment size at a fixed heap: pause/throughput tuning.
 
     For X.X.100 configurations the increment size is the responsiveness
@@ -781,8 +772,9 @@ def responsiveness(scale: float = 1.0) -> ExperimentResult:
     heap = 2 * min_heap(benchmark, scale)
     rows = []
     data = {}
-    all_stats = _run_stats_many(
-        [(benchmark, collector, heap, scale, 13) for collector in collectors]
+    all_stats = run_many(
+        [(benchmark, collector, heap, scale, 13) for collector in collectors],
+        **_grid,
     )
     for collector, stats in zip(collectors, all_stats):
         if not stats.completed:
@@ -871,7 +863,7 @@ def _slo_workload():
     )
 
 
-def slo(scale: float = 1.0) -> ExperimentResult:
+def slo(points: int = 9, scale: float = 1.0) -> ExperimentResult:
     """SLO frontier: Beltway vs the Appel baseline over a rate ladder.
 
     Runs the built-in kv workload at three offered rates against both
@@ -932,6 +924,8 @@ def slo(scale: float = 1.0) -> ExperimentResult:
 
 
 #: Every experiment, in paper order (used by the CLI and the bench suite).
+#: All share the ``(points=9, scale=1.0)`` signature; a table or single-
+#: heap figure has no grid and ignores ``points``, figure 2/3 both.
 ALL_EXPERIMENTS = {
     "table1": table1,
     "figure1": figure1,
@@ -950,9 +944,5 @@ ALL_EXPERIMENTS = {
 
 
 def run_experiment(name: str, points: int, scale: float) -> ExperimentResult:
-    """Run one registered experiment at the given resolution; ``points``
-    and ``scale`` reach only the experiments that take them."""
-    fn = ALL_EXPERIMENTS[name]
-    accepted = inspect.signature(fn).parameters
-    given = {"points": points, "scale": scale}
-    return fn(**{key: given[key] for key in given if key in accepted})
+    """Run one registered experiment at the given resolution."""
+    return ALL_EXPERIMENTS[name](points=points, scale=scale)

@@ -19,14 +19,15 @@ each (benchmark, collector, heap size) run is completely independent (its
 own VM, its own seeded PRNG), so farming the grid out over worker
 processes returns *bit-identical* ``RunStats`` to the serial loop — same
 seeds, same cost-model cycles — just sooner.  Dispatch lives in
-:mod:`repro.grid.executor` (as-completed scheduling, cost ordering,
-per-cell retry) and results can be served from / checkpointed into a
-:class:`repro.grid.store.ResultStore` via the ``store`` argument.
+:mod:`repro.grid.executor` (the pool decision, as-completed scheduling,
+cost ordering, per-cell retry) and results can be served from /
+checkpointed into a :class:`repro.grid.store.ResultStore` via the
+``store`` argument; this module keeps the cell (:func:`run`) and the two
+thin entry points :func:`run_many` / :func:`find_min_heap`.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple, Union
@@ -34,21 +35,14 @@ from typing import Dict, Iterable, List, Optional, Tuple, Union
 from ..bench.engine import TAPES, SyntheticMutator
 from ..core.config import BeltwayConfig
 from ..errors import ConfigError, OutOfMemory
+from ..grid.executor import Job, execute_jobs
+from ..grid.minsearch import find_min_heaps
 from ..obs import CounterSink, JsonlSink, RingBufferSink, TelemetryBus, attach
-from ..runtime.vm import EXPERIMENT_FRAME_SHIFT, VM
+from ..runtime.vm import FRAME_BYTES, VM
 from ..sim.stats import RunStats
 from ..specs import SpecRef, load as load_spec
 from ..workloads.engine import ServerMutator
 from ..workloads.model import ServerWorkloadSpec
-
-#: Frame size used by all experiments (bytes).
-FRAME_BYTES = 1 << EXPERIMENT_FRAME_SHIFT
-
-#: One grid cell: (benchmark ref, collector, heap_bytes, scale, seed).
-#: The first element is any spec ref ``repro.specs.load`` resolves —
-#: a registry name, a workload-file path, or a spec object.
-RunJob = Tuple[SpecRef, str, int, float, int]
-
 
 @dataclass(frozen=True)
 class RunOptions:
@@ -319,76 +313,24 @@ def _sanitizer_violation():
     return SanitizerViolation
 
 
-def _run_job(job: RunJob) -> RunStats:
-    """Execute one grid cell (module-level so it pickles for worker pools)."""
-    benchmark, collector, heap_bytes, scale, seed = job
-    options = RunOptions(scale=scale, seed=seed)
-    return run(benchmark, collector, heap_bytes, options=options).stats
-
-
-def effective_workers(max_workers: Optional[int] = None) -> int:
-    """Worker processes a parallel batch would actually get.
-
-    Prefers ``os.process_cpu_count`` (3.13+: honours affinity masks and
-    cgroup quotas, i.e. what containerised CI actually grants) and falls
-    back to ``os.cpu_count`` on older interpreters.
-    """
-    cpus = getattr(os, "process_cpu_count", os.cpu_count)() or 1
-    if max_workers is not None:
-        cpus = min(cpus, max_workers)
-    return max(1, cpus)
-
-
-def should_parallelise(
-    num_jobs: int,
-    parallel: bool = True,
-    max_workers: Optional[int] = None,
-) -> bool:
-    """Whether a batch of ``num_jobs`` independent cells should fan out.
-
-    Serial when the caller opted out, when there is at most one job, or
-    when only one CPU is effectively available: a process pool on one
-    core pays fork + pickle + re-import per worker and can repay none of
-    it, so "parallel" sweeps on single-CPU runners measured *slower* than
-    the serial loop.  Results are bit-identical either way, so the
-    fallback is purely a scheduling decision; callers that need to know
-    which path ran record it (``SweepResult.execution_mode``).
-    """
-    return parallel and num_jobs > 1 and effective_workers(max_workers) > 1
-
-
 def run_many(
-    jobs: Iterable[RunJob],
+    jobs: Iterable[Job],
     parallel: Optional[bool] = True,
     max_workers: Optional[int] = None,
     store=None,
     bus=None,
 ) -> List[RunStats]:
-    """Run a batch of independent grid cells, in input order.
+    """Run a batch of independent grid cells, in input order: the
+    ``results`` of :func:`repro.grid.executor.execute_jobs`, which alone
+    decides how the batch runs (store, pool or in-process loop, retries,
+    telemetry relay — see there).
 
-    With ``parallel=True`` (or ``None``) the jobs fan out over worker
-    processes — unless :func:`should_parallelise` vetoes it (one job, or
-    one effective CPU), in which case the batch silently runs in-process.
     ``parallel=False`` is the explicit escape hatch (useful under
     debuggers, on platforms without ``fork``/``spawn`` headroom, or to
     rule the pool out when bisecting a bug).  All paths return
     bit-identical results: every run re-derives its whole world from
     ``(benchmark, collector, heap_bytes, scale, seed)``.
-
-    Dispatch is :func:`repro.grid.executor.execute_jobs`: as-completed
-    scheduling with cost-model ordering and per-cell crash retry, and —
-    with a :class:`~repro.grid.store.ResultStore` as ``store`` — cells
-    already computed by *any* previous process are served from disk while
-    fresh results are checkpointed as they finish.
-
-    With a telemetry ``bus``, campaign progress (``grid.job``) and every
-    worker's forwarded run telemetry land on it — one merged timeline
-    even on the multiprocess path (see :mod:`repro.obs.relay`).
     """
-    # Imported lazily: worker processes re-importing this module must not
-    # pay for (or recursively trigger) executor machinery.
-    from ..grid.executor import execute_jobs
-
     return execute_jobs(
         list(jobs), store=store, parallel=parallel, max_workers=max_workers,
         bus=bus,
@@ -415,8 +357,6 @@ def find_min_heap(
     (O(log n) probes) instead of stepping one frame per full run; the
     returned minimum is unchanged.
     """
-    from ..grid.minsearch import find_min_heaps
-
     return find_min_heaps(
         [(benchmark, collector)],
         scale=scale,

@@ -3,7 +3,8 @@
 Every pause in this reproduction is charged through
 :meth:`repro.sim.cost.CostModel.collection_cost`, a linear decomposition
 over the collection's work counters.  That makes per-collection cost
-attribution *exact*, not sampled: re-applying the component costs to the
+attribution *exact*, not sampled:
+:meth:`~repro.sim.cost.CostModel.collection_components` applied to the
 counters carried on the enriched ``gc.end`` event splits each pause into
 setup / copy / scan / root-scan / remset-drain / frame-free / boot-scan
 cycles that sum to the charged pause by construction (a property the
@@ -15,8 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-#: Attribution component -> how its cycles derive from the gc.end event.
-_COMPONENTS = ("setup", "copy", "scan", "roots", "remset", "free", "boot")
+from ...sim.cost import COLLECTION_COMPONENTS as _COMPONENTS
 
 
 class CostAttribution:
@@ -28,24 +28,14 @@ class CostAttribution:
 
     def on_gc_end(self, data: Dict) -> dict:
         """Decompose one collection; returns (and stores) the row."""
-        cm = self.cost_model
-        copy = (
-            cm.copy_object * data["copied_objects"]
-            + cm.copy_word * data["copied_words"]
-        )
+        components = self.cost_model.collection_components(**data)
         row = {
             "collection": data["id"],
             "reason": data["reason"],
             "belts": list(data["belts"]),
             "pause_cycles": data["pause_cycles"],
             "wall_s": data["wall_s"],
-            "setup": cm.gc_setup,
-            "copy": copy,
-            "scan": cm.scan_slot * data.get("scanned_ref_slots", 0),
-            "roots": cm.root_slot * data.get("root_slots", 0),
-            "remset": cm.remset_slot * data["remset_slots"],
-            "free": cm.free_frame * data["freed_frames"],
-            "boot": cm.boot_scan_slot * data.get("boot_slots_scanned", 0),
+            **components,
             "copied_objects": data["copied_objects"],
             "copied_words": data["copied_words"],
             "scanned_ref_slots": data.get("scanned_ref_slots", 0),
@@ -54,7 +44,7 @@ class CostAttribution:
             "freed_frames": data["freed_frames"],
             "boot_slots_scanned": data.get("boot_slots_scanned", 0),
         }
-        row["modelled_cycles"] = sum(row[c] for c in _COMPONENTS)
+        row["modelled_cycles"] = sum(components.values())
         self.rows.append(row)
         return row
 

@@ -41,11 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-from ...sim.cost import CostModel
+from ...sim.cost import COLLECTION_COMPONENTS as PHASE_COMPONENTS, CostModel
 from ..events import Event
-
-#: Phase-decomposition component order (mirrors profiler attribution).
-PHASE_COMPONENTS = ("setup", "copy", "scan", "roots", "remset", "free", "boot")
 
 #: Event kinds that belong to a run partition (everything the VM and the
 #: server engine emit on the simulated clock).
@@ -409,32 +406,19 @@ def _decompose_phases(
 ) -> None:
     """Tile one pause with its cost-model components, exactly.
 
-    The decomposition re-applies the same linear cost model the pause was
-    charged through (see ``obs.profiler.attribution``), so the components
-    sum to the pause by construction; if they do not (a foreign cost
-    model, or a stream without the enrichment counters), no phase spans
-    are emitted rather than emitting a lie.
+    ``CostModel.collection_components`` is the linear model the pause
+    was charged through, term by term, so the components sum to the pause
+    by construction; if they do not (a foreign cost model, or a stream
+    without the enrichment counters), no phase spans are emitted rather
+    than emitting a lie.
     """
     if "copied_objects" not in data or "scanned_ref_slots" not in data:
         return
-    cm = cost_model
-    cycles = {
-        "setup": float(cm.gc_setup),
-        "copy": float(
-            cm.copy_object * data.get("copied_objects", 0)
-            + cm.copy_word * data.get("copied_words", 0)
-        ),
-        "scan": float(cm.scan_slot * data.get("scanned_ref_slots", 0)),
-        "roots": float(cm.root_slot * data.get("root_slots", 0)),
-        "remset": float(cm.remset_slot * data.get("remset_slots", 0)),
-        "free": float(cm.free_frame * data.get("freed_frames", 0)),
-        "boot": float(cm.boot_scan_slot * data.get("boot_slots_scanned", 0)),
-    }
+    cycles = cost_model.collection_components(**data)
     if sum(cycles.values()) != float(data.get("pause_cycles", end - start)):
         return
     t = start
-    for comp in PHASE_COMPONENTS:
-        dur = cycles[comp]
+    for comp, dur in cycles.items():
         if dur <= 0:
             continue
         attrs: Dict[str, Any] = {}

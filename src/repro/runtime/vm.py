@@ -33,6 +33,9 @@ from .seam import Seam
 #: Frame size used by the scaled experiments (256 B; the workloads are
 #: scaled 1024x down from the paper's SPEC runs, see repro.bench.spec).
 EXPERIMENT_FRAME_SHIFT = 8
+#: The same in bytes: the unit of every heap size the harness searches,
+#: sweeps or reports.
+FRAME_BYTES = 1 << EXPERIMENT_FRAME_SHIFT
 
 #: Reference slots of boot-image "VM code" ballast.  Jikes RVM's boot
 #: image is tens of MB; scaled 1024x it still holds on the order of a

@@ -131,9 +131,6 @@ def check_structure(plan, collection: int = -1) -> List[Violation]:
     orders = plan.space.orders
     for belt in plan.belts:
         previous = 0
-        # Increments are named by belt position (front = 0), not by
-        # ``inc.id``: ids come from a process-global counter, and the
-        # determinism tests pin reports byte-identical across runs.
         for position, inc in enumerate(belt.increments):
             label = f"increment {belt.index}.{position}"
             if inc.stamp <= previous:

@@ -21,6 +21,12 @@ dominates collection.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Dict
+
+#: The components one pause decomposes into, in charge order: the keys of
+#: :meth:`CostModel.collection_components`, the columns of the profiler's
+#: cost attribution and the phase spans a trace tiles a pause with.
+COLLECTION_COMPONENTS = ("setup", "copy", "scan", "roots", "remset", "free", "boot")
 
 
 @dataclass(frozen=True)
@@ -74,6 +80,34 @@ class CostModel:
             + self.free_frame * freed_frames
             + self.boot_scan_slot * boot_slots_scanned
         )
+
+    def collection_components(
+        self,
+        copied_objects: int = 0,
+        copied_words: int = 0,
+        scanned_ref_slots: int = 0,
+        root_slots: int = 0,
+        remset_slots: int = 0,
+        freed_frames: int = 0,
+        boot_slots_scanned: int = 0,
+        **_other,
+    ) -> Dict[str, float]:
+        """:meth:`collection_cost` term by term, keyed by
+        :data:`COLLECTION_COMPONENTS`; the values sum to it.  Takes the
+        work counters by name so an enriched ``gc.end`` payload can be
+        splatted in (its other fields are ignored, absent counters are
+        zero)."""
+        return {
+            "setup": float(self.gc_setup),
+            "copy": float(
+                self.copy_object * copied_objects + self.copy_word * copied_words
+            ),
+            "scan": float(self.scan_slot * scanned_ref_slots),
+            "roots": float(self.root_slot * root_slots),
+            "remset": float(self.remset_slot * remset_slots),
+            "free": float(self.free_frame * freed_frames),
+            "boot": float(self.boot_scan_slot * boot_slots_scanned),
+        }
 
 
 #: Conversion used only for presentation (pseudo-seconds in the tables).

@@ -6,20 +6,21 @@ violation monotone in the offered rate — below the knee the bound holds,
 at and above some rate it breaks.  :func:`max_sustainable_rates` drives
 one :class:`~repro.grid.monotone.MonotoneSearch` per (collector, heap)
 target over the rate lattice, finding the *smallest violating rate*; the
-knee is one step below it.  Searches advance in lockstep rounds and each
-round's probes execute as one grid batch — exactly the
-:func:`~repro.grid.minsearch.find_min_heaps` pattern, so many collectors'
-searches fan out together and a warm store replays the whole campaign.
+knee is one step below it.  :func:`~repro.grid.monotone.drive_searches`
+advances them in lockstep rounds, each round's probes one grid batch —
+the driver :func:`~repro.grid.minsearch.find_min_heaps` uses — so many
+collectors' searches fan out together and a warm store replays the whole
+campaign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigError
-from ..grid.executor import execute_jobs
-from ..grid.monotone import MonotoneSearch, round_to_step
+from ..grid.monotone import MonotoneSearch, drive_searches, round_to_step
 from ..grid.store import ResultStore
 from ..specs import load as load_spec
 from ..workloads.model import ServerWorkloadSpec
@@ -39,16 +40,16 @@ class SearchResult:
     heap_bytes: int
     #: Highest lattice rate (multiple of ``rate_step``) meeting the SLO.
     #: 0 when even the lowest lattice rate violates it.
-    rate_rps: int
+    rate_rps: int = 0
     #: True when a violating rate was found (the knee is real); False
     #: when no probe up to ``max_rate`` violated the SLO — the workload
     #: never saturated in range and ``rate_rps`` is the highest *probed*
     #: sustainable rate, not a knee.
-    saturated: bool
+    saturated: bool = False
     #: Runs evaluated (== grid cells probed for this target).
-    probes: int
+    probes: int = 0
     #: Smallest violating rate found (None when unsaturated).
-    first_violation: Optional[int]
+    first_violation: Optional[int] = None
     #: rate -> (ok, violated clauses) for every probed rate.
     evaluations: Dict[int, Tuple[bool, List[str]]] = field(default_factory=dict)
 
@@ -129,60 +130,45 @@ def max_sustainable_rates(
         searches[target] = MonotoneSearch(
             start, ceiling, rate_step, floor=rate_step
         )
-        results[target] = SearchResult(
-            collector=collector,
-            heap_bytes=heap_bytes,
-            rate_rps=0,
-            saturated=False,
-            probes=0,
-            first_violation=None,
+        results[target] = SearchResult(collector, heap_bytes)
+
+    seq = count(1)
+
+    def emit(target: Target, rate: int, ok: bool, status: str) -> None:
+        if bus is None:
+            return
+        bus.emit(
+            "slo.search",
+            float(next(seq)),
+            {
+                "benchmark": spec.name,
+                "collector": target[0],
+                "heap_bytes": target[1],
+                "seed": seed,
+                "rate_rps": rate,
+                "ok": ok,
+                "status": status,
+            },
         )
 
-    seq = 0
-    while True:
-        round_targets: List[Target] = []
-        jobs = []
-        for target, search in searches.items():
-            rate = search.probe()
-            if rate is not None:
-                round_targets.append(target)
-                jobs.append(
-                    (spec.with_rate(float(rate)), target[0], target[1],
-                     1.0, seed)
-                )
-        if not jobs:
-            break
-        report = execute_jobs(
-            jobs,
-            store=store,
-            parallel=parallel,
-            max_workers=max_workers,
-            bus=bus,
-            cell_runner=cell_runner,
-        )
-        for target, job, stats in zip(round_targets, jobs, report.results):
-            rate = int(round(job[0].arrival.rate_rps))
-            ok, reasons = slo.evaluate(stats)
-            result = results[target]
-            result.probes += 1
-            result.evaluations[rate] = (ok, reasons)
-            # The search hunts the smallest *violating* rate.
-            searches[target].feed(not ok)
-            if bus is not None:
-                seq += 1
-                bus.emit(
-                    "slo.search",
-                    float(seq),
-                    {
-                        "benchmark": spec.name,
-                        "collector": target[0],
-                        "heap_bytes": target[1],
-                        "seed": seed,
-                        "rate_rps": rate,
-                        "ok": ok,
-                        "status": "probe",
-                    },
-                )
+    def violates(target: Target, rate: int, stats) -> bool:
+        """The search hunts the smallest *violating* rate."""
+        ok, reasons = slo.evaluate(stats)
+        results[target].probes += 1
+        results[target].evaluations[rate] = (ok, reasons)
+        emit(target, rate, ok, "probe")
+        return not ok
+
+    drive_searches(
+        searches,
+        lambda target, rate: (spec.with_rate(float(rate)), *target, 1.0, seed),
+        violates,
+        store=store,
+        parallel=parallel,
+        max_workers=max_workers,
+        bus=bus,
+        cell_runner=cell_runner,
+    )
 
     for target, search in searches.items():
         result = results[target]
@@ -191,27 +177,14 @@ def max_sustainable_rates(
             # unsaturated.  ``hi`` is the highest rate actually probed
             # (the doubling stopped because 2*hi exceeded the ceiling).
             result.rate_rps = search.hi
-            result.saturated = False
-            result.first_violation = None
         else:
             result.first_violation = search.result
             result.saturated = True
             result.rate_rps = max(0, search.result - rate_step)
-        if bus is not None:
-            seq += 1
-            bus.emit(
-                "slo.search",
-                float(seq),
-                {
-                    "benchmark": spec.name,
-                    "collector": target[0],
-                    "heap_bytes": target[1],
-                    "seed": seed,
-                    "rate_rps": result.rate_rps,
-                    "ok": True,
-                    "status": "knee" if result.saturated else "unsaturated",
-                },
-            )
+        emit(
+            target, result.rate_rps, True,
+            "knee" if result.saturated else "unsaturated",
+        )
     return results
 
 

@@ -78,6 +78,22 @@ def test_describe_structure_mentions_allocation_increment():
     assert "A#" in text
 
 
+@pytest.mark.parametrize("config", ["25.25.100", "25.25.MOS"])
+def test_increment_ids_restart_with_every_vm(config):
+    """Ids belong to the heap: two identically driven VMs in one process
+    draw the same diagram, however many increments ran before them."""
+    def drive():
+        vm, mu = make_vm(config)
+        node = vm.types.by_name("node")
+        keep = [mu.alloc(node) for _ in range(40)]
+        for _ in range(600):
+            mu.alloc(node).drop()
+        assert vm.plan.collections and keep
+        return vm.plan.describe_structure()
+
+    assert drive() == drive()
+
+
 def test_describe_structure_bof_roles():
     vm, mu = make_vm("BOF.25")
     mu.alloc_named("node")

@@ -11,7 +11,7 @@ collection batch ever exceeds one car plus the lower-belt increments).
 import pytest
 
 from repro.core.config import BeltwayConfig
-from repro.core.mos import MOSPolicy, Train
+from repro.core.mos import MOSPolicy
 from repro.runtime import VM, MutatorContext
 
 
@@ -249,8 +249,14 @@ def test_cycle_members_migrate_to_one_train():
 # Train unit behaviour
 # ----------------------------------------------------------------------
 def test_train_ids_monotonic():
-    t1, t2 = Train(), Train()
-    assert t2.id > t1.id
+    policy = MOSPolicy(BeltwayConfig.parse("25.25.MOS"))
+    # a train without cars cannot receive, so each call opens another
+    t1 = policy.external_dest_context(None, set())
+    t2 = policy.external_dest_context(None, set())
+    assert (t1.id, t2.id) == (0, 1)
+    # ids restart with every heap's policy, never from process history
+    fresh = MOSPolicy(BeltwayConfig.parse("25.25.MOS"))
+    assert fresh.external_dest_context(None, set()).id == 0
     assert t1.num_frames == 0
     assert t1.frame_indices() == set()
 

@@ -8,6 +8,7 @@ layer routes through a configured store, and the ``beltway-bench``
 
 import inspect
 import json
+import sys
 
 import pytest
 
@@ -57,6 +58,34 @@ def test_sweep_checkpoints_into_store(tmp_path):
     assert warm.runs == cold.runs
 
 
+def test_sweep_execution_mode_is_the_executors_report(tmp_path, monkeypatch):
+    """``execution_mode`` is copied from the batch's GridReport, not a
+    second pool decision made before the store was consulted: a sweep a
+    warm store served entirely ran nowhere."""
+    # (repro.analysis re-exports the function under the module's name)
+    sweep_module = sys.modules["repro.analysis.sweep"]
+    reports = []
+    real = sweep_module.execute_jobs
+
+    def recording(jobs, **grid):
+        reports.append(real(jobs, **grid))
+        return reports[-1]
+
+    monkeypatch.setattr(sweep_module, "execute_jobs", recording)
+    kwargs = dict(
+        min_heap_bytes=24 * 1024,
+        multipliers=heap_multipliers(3),
+        scale=SCALE,
+        seed=13,
+        store=ResultStore(tmp_path / "s"),
+    )
+    cold = sweep("jess", "25.25.100", **kwargs)
+    warm = sweep("jess", "25.25.100", **kwargs)
+    assert cold.execution_mode == reports[0].execution_mode != "none"
+    assert warm.execution_mode == reports[1].execution_mode == "none"
+    assert warm.runs == cold.runs
+
+
 def test_sweep_grid_serves_cells_computed_by_sweep(tmp_path):
     """One shared store: grid cells and single-sweep cells are the same
     cells, so work done by either API is never repeated by the other."""
@@ -90,7 +119,7 @@ def _clean_experiment_state():
 def test_experiments_route_through_configured_store(tmp_path):
     store = ResultStore(tmp_path / "s")
     E.configure_grid(store=store)
-    assert E.grid_store() is store
+    assert E._grid["store"] is store
     cold = E.figure4(scale=SCALE)
     assert store.puts > 0
     store.close()

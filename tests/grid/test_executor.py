@@ -74,9 +74,9 @@ def test_resume_executes_only_missing_cells(tmp_path, fresh):
 # Fault tolerance (module-level runners: they must pickle for the pool)
 # ----------------------------------------------------------------------
 def _ok_runner(job):
-    from repro.grid.executor import _default_runner
+    from repro.grid.executor import _run_cell
 
-    return _default_runner(job)
+    return _run_cell(job)
 
 
 def _poison_32k(job):
@@ -113,6 +113,28 @@ def test_failed_cell_is_recorded_not_stored(tmp_path, fresh):
     key = cell_key(*JOBS[1])
     assert ResultStore(tmp_path / "s").get(key) is None
     assert ResultStore(tmp_path / "s").get(cell_key(*JOBS[0])) == fresh[0]
+
+
+@pytest.mark.parametrize("force_pool", [False, True], ids=["serial", "pool"])
+def test_poison_cell_settles_the_same_on_both_paths(force_pool):
+    """Retry / give-up bookkeeping is one ``settle``: the in-process loop
+    and the pool loop tell the same story about the same poison cell."""
+    bus = TelemetryBus()
+    sink = bus.subscribe(RingBufferSink(capacity=4096))
+    report = execute_jobs(
+        JOBS, parallel=False, force_pool=force_pool, max_workers=2,
+        cell_runner=_poison_32k, retries=1, bus=bus,
+    )
+    events = [e.data for e in sink.events if e.kind == "grid.job"]
+    poison = [(d["status"], d["attempt"]) for d in events if d["job"] == 1]
+    assert poison == [("retry", 1), ("failed", 2)]
+    assert sorted(d["status"] for d in events if d["job"] != 1) == ["done", "done"]
+    last = events[-1]
+    assert (last["cached"], last["executed"], last["failed"]) == (0, 2, 1)
+    assert report.execution_mode == ("parallel" if force_pool else "serial")
+    assert (report.cached, len(report.executed), report.retries) == (0, 2, 1)
+    assert [(f.job, f.attempts) for f in report.failures] == [(JOBS[1], 2)]
+    assert report.results[1].failure.startswith("grid: RuntimeError: poison cell")
 
 
 def test_worker_crash_recovers_remaining_cells(tmp_path, fresh):

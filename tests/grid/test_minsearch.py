@@ -1,6 +1,6 @@
 """The batched minimum-heap search must equal the sequential algorithm.
 
-``_Search`` is property-tested against a straightforward linear reference
+``MonotoneSearch`` in frame units is property-tested against a straightforward linear reference
 on synthetic monotonic predicates (completes iff heap >= threshold) over
 a dense lattice of thresholds and starting guesses — including the
 walk-down regime the bisection replaced.  The real-workload equivalence
@@ -10,7 +10,7 @@ and the warm-store replay are then checked on actual runs.
 import pytest
 
 from repro.grid import ResultStore, find_min_heaps
-from repro.grid.minsearch import _Search
+from repro.grid.monotone import MonotoneSearch
 from repro.harness.runner import FRAME_BYTES, find_min_heap
 from repro.errors import OutOfMemory
 from repro.obs import RingBufferSink, TelemetryBus
@@ -58,7 +58,7 @@ def test_search_equals_linear_reference(start_frames):
     start = start_frames * FRAME_BYTES
     for threshold_frames in range(2, 40):
         threshold = threshold_frames * FRAME_BYTES
-        search = _Search(start, MAX_BYTES, FRAME_BYTES)
+        search = MonotoneSearch(start, MAX_BYTES, FRAME_BYTES)
         _drive(search, threshold)
         expected = _reference_min(start, threshold, MAX_BYTES, FRAME_BYTES)
         assert not search.failed
@@ -71,14 +71,14 @@ def test_search_walk_down_uses_logarithmically_few_probes():
     # Start far above the minimum: the old walk burned one run per frame
     # (here ~46); the bisection needs a handful.
     start, threshold = 48 * FRAME_BYTES, 2 * FRAME_BYTES
-    search = _Search(start, MAX_BYTES, FRAME_BYTES)
+    search = MonotoneSearch(start, MAX_BYTES, FRAME_BYTES)
     probes = _drive(search, threshold)
     assert search.result == _reference_min(start, threshold, MAX_BYTES, FRAME_BYTES)
     assert probes <= 10
 
 
 def test_search_reports_failure_beyond_max_bytes():
-    search = _Search(2 * FRAME_BYTES, MAX_BYTES, FRAME_BYTES)
+    search = MonotoneSearch(2 * FRAME_BYTES, MAX_BYTES, FRAME_BYTES)
     _drive(search, threshold=MAX_BYTES * 2)
     assert search.failed and search.result is None
 

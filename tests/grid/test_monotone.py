@@ -9,8 +9,9 @@ import itertools
 
 import pytest
 
-from repro.grid.minsearch import _Search
-from repro.grid.monotone import MonotoneSearch, round_to_step
+from repro.grid import monotone
+from repro.grid.monotone import MonotoneSearch, drive_searches, round_to_step
+from repro.sim.stats import RunStats
 
 
 def drive(search, predicate):
@@ -109,13 +110,59 @@ def test_round_to_step():
 
 
 def test_minsearch_is_the_same_machine():
-    """grid.minsearch's _Search is MonotoneSearch in frame units with a
+    """grid.minsearch's search is MonotoneSearch in frame units with a
     two-frame floor — the generalisation must not have moved it."""
-    search = _Search(lo=1024, max_bytes=1 << 20, frame_bytes=256)
+    search = MonotoneSearch(1024, 1 << 20, 256)
     assert isinstance(search, MonotoneSearch)
     assert search.step == 256
     assert search.floor == 512
-    assert search.frame == 256 and search.max_bytes == 1 << 20
     threshold = 13 * 256
     result, _ = drive(search, lambda value: value >= threshold)
     assert result == threshold
+
+
+THRESHOLDS = {"short": 3 * 256, "long": 37 * 256}
+
+
+def _canned_cell(job):
+    """Completes iff the heap reaches the target's threshold; no VM."""
+    target, collector, heap, _scale, _seed = job
+    return RunStats(
+        benchmark=target, collector=collector, heap_bytes=heap,
+        completed=heap >= THRESHOLDS[target],
+    )
+
+
+def test_drive_searches_batches_only_the_still_active_targets(monkeypatch):
+    """One execute_jobs batch per lockstep round; a search that has
+    finished stops contributing probes while the longer one carries on,
+    and each issues exactly the probe sequence it would alone."""
+    alone = {
+        target: drive(MonotoneSearch(1024, 1 << 16, 256), lambda v: v >= threshold)
+        for target, threshold in THRESHOLDS.items()
+    }
+    short, long = len(alone["short"][1]), len(alone["long"][1])
+    assert 0 < short < long
+
+    batches = []
+    real = monotone.execute_jobs
+
+    def recording(jobs, **grid):
+        batches.append([(job[0], job[2]) for job in jobs])
+        return real(jobs, **grid)
+
+    monkeypatch.setattr(monotone, "execute_jobs", recording)
+    searches = {t: MonotoneSearch(1024, 1 << 16, 256) for t in THRESHOLDS}
+    drive_searches(
+        searches,
+        lambda target, heap: (target, "canned", heap, 1.0, 13),
+        lambda _target, _heap, stats: stats.completed,
+        parallel=False,
+        cell_runner=_canned_cell,
+    )
+    assert {t: s.result for t, s in searches.items()} == THRESHOLDS
+    assert len(batches) == long  # rounds, not probes
+    assert [len(batch) for batch in batches] == [2] * short + [1] * (long - short)
+    for target, (_result, probes) in alone.items():
+        issued = [heap for batch in batches for t, heap in batch if t == target]
+        assert issued == probes

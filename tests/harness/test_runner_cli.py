@@ -105,6 +105,8 @@ def test_figure23_structural():
     assert result.all_checks_pass, result.failed_checks()
     assert "BSS" in result.text
     assert "belt 0" in result.text
+    # increment ids are the heap's, not the process's: same text every call
+    assert figure23().text == result.text
 
 
 # ----------------------------------------------------------------------
@@ -211,3 +213,24 @@ def test_cli_unopenable_artefact_is_an_error_line(argv, tmp_path, capsys):
 def test_cli_rejects_unknown_experiment():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["experiment", "figure99"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["experiment", "figure5", "--points", "1"],
+    ["all", "--points", "0"],
+    ["report", "--points", "1"],
+    ["run", "--benchmark", "jess", "--heap-kb", "25", "--trace", "t.jsonl",
+     "--snapshot-every", "-1"],
+    ["slo", "kvstore.json", "--heap-kb", "256", "--rates", "100",
+     "--mmu-window", "2"],
+    ["slo", "kvstore.json", "--heap-kb", "256", "--rates", "100",
+     "--mmu-window", "-1"],
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_cli_out_of_range_flag_is_a_usage_error(argv, capsys):
+    """Exit 2 from argparse, before anything runs — not a ValueError from
+    wherever the value would first have landed."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and argv[-2] in err and "Traceback" not in err

@@ -159,10 +159,10 @@ def test_custom_cell_runner_may_return_forwarded_cell():
 
 
 def _wrapped_runner(job):
-    from repro.grid.executor import _default_runner
+    from repro.grid.executor import _run_cell
 
     return ForwardedCell(
-        result=_default_runner(job),
+        result=_run_cell(job),
         events=[("phase", 0.0, {"name": "x", "wall_s": 0.0})],
         dropped=2,
         worker=99,

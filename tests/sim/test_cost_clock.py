@@ -26,6 +26,37 @@ def test_collection_cost_components():
     assert with_boot == base + 5 * cm.boot_scan_slot
 
 
+@pytest.mark.parametrize("name,collector,heap_bytes", [
+    ("jess", "25.25.100", 25600),
+    ("javac", "gctk:Appel", 84992),
+])
+def test_collection_components_sum_to_the_charged_pause(
+    name, collector, heap_bytes
+):
+    """One decomposition: on every collection of two golden cells the
+    components are ``collection_cost`` term by term — which is what the
+    clock was charged."""
+    from repro.harness.runner import RunOptions, run
+    from repro.sim.cost import COLLECTION_COMPONENTS
+
+    report = run(
+        name, collector, heap_bytes,
+        options=RunOptions(scale=0.4, ring_buffer=0),
+    )
+    collections = [e.data for e in report.events if e.kind == "gc.end"]
+    assert len(collections) == report.stats.collections > 0
+    cm = DEFAULT_COST_MODEL
+    for data in collections:
+        components = cm.collection_components(**data)
+        assert tuple(components) == COLLECTION_COMPONENTS
+        assert sum(components.values()) == data["pause_cycles"] == cm.collection_cost(
+            data["copied_objects"], data["copied_words"],
+            data["scanned_ref_slots"], data["root_slots"],
+            data["remset_slots"], data["freed_frames"],
+            data["boot_slots_scanned"],
+        )
+
+
 def test_copying_costs_more_than_allocation():
     cm = DEFAULT_COST_MODEL
     assert cm.copy_word > cm.alloc_word
