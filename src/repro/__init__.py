@@ -37,7 +37,6 @@ The five names most users need are re-exported here:
   — SLO-driven evaluation of server workloads (:mod:`repro.slo`):
   throughput–latency frontiers with distilled GC cost, and the knee of
   the frontier under a declared objective;
-* :func:`attach_tracer` — event tracing for a hand-built :class:`VM`;
 * :func:`build_timeline` / :class:`TraceExportSink` — the span model
   (:mod:`repro.obs.trace`): fold any telemetry stream into hierarchical
   run → gc → phase spans and export Chrome trace-event / Perfetto JSON;
@@ -108,7 +107,6 @@ from .obs import (
     TelemetryBus,
     attach_profiler,
     iter_jsonl,
-    load_jsonl,
 )
 from .obs.trace import (
     Span,
@@ -131,7 +129,6 @@ from .sanitizer import (
     attach_sanitizer,
 )
 from .sim.stats import RunStats
-from .sim.trace import Tracer, attach_tracer
 from .slo import (
     Frontier,
     FrontierPoint,
@@ -148,7 +145,7 @@ from .workloads import (
     load_file as load_workload,
 )
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     # consolidated run API
@@ -177,14 +174,11 @@ __all__ = [
     "sweep_frontier",
     "max_sustainable_rate",
     # telemetry
-    "attach_tracer",
-    "Tracer",
     "TelemetryBus",
     "Event",
     "JsonlSink",
     "RingBufferSink",
     "CounterSink",
-    "load_jsonl",
     "iter_jsonl",
     "JsonlLoadReport",
     # span model + trace export

@@ -10,20 +10,10 @@ from .compare import (
     metric_direction,
 )
 from .mmu import (
-    default_windows,
     max_pause,
     mmu,
     mmu_curve,
     overall_utilisation,
-)
-from .profile import (
-    attribution_table,
-    geometry_heatmap,
-    mmu_table,
-    pause_table,
-    render_profile,
-    survival_by_label_table,
-    survival_table,
 )
 from .series import (
     GAP,
@@ -50,35 +40,27 @@ __all__ = [
     "MetricDelta",
     "PAPER_POINTS",
     "SweepResult",
-    "attribution_table",
     "best_value",
     "compare_artefacts",
     "compare_metrics",
-    "default_windows",
     "extract_metrics",
     "metric_direction",
     "format_bytes",
     "frontier_series",
     "geomean_across",
     "geometric_mean",
-    "geometry_heatmap",
     "heap_multipliers",
     "improvement_percent",
     "max_pause",
     "mmu",
     "mmu_curve",
-    "mmu_table",
     "overall_utilisation",
-    "pause_table",
     "relative_to_best",
     "render_frontier",
     "render_frontier_comparison",
     "render_mmu",
-    "render_profile",
     "render_search_results",
     "render_series",
     "render_table",
-    "survival_by_label_table",
-    "survival_table",
     "sweep",
 ]

@@ -100,45 +100,3 @@ def overall_utilisation(pauses: Sequence[Pause], total_time: float) -> float:
         return 1.0
     paused = sum(e - s for s, e in pauses)
     return 1.0 - paused / total_time
-
-
-def mmu_from_events(
-    events: Sequence[object], total_time: float, window: float
-) -> float:
-    """:func:`mmu` over the pause timeline of a telemetry event stream
-    (flat dicts from :func:`repro.obs.load_jsonl` or ``Event`` objects)."""
-    from ..obs import pauses_from_events
-
-    return mmu(pauses_from_events(events), total_time, window)
-
-
-def mmu_curve_from_events(
-    events: Sequence[object], total_time: float, windows: Sequence[float]
-) -> List[Tuple[float, float]]:
-    """:func:`mmu_curve` from a telemetry event stream."""
-    from ..obs import pauses_from_events
-
-    return mmu_curve(pauses_from_events(events), total_time, windows)
-
-
-def utilisation_from_counters(snapshot) -> float:
-    """Overall mutator utilisation from a Prometheus-style counter
-    snapshot (``CounterSink.snapshot()`` or a run's counter export):
-    ``1 - gc_pause_cycles_total / run_total_cycles``."""
-    total = float(snapshot.get("run_total_cycles", 0.0))
-    if total <= 0:
-        return 1.0
-    paused = float(snapshot.get("gc_pause_cycles_total", 0.0))
-    return 1.0 - paused / total
-
-
-def default_windows(total_time: float, points: int = 24) -> List[float]:
-    """Log-spaced window lengths from ~1e-4 of the run up to the run."""
-    import math
-
-    if total_time <= 0:
-        return [1.0]
-    lo = total_time * 1e-4
-    hi = total_time
-    step = (hi / lo) ** (1.0 / (points - 1))
-    return [lo * step ** i for i in range(points)]

@@ -54,10 +54,6 @@ class SweepResult:
     #: store served every cell.
     execution_mode: str = "none"
 
-    @property
-    def heap_sizes(self) -> List[int]:
-        return [r.heap_bytes for r in self.runs]
-
     def series(self, metric: str) -> List[Optional[float]]:
         """Metric values aligned with the grid; failed runs become gaps."""
         out: List[Optional[float]] = []

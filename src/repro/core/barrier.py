@@ -128,11 +128,6 @@ class BarrierStats:
             "barrier_null_total": float(self.null_stores),
         }
 
-    def reset(self) -> None:
-        self.fast_path = 0
-        self.slow_path = 0
-        self.null_stores = 0
-
 
 class CompiledBarrier:
     """A write barrier whose mutator store paths compile from the one

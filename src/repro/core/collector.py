@@ -67,11 +67,6 @@ class CollectionResult:
     #: half-heap).  Telemetry-only: the cost model never reads it.
     reserve_frames: int = 0
 
-    @property
-    def survival_rate(self) -> float:
-        """Fraction of collected (allocated) words that survived."""
-        return self.copied_words / self.from_words if self.from_words else 0.0
-
 
 class Collector:
     """Stateless-between-collections copying machinery for a BeltwayHeap."""

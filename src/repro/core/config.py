@@ -127,11 +127,6 @@ class BeltwayConfig:
 
     # ------------------------------------------------------------------
     @property
-    def nursery_belt(self) -> int:
-        """Index of the belt receiving new allocation."""
-        return 0
-
-    @property
     def top_belt(self) -> int:
         return len(self.belts) - 1
 

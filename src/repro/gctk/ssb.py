@@ -40,10 +40,6 @@ class SequentialStoreBuffer:
     def __len__(self) -> int:
         return len(self.slots)
 
-    @property
-    def total_entries(self) -> int:
-        return len(self.slots)
-
     def counters(self) -> Dict[str, float]:
         """Prometheus-style export, key-compatible with
         :meth:`repro.core.remset.RememberedSets.counters` (an SSB has no

@@ -57,6 +57,11 @@ def _checked(cast, accepts, requirement: str):
 
 
 _points = _checked(int, lambda n: n >= 2, "a sweep needs at least two points")
+_heap_kb = _checked(
+    float, lambda kb: 0.0 < kb < float("inf"),
+    "a heap size must be positive and finite",
+)
+_workers = _checked(int, lambda n: n >= 1, "must be at least 1")
 _snapshot_every = _checked(int, lambda n: n >= 0, "must be 0 or a positive count")
 _mmu_window = _checked(
     float, lambda f: 0.0 < f <= 1.0, "must be a fraction of the run in (0, 1]"
@@ -82,7 +87,7 @@ def _add_grid(parser: argparse.ArgumentParser) -> None:
         "are served from here and fresh ones checkpointed as they finish",
     )
     parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
+        "--workers", type=_workers, default=None, metavar="N",
         help="cap the worker processes of parallel batches",
     )
     parser.add_argument(
@@ -105,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="one benchmark/collector/heap run")
     p_run.add_argument("--benchmark", required=True, metavar="REF", help=_REF_HELP)
     p_run.add_argument("--collector", default="25.25.100")
-    p_run.add_argument("--heap-kb", type=float, required=True)
+    p_run.add_argument("--heap-kb", type=_heap_kb, required=True)
     p_run.add_argument(
         "--profile", action="store_true",
         help="print a per-phase wall-time breakdown (mutator/barrier/collect/verify)",
@@ -132,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument("--collector", default="25.25.100")
     p_check.add_argument(
-        "--heap-kb", type=float, default=96.0,
+        "--heap-kb", type=_heap_kb, default=96.0,
         help="heap size per run (default 96)",
     )
     p_check.add_argument(
@@ -149,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_prof.add_argument("--benchmark", required=True, metavar="REF", help=_REF_HELP)
     p_prof.add_argument("--collector", default="25.25.100")
-    p_prof.add_argument("--heap-kb", type=float, required=True)
+    p_prof.add_argument("--heap-kb", type=_heap_kb, required=True)
     p_prof.add_argument(
         "--output", metavar="PATH", default=None,
         help="write the markdown report here (default: stdout)",
@@ -182,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_srv.add_argument("--collector", default="25.25.100")
     p_srv.add_argument(
-        "--heap-kb", type=float, default=None,
+        "--heap-kb", type=_heap_kb, default=None,
         help="heap size (required unless --validate)",
     )
     p_srv.add_argument(
@@ -217,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="collector to evaluate (repeatable; default 25.25.100)",
     )
     p_slo.add_argument(
-        "--heap-kb", type=float, required=True,
+        "--heap-kb", type=_heap_kb, required=True,
         help="heap size of the measured operating point",
     )
     p_slo.add_argument(
@@ -568,6 +573,7 @@ def _slo(parser: argparse.ArgumentParser, args) -> int:
                 bus=bus,
             )
             ordered = [results[(c, heap_bytes)] for c in collectors]
+            completed = True  # a failing probe is the search at work
             sections.append(render_search_results(ordered, slo.describe()))
             sections.append("\n".join(result.line() for result in ordered))
             artefact["search"] = {
@@ -614,6 +620,9 @@ def _slo(parser: argparse.ArgumentParser, args) -> int:
                     )
                 )
             artefact["frontiers"] = [frontier.to_dict() for frontier in frontiers]
+            completed = all(
+                point.completed for frontier in frontiers for point in frontier.points
+            )
 
         text = "\n\n".join(sections)
         try:
@@ -631,7 +640,7 @@ def _slo(parser: argparse.ArgumentParser, args) -> int:
         except OSError as error:
             print(f"error: cannot write slo artefact: {error}", file=sys.stderr)
             return 1
-        return 0
+        return 0 if completed else 1
 
 
 def _trace(args) -> int:

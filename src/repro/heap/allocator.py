@@ -67,10 +67,6 @@ class BumpRegion:
 
     # ------------------------------------------------------------------
     @property
-    def current_frame(self) -> Optional[Frame]:
-        return self.frames[-1] if self.frames else None
-
-    @property
     def num_frames(self) -> int:
         return len(self.frames)
 
@@ -78,10 +74,6 @@ class BumpRegion:
     def occupancy_words(self) -> int:
         """Words consumed (allocated plus waste) — the paper's "occupancy"."""
         return self.allocated_words + self.wasted_words
-
-    def frame_tail_words(self) -> int:
-        """Free words remaining in the current frame."""
-        return (self._limit - self._cursor) // WORD_BYTES
 
     def reset(self) -> None:
         """Forget all frames (the owner releases them separately)."""

@@ -110,10 +110,6 @@ class Frame:
     def size_bytes(self) -> int:
         return self.size_words * WORD_BYTES
 
-    @property
-    def free_words(self) -> int:
-        return self.size_words - self.used_words
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<Frame {self.index} {self.space_name} order={self.collect_order} "

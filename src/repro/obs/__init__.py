@@ -39,7 +39,6 @@ from .sinks import (
     JsonlSink,
     RingBufferSink,
     iter_jsonl,
-    load_jsonl,
 )
 from .profiler import (
     ProfileOptions,
@@ -67,7 +66,6 @@ __all__ = [
     "attach",
     "attach_profiler",
     "iter_jsonl",
-    "load_jsonl",
     "pauses_from_events",
     "replay_events",
     "validate_event",

@@ -1,6 +1,6 @@
 """``attach_profiler(vm)``: wire the GC profiler to a VM.
 
-The profiler is a bus subscriber, like the tracer and the sanitizer: it
+The profiler is a bus subscriber, like the JSONL and counter sinks: it
 consumes ``gc.start`` / ``gc.end`` / ``heap.snapshot`` / ``run.*``
 events (from a shared harness bus, or from a private bus + standard
 instrumentation when attached standalone) and adds exactly two direct
@@ -18,7 +18,7 @@ metadata and raw frame storage; it never issues ``space.load``/``store``,
 never draws from the benchmark RNG, and never mutates collector state —
 so an attached run's ``RunStats`` are bit-identical to an unprofiled
 run's, and a VM that never attaches executes untouched code (both pinned
-against the golden counters, like the tracer and sanitizer before it).
+against the golden counters, like the sanitizer before it).
 """
 
 from __future__ import annotations

@@ -6,8 +6,8 @@ Each sample walks the mapped frames of the address space directly
 bumped per belt (``belt0``, ``belt1``, ...) or gctk space (``nursery``,
 ``mature``, ``ss``).  Samples are taken at collection boundaries and at
 every ``heap.snapshot`` event, so the timeline has exactly the cadence
-the telemetry layer already exposes.  The result exports as a heatmap
-table: one row per sample, one column per label.
+the telemetry layer already exposes.  ``ProfileReport.to_markdown``
+renders it as a table: one row per sample, one column per label.
 """
 
 from __future__ import annotations
@@ -49,21 +49,3 @@ class GeometryTimeline:
     def labels(self) -> List[str]:
         """Every label ever observed, in first-seen order."""
         return list(self._labels)
-
-    def heatmap(self, value: str = "frames") -> List[List[object]]:
-        """The timeline as a table: header row, then one row per sample.
-
-        ``value`` selects the cell metric: ``"frames"`` (frames held) or
-        ``"words"`` (words bumped).  Missing cells are 0 — a label not
-        present in a sample held nothing at that time.
-        """
-        index = 0 if value == "frames" else 1
-        labels = self.labels
-        table: List[List[object]] = [["time", "trigger", *labels]]
-        for row in self.rows:
-            cells = [row["time"], row["trigger"]]
-            for label in labels:
-                cell = row["occupancy"].get(label)
-                cells.append(cell[index] if cell else 0)
-            table.append(cells)
-        return table

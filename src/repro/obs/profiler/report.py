@@ -3,10 +3,10 @@
 Everything the profiler computed — lifetime demographics, pause
 analytics, heap-geometry timeline, per-collection cost attribution — in
 one plain-data object that serialises to JSON (``to_json``) and renders
-as a self-contained markdown report (``to_markdown``).  The analysis
-layer (:mod:`repro.analysis.profile`) regenerates its survival-curve and
-pause-percentile tables from this object (or its dict/JSON round trip)
-without re-running the benchmark.
+as a self-contained markdown report (``to_markdown``).  A saved
+``profile --json`` file re-renders without re-running the benchmark:
+``ProfileReport.from_dict(json.load(f)).to_markdown()`` gives the same
+markdown as the live report.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class ProfileReport:
 
     #: Heap-geometry samples (per-label frames/words over time).
     geometry: List[dict] = field(default_factory=list)
-    #: First-seen-order label list for the heatmap columns.
+    #: First-seen-order label list for the geometry table columns.
     geometry_labels: List[str] = field(default_factory=list)
 
     #: Per-collection cost decomposition rows.

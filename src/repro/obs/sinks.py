@@ -84,14 +84,14 @@ def iter_jsonl(
 ) -> Iterator[dict]:
     """Stream a JSONL trace as flat event dicts, one line at a time.
 
-    The streaming complement of :func:`load_jsonl` — a multi-gigabyte
-    campaign trace is consumed without materialising the event list.
-    With ``validate=True`` every line is checked against the event
-    schemas and bad input is *skipped, not raised*: corrupt JSON and
-    schema-invalid events are counted into ``report`` (pass a
-    :class:`JsonlLoadReport` to observe the counts) so one truncated
-    line cannot take down a whole trace build.  Without ``validate``,
-    corrupt JSON raises as before and no schema checking happens.
+    The one JSONL reader: a multi-gigabyte campaign trace is consumed
+    without materialising the event list (``list(iter_jsonl(path))``
+    when the whole list is wanted).  With ``validate=True`` every line
+    is checked against the event schemas and bad input is *skipped, not
+    raised*: corrupt JSON and schema-invalid events are counted into
+    ``report`` (pass a :class:`JsonlLoadReport` to observe the counts)
+    so one truncated line cannot take down a whole trace build.  Without
+    ``validate``, corrupt JSON raises and no schema checking happens.
     """
     report = report if report is not None else JsonlLoadReport()
     if isinstance(source, (str, Path)):
@@ -124,20 +124,6 @@ def _iter_stream(stream, validate: bool, report: JsonlLoadReport):
             obj = json.loads(line)
         report.events += 1
         yield obj
-
-
-def load_jsonl(
-    source: Union[str, Path, IO[str]],
-    *,
-    validate: bool = False,
-    report: Optional[JsonlLoadReport] = None,
-) -> List[dict]:
-    """Parse a JSONL trace back into flat event dicts.
-
-    ``validate``/``report`` behave exactly as in :func:`iter_jsonl`
-    (validation skips and counts bad lines instead of raising).
-    """
-    return list(iter_jsonl(source, validate=validate, report=report))
 
 
 class RingBufferSink:
@@ -234,31 +220,3 @@ class CounterSink:
     def snapshot(self) -> Dict[str, float]:
         """A copy of the current name→value export."""
         return dict(self._values)
-
-    def render(self) -> str:
-        """Prometheus text exposition (one ``name value`` line each).
-
-        Ordering is pinned: lines are sorted by metric name, so two
-        snapshots with the same values render byte-identically no matter
-        what order the events arrived in.  ``parse`` inverts it exactly.
-        """
-        lines = [f"{name} {value}" for name, value in sorted(self._values.items())]
-        return "\n".join(lines)
-
-    @staticmethod
-    def parse(text: str) -> Dict[str, float]:
-        """Invert :meth:`render`: text exposition back to name→value.
-
-        ``parse(sink.render()) == sink.snapshot()`` holds for every sink
-        (the round-trip contract the golden-diff tooling relies on).
-        """
-        values: Dict[str, float] = {}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            name, _, raw = line.rpartition(" ")
-            if not name:
-                raise ValueError(f"counter line has no value: {line!r}")
-            values[name] = float(raw)
-        return values

@@ -18,9 +18,9 @@ returns an element of the population (never an interpolation), and
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Sequence
+from typing import Sequence
 
-__all__ = ["percentile", "percentiles"]
+__all__ = ["percentile"]
 
 
 def percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -30,9 +30,3 @@ def percentile(sorted_values: Sequence[float], q: float) -> float:
     rank = max(1, math.ceil(q * len(sorted_values)))
     return sorted_values[rank - 1]
 
-
-def percentiles(
-    sorted_values: Sequence[float], qs: Iterable[float]
-) -> Dict[float, float]:
-    """Many quantiles of one pre-sorted population, as ``{q: value}``."""
-    return {q: percentile(sorted_values, q) for q in qs}

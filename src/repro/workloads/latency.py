@@ -20,16 +20,15 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping
 
 from ..quantiles import percentile
-from ..sim.cost import cycles_to_seconds
 
 
 @dataclass
 class RequestStats:
     """Request-latency outcome of one server-workload run.
 
-    All latencies are in abstract cycles (the cost model's unit); the
-    ``*_ms`` properties convert for presentation only.  Serialises through
-    ``dataclasses.asdict`` like RunStats, so grid cells round-trip it."""
+    All latencies are in abstract cycles (the cost model's unit).
+    Serialises through ``dataclasses.asdict`` like RunStats, so grid
+    cells round-trip it."""
 
     count: int = 0
     offered: int = 0  # arrivals generated (== count unless the run failed)
@@ -69,23 +68,6 @@ class RequestStats:
             total_latency_cycles=total,
             **fields,
         )
-
-    # ------------------------------------------------------------------
-    @property
-    def p50_ms(self) -> float:
-        return cycles_to_seconds(self.p50_cycles) * 1e3
-
-    @property
-    def p99_ms(self) -> float:
-        return cycles_to_seconds(self.p99_cycles) * 1e3
-
-    @property
-    def p999_ms(self) -> float:
-        return cycles_to_seconds(self.p999_cycles) * 1e3
-
-    @property
-    def cache_hit_rate(self) -> float:
-        return self.cache_hits / self.cache_lookups if self.cache_lookups else 0.0
 
     # ------------------------------------------------------------------
     def counters(self) -> Dict[str, float]:

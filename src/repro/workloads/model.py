@@ -33,7 +33,6 @@ from ..errors import ConfigError
 from ..heap.address import WORD_BYTES
 from ..heap.objectmodel import HEADER_WORDS
 from ..runtime.vm import EXPERIMENT_FRAME_SHIFT
-from ..sim.cost import CYCLES_PER_SECOND
 from ..sim.locality import NO_LOCALITY, LocalityModel
 
 #: Lifetime names with engine-defined semantics (not byte-sampled).
@@ -294,11 +293,6 @@ class ServerWorkloadSpec:
         # consistent with ``__eq__`` and specs can key the minsearch and
         # grid dictionaries like benchmark-name refs do.
         return hash(json.dumps(self.to_dict(), sort_keys=True))
-
-    # -- derived quantities -------------------------------------------
-    @property
-    def duration_cycles(self) -> float:
-        return self.duration_s * CYCLES_PER_SECOND
 
     @property
     def locality(self) -> LocalityModel:

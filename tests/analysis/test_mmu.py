@@ -5,7 +5,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.mmu import (
-    default_windows,
     max_pause,
     mmu,
     mmu_curve,
@@ -88,14 +87,6 @@ def test_mmu_bounds_property(raw, window):
     assert 0.0 <= value <= 1.0
     # never better than the overall utilisation
     assert value <= overall_utilisation(pauses, total) + 1e-9
-
-
-def test_default_windows_log_spaced():
-    windows = default_windows(1e6, points=10)
-    assert len(windows) == 10
-    assert windows[0] < windows[-1] <= 1e6
-    ratios = [b / a for a, b in zip(windows, windows[1:])]
-    assert max(ratios) / min(ratios) == pytest.approx(1.0, rel=1e-6)
 
 
 def test_window_longer_than_run_clamped():

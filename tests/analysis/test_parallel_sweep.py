@@ -43,8 +43,7 @@ def test_parallel_sweep_matches_serial(serial):
         parallel=True,
         max_workers=2,
     )
-    assert parallel.runs == serial.runs
-    assert parallel.heap_sizes == serial.heap_sizes
+    assert parallel.runs == serial.runs  # heap sizes included
 
 
 def test_sweep_grid_matches_serial_sweep(serial):

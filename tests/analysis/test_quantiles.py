@@ -3,12 +3,11 @@ every percentile-reporting layer actually routes through it."""
 
 import pytest
 
-from repro.quantiles import percentile, percentiles
+from repro.quantiles import percentile
 
 
 def test_empty_population_is_zero():
     assert percentile([], 0.5) == 0.0
-    assert percentiles([], [0.5, 0.99]) == {0.5: 0.0, 0.99: 0.0}
 
 
 def test_nearest_rank_cases():

@@ -23,7 +23,7 @@ def test_heap_multipliers_rejects_tiny():
 def test_sweep_runs_and_aligns():
     result = sweep("jess", "25.25.100", 16 * 1024, [1.0, 2.0], scale=0.2)
     assert len(result.runs) == 2
-    assert result.heap_sizes[0] % FRAME_BYTES == 0
+    assert result.runs[0].heap_bytes % FRAME_BYTES == 0
     series = result.total_time_series()
     assert len(series) == 2
     assert all(v is None or v > 0 for v in series)

@@ -54,7 +54,6 @@ def test_result_counters_consistent():
     assert result.scanned_objects == result.copied_objects
     # every copied object's slots were scanned (type slot + 2 refs)
     assert result.scanned_ref_slots == 3 * result.scanned_objects
-    assert 0.0 <= result.survival_rate <= 1.0
 
 
 def test_collection_updates_root_array_in_place():

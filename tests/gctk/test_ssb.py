@@ -66,7 +66,6 @@ def test_ssb_keeps_duplicates():
     ssb.append(0x100)
     assert len(ssb) == 2
     assert ssb.inserts == 2
-    assert ssb.total_entries == 2
 
 
 def test_ssb_clear():

@@ -225,6 +225,14 @@ def test_cli_rejects_unknown_experiment():
      "--mmu-window", "2"],
     ["slo", "kvstore.json", "--heap-kb", "256", "--rates", "100",
      "--mmu-window", "-1"],
+    # Non-positive heap sizes and worker counts are usage errors too.
+    ["run", "--benchmark", "jess", "--heap-kb", "0"],
+    ["check", "--benchmark", "jess", "--heap-kb", "-4"],
+    ["profile", "--benchmark", "jess", "--heap-kb", "-1"],
+    ["serve", "kvstore.json", "--heap-kb", "-2"],
+    ["slo", "kvstore.json", "--rates", "100", "--heap-kb", "-0.5"],
+    ["run", "--benchmark", "jess", "--heap-kb", "inf"],
+    ["minheap", "--benchmark", "jess", "--workers", "0"],
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_cli_out_of_range_flag_is_a_usage_error(argv, capsys):
     """Exit 2 from argparse, before anything runs — not a ValueError from

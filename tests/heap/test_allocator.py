@@ -33,7 +33,6 @@ def test_alloc_fills_frame_exactly(space):
     region = grown(space, BumpRegion(space))
     assert region.alloc(64) != 0
     assert region.alloc(1) == 0  # full
-    assert region.frame_tail_words() == 0
 
 
 def test_tail_waste_accounted(space):

@@ -12,7 +12,7 @@ from repro.obs import (
     RingBufferSink,
     SchemaError,
     TelemetryBus,
-    load_jsonl,
+    iter_jsonl,
     pauses_from_events,
     validate_event,
     validate_events,
@@ -115,7 +115,7 @@ def test_jsonl_sink_stream_and_load():
     assert not stream.closed
     assert sink.count == 2
     stream.seek(0)
-    lines = load_jsonl(stream)
+    lines = list(iter_jsonl(stream))
     assert [l["id"] for l in lines] == [1, 2]
     assert validate_events(lines) == 2
 
@@ -125,7 +125,7 @@ def test_jsonl_sink_owns_path(tmp_path):
     sink = JsonlSink(path)
     sink.accept(_gc_end())
     sink.close()
-    assert len(load_jsonl(path)) == 1
+    assert len(list(iter_jsonl(path))) == 1
 
 
 def test_ring_buffer_capacity_and_kinds():
@@ -186,27 +186,6 @@ def test_counter_sink_folds_stream():
     assert snap["remset_inserts_total"] == 7
     assert snap["alloc_region_rollovers_total"] == 1
     assert snap["heap_frames_in_use"] == 6.0
-    rendered = sink.render()
-    assert "gc_collections_total 2.0" in rendered
-
-
-def test_counter_sink_render_is_sorted_and_round_trips():
-    """``render`` pins name-sorted ordering, and ``parse`` inverts it
-    exactly — the compare tooling depends on both."""
-    sink = CounterSink()
-    sink.accept(_gc_end(pause_cycles=10.0))
-    sink.accept(Event("alloc.region", 120.0, {
-        "frame": 9, "space": "belt0", "heap_frames_in_use": 6,
-    }))
-    rendered = sink.render()
-    names = [line.rsplit(" ", 1)[0] for line in rendered.splitlines()]
-    assert names == sorted(names)
-    assert CounterSink.parse(rendered) == sink.snapshot()
-
-
-def test_counter_sink_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        CounterSink.parse("no_value_here")
 
 
 # ----------------------------------------------------------------------
@@ -225,8 +204,6 @@ def _jsonl_with_noise():
 
 
 def test_iter_jsonl_is_lazy_and_matches_load(tmp_path):
-    from repro.obs import iter_jsonl
-
     path = tmp_path / "events.jsonl"
     sink = JsonlSink(path)
     sink.accept(_gc_end())
@@ -234,11 +211,11 @@ def test_iter_jsonl_is_lazy_and_matches_load(tmp_path):
     sink.close()
     iterator = iter_jsonl(path)
     assert iter(iterator) is iterator  # a generator, not a list
-    assert list(iterator) == load_jsonl(path)
+    assert list(iterator) == [json.loads(line) for line in path.read_text().splitlines()]
 
 
 def test_iter_jsonl_validate_skips_and_counts(tmp_path):
-    from repro.obs import JsonlLoadReport, iter_jsonl
+    from repro.obs import JsonlLoadReport
 
     path = tmp_path / "noisy.jsonl"
     path.write_text(_jsonl_with_noise())
@@ -255,11 +232,4 @@ def test_iter_jsonl_without_validate_raises_on_corruption(tmp_path):
     path = tmp_path / "noisy.jsonl"
     path.write_text(_jsonl_with_noise())
     with pytest.raises(ValueError):
-        list(load_jsonl(path))
-
-
-def test_load_jsonl_validate_kwarg(tmp_path):
-    path = tmp_path / "noisy.jsonl"
-    path.write_text(_jsonl_with_noise())
-    events = load_jsonl(path, validate=True)
-    assert [e["id"] for e in events] == [1, 2]
+        list(iter_jsonl(path))

@@ -18,13 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.mmu import mmu_curve, mmu_curve_from_events
+from repro.analysis.mmu import mmu_curve
 from repro.analysis.pauses import summarise
 from repro.bench.engine import SyntheticMutator
 from repro.bench.spec import BENCHMARK_NAMES, benchmark_spec
 from repro.errors import ConfigError
 from repro.harness.runner import RunOptions, run
-from repro.obs import validate_events
+from repro.obs import pauses_from_events, validate_events
 from repro.obs.profiler import (
     DEFAULT_STREAM_WINDOWS,
     ProfileOptions,
@@ -64,7 +64,7 @@ def test_attached_run_matches_golden_and_posthoc(bench_name):
     """All six specs with the profiler attached: RunStats bit-identical to
     the golden counters; the report's percentiles/MMU identical to the
     post-hoc values computed from the same run's pause intervals and from
-    its telemetry events (the ``mmu_curve_from_events`` point-identity),
+    its telemetry events (``pauses_from_events`` point-identity),
     and every worst window really holds the pause time it claims."""
     cell = f"{bench_name}/25.25.100"
     golden = GOLDEN["cells"][cell]
@@ -93,8 +93,8 @@ def test_attached_run_matches_golden_and_posthoc(bench_name):
     windows = [w for w, _ in profile.mmu_curve]
     assert windows == sorted(set(DEFAULT_STREAM_WINDOWS))
     assert profile.mmu_curve == mmu_curve(intervals, stats.total_cycles, windows)
-    assert profile.mmu_curve == mmu_curve_from_events(
-        report.events, stats.total_cycles, windows
+    assert profile.mmu_curve == mmu_curve(
+        pauses_from_events(report.events), stats.total_cycles, windows
     )
 
     # Worst windows: one row per window shorter than the run with MMU
@@ -226,6 +226,7 @@ def test_report_roundtrip_and_markdown():
     assert rebuilt.mmu_curve == profile.mmu_curve
 
     markdown = profile.to_markdown()
+    assert rebuilt.to_markdown() == markdown  # renders from the JSON alone
     for section in ("# GC profile: jess / 25.25.100",
                     "## Lifetime demographics", "## Pause analytics",
                     "## Cost attribution", "## Heap geometry"):

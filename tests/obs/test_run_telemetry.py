@@ -14,15 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.mmu import (
-    mmu_curve,
-    mmu_curve_from_events,
-    utilisation_from_counters,
-)
-from repro.analysis.pauses import summarise, summarise_events
+from repro.analysis.mmu import mmu_curve
+from repro.analysis.pauses import summarise
 from repro.bench.spec import BENCHMARK_NAMES
 from repro.harness.runner import RunOptions, run
-from repro.obs import load_jsonl, pauses_from_events, validate_events
+from repro.obs import iter_jsonl, pauses_from_events, validate_events
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "data" / "golden_counters.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -68,7 +64,7 @@ def test_trace_jsonl_schema_and_reconciliation(bench_name, tmp_path):
         options=RunOptions(scale=0.1, trace=str(out)),
     )
     stats = report.stats
-    events = load_jsonl(out)
+    events = list(iter_jsonl(out))
     assert len(events) == report.trace_events_written
     assert validate_events(events) == len(events)
 
@@ -107,15 +103,16 @@ def test_analysis_from_trace_matches_analysis_from_stats(tmp_path):
         options=RunOptions(scale=0.1, trace=str(out)),
     )
     stats = report.stats
-    events = load_jsonl(out)
+    events = list(iter_jsonl(out))
     assert pauses_from_events(events) == stats.pause_intervals()
-    assert summarise_events(events) == summarise(stats.pause_intervals())
+    assert summarise(pauses_from_events(events)) == summarise(stats.pause_intervals())
     windows = [stats.total_cycles * f for f in (0.01, 0.1, 0.5)]
-    assert mmu_curve_from_events(events, stats.total_cycles, windows) == (
+    assert mmu_curve(pauses_from_events(events), stats.total_cycles, windows) == (
         mmu_curve(stats.pause_intervals(), stats.total_cycles, windows)
     )
     (run_end,) = [e for e in events if e["kind"] == "run.end"]
-    util = utilisation_from_counters(run_end["counters"])
+    counters = run_end["counters"]
+    util = 1.0 - counters["gc_pause_cycles_total"] / counters["run_total_cycles"]
     assert util == pytest.approx(1.0 - stats.gc_fraction)
 
 
@@ -126,7 +123,7 @@ def test_trace_written_even_when_run_fails(tmp_path):
         options=RunOptions(scale=0.2, trace=str(out)),
     )
     assert not report.completed
-    events = load_jsonl(out)
+    events = list(iter_jsonl(out))
     validate_events(events)
     (run_end,) = [e for e in events if e["kind"] == "run.end"]
     assert run_end["completed"] is False

@@ -1,6 +1,6 @@
 """Attach → detach returns a VM to the untouched-code path.
 
-Both observers (the telemetry tracer and the sanitizer) advertise
+Both observers (the telemetry instrumentation and the sanitizer) advertise
 ``detach()``; after it runs, the VM's counters must advance
 bit-identically to a VM that was never observed, and no instance-level
 wrapper may remain behind.
@@ -8,8 +8,8 @@ wrapper may remain behind.
 
 import pytest
 
-from repro import VM, MutatorContext, attach_tracer
-from repro.obs import TelemetryBus
+from repro import VM, MutatorContext
+from repro.obs import RingBufferSink, TelemetryBus, attach
 from repro.obs.profiler import attach_profiler
 from repro.sanitizer import attach_sanitizer
 from repro.sanitizer.faults import FaultSpec, arm_faults
@@ -44,13 +44,15 @@ def test_tracer_detach_counters_bit_identical():
     vm_b, node_b = _build()
     mu_b = MutatorContext(vm_b)
     _segment(vm_b, mu_b, node_b, 0, 80)
-    tracer = attach_tracer(vm_b, snapshot_every=1)
+    bus = TelemetryBus()
+    sink = bus.subscribe(RingBufferSink())
+    tracer = attach(vm_b, bus, snapshot_every=1)
     _segment(vm_b, mu_b, node_b, 100, 80)
     tracer.detach()
     _segment(vm_b, mu_b, node_b, 200, 80)
     stats_b = vm_b.finish()
 
-    assert tracer.collections()  # it really observed the middle segment
+    assert sink.of_kind("gc.end")  # it really observed the middle segment
     assert stats_a == stats_b
     # No wrapper left on the plan's entry points or the space.
     assert "collect" not in vars(vm_b.plan)
@@ -61,13 +63,15 @@ def test_tracer_detach_counters_bit_identical():
 def test_tracer_detach_is_idempotent_and_keeps_events():
     vm, node = _build()
     mu = MutatorContext(vm)
-    tracer = attach_tracer(vm)
+    bus = TelemetryBus()
+    sink = bus.subscribe(RingBufferSink())
+    tracer = attach(vm, bus, snapshot_every=0)
     _segment(vm, mu, node, 0, 60)
-    events_before = list(tracer.events)
+    events_before = sink.events
     tracer.detach()
     tracer.detach()  # second call must be a no-op
     _segment(vm, mu, node, 100, 60)
-    assert tracer.events == events_before
+    assert sink.events == events_before
 
 
 def test_sanitizer_detach_counters_bit_identical():
@@ -134,7 +138,7 @@ _ATTACH = {
     "profiler": attach_profiler,
     "sanitizer": attach_sanitizer,
     "faults": _arm_dormant_faults,
-    "tracer": attach_tracer,
+    "tracer": lambda vm: attach(vm, TelemetryBus(), snapshot_every=1),
 }
 _NAMES = list(_ATTACH)
 #: Every rotation plus the reversal: each attachment is first once and

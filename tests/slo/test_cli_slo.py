@@ -59,6 +59,15 @@ def test_slo_frontier_no_distill_drops_overheads(tmp_path, capsys):
     assert "overhead_pct=None" in out
 
 
+def test_slo_frontier_exits_1_when_a_point_fails(tmp_path, capsys):
+    """A frontier point whose run did not complete is the exit contract's
+    1, as for ``serve``; the table still prints the FAIL row."""
+    spec = str(REPO / "examples" / "workloads" / "kvstore.json")
+    code = main(["slo", spec, "--heap-kb", "8", "--rates", "100"])
+    assert code == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_slo_frontier_json_and_output_artefacts(tmp_path, capsys):
     spec = mini_file(tmp_path)
     report = tmp_path / "report.txt"

@@ -49,10 +49,16 @@ def test_removed_shims_stay_removed():
     for name in ("alloc_batch", "write_ref_batch"):
         assert not hasattr(repro.VM, name)
     assert repro.heap.HeapVerifier is repro.sanitizer.heapcheck.HeapVerifier
+    # The census deletions (DESIGN §9): twins only their own tests called.
+    for name in ("Tracer", "attach_tracer", "load_jsonl"):
+        assert name not in repro.__all__ and not hasattr(repro, name)
+    assert not hasattr(repro.obs, "load_jsonl")
+    for module in ("repro.sim.trace", "repro.heap.dump", "repro.analysis.profile"):
+        assert module not in MODULES
 
 
 def test_version():
-    assert repro.__version__ == "1.8.0"
+    assert repro.__version__ == "2.0.0"
     # The packaged version cannot drift from the imported one again.
     pyproject = Path(__file__).parent.parent / "pyproject.toml"
     (packaged,) = re.findall(r'^version = "(.+)"$', pyproject.read_text(), re.M)
@@ -60,10 +66,10 @@ def test_version():
 
 
 def test_stable_run_surface():
-    """The consolidated public API: five entry points, importable flat."""
+    """The consolidated public API: four entry points, importable flat."""
     for name in ("run", "run_many", "sweep", "find_min_heap",
-                 "attach_tracer", "RunOptions", "RunReport",
-                 "TelemetryBus", "Tracer", "attach_sanitizer",
+                 "RunOptions", "RunReport",
+                 "TelemetryBus", "attach_sanitizer",
                  "arm_faults", "FaultSpec",
                  "load_spec", "fingerprint", "load_workload",
                  "ServerWorkloadSpec", "RequestTask", "ArrivalSpec",

@@ -128,7 +128,7 @@ def test_serve_rate_ladder_traces_one_merged_timeline(tmp_path, capsys):
     """A ladder plus --trace yields one JSONL timeline covering every
     rung (this combination used to be rejected; the campaign bus made
     the restriction obsolete)."""
-    from repro.obs.sinks import load_jsonl
+    from repro.obs.sinks import iter_jsonl
     from repro.obs.trace import build_timeline
 
     spec = mini_file(tmp_path)
@@ -138,7 +138,7 @@ def test_serve_rate_ladder_traces_one_merged_timeline(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert f"-> {trace}" in out
-    timeline = build_timeline(load_jsonl(trace, validate=True))
+    timeline = build_timeline(list(iter_jsonl(trace, validate=True)))
     runs = timeline.of_cat("run")
     assert len(runs) == 2
     assert len(timeline.of_cat("grid")) == 2
