@@ -69,15 +69,6 @@ class DeathSchedule:
         self.reaped += count
         return count
 
-    def drop_all(self) -> int:
-        """Kill everything scheduled (phase boundaries)."""
-        count = len(self._heap)
-        for _, _, handle in self._heap:
-            handle.drop()
-        self._heap.clear()
-        self.reaped += count
-        return count
-
     def drop_fraction(self, rng: random.Random, fraction: float) -> int:
         """Kill a random ``fraction`` of scheduled objects now (phase
         boundaries: a compiler iteration finishing, a transaction batch

@@ -116,10 +116,6 @@ class BarrierStats:
     slow_path: int = 0  # remset insert performed
     null_stores: int = 0  # stores of NULL (filtered before the compare)
 
-    @property
-    def slow_fraction(self) -> float:
-        return self.slow_path / self.fast_path if self.fast_path else 0.0
-
     def counters(self) -> Dict[str, float]:
         """Prometheus-style export for the telemetry layer."""
         return {

@@ -286,10 +286,6 @@ class BeltwayHeap:
         return sum(belt.num_increments for belt in self.belts)
 
     @property
-    def occupied_frames(self) -> int:
-        return sum(belt.num_frames for belt in self.belts)
-
-    @property
     def live_words_upper_bound(self) -> int:
         return sum(belt.occupancy_words for belt in self.belts)
 

@@ -180,7 +180,7 @@ def _job_identity(job: Job) -> Dict[str, object]:
         "benchmark": benchmark
         if isinstance(benchmark, str)
         else getattr(benchmark, "name", str(benchmark)),
-        "collector": str(collector),
+        "collector": getattr(collector, "name", str(collector)),
         "heap_bytes": heap_bytes,
         "scale": scale,
         "seed": seed,

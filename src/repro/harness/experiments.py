@@ -5,18 +5,19 @@ Every function returns an :class:`ExperimentResult` holding
 * ``text`` — the reproduced rows/series, rendered for the console;
 * ``data`` — the underlying structured numbers;
 * ``checks`` — named boolean *shape* assertions capturing the paper's
-  qualitative claims (who wins, where, by roughly what factor).  The
-  benchmark targets assert these, so a regression in any collector shows
-  up as a failed reproduction, not a silently different curve.
+  qualitative claims (who wins, where, by roughly what factor).
+  ``beltway-bench experiment|all|report`` exit non-zero when one fails,
+  so a regression in any collector shows up as a failed reproduction,
+  not a silently different curve.
 
 Experiments accept ``points`` (heap-grid size; the paper used 33) and
-``scale`` (workload length multiplier) so the quick benchmark targets can
-run a coarser grid; shapes are stable across both.
+``scale`` (workload length multiplier) so a quick run can use a coarser
+grid; shapes are stable across both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.mmu import max_pause, mmu_curve, overall_utilisation
@@ -31,6 +32,9 @@ from ..analysis.sweep import SweepResult, heap_multipliers, sweep
 from ..analysis.plots import ascii_chart
 from ..analysis.tables import render_mmu, render_series, render_table
 from ..bench.spec import BENCHMARK_NAMES, KB, benchmark_spec
+from ..core.config import BeltwayConfig
+from ..errors import OutOfMemory
+from ..grid.minsearch import find_min_heaps
 from ..runtime.vm import VM
 from ..runtime.mutator import MutatorContext
 from .runner import run_many
@@ -95,8 +99,6 @@ def min_heaps(benchmarks: Sequence[str], scale: float = 1.0) -> Dict[str, int]:
     """
     missing = [b for b in benchmarks if (b, scale) not in _min_heap_cache]
     if missing:
-        from ..grid.minsearch import find_min_heaps
-
         found = find_min_heaps(
             [(b, BASELINE) for b in missing], scale=scale, **_grid
         )
@@ -923,7 +925,154 @@ def slo(points: int = 9, scale: float = 1.0) -> ExperimentResult:
     return ExperimentResult("slo", text, data, checks)
 
 
-#: Every experiment, in paper order (used by the CLI and the bench suite).
+# ----------------------------------------------------------------------
+# Extension: ablations of the three mechanisms §3.3 credits, one at a time
+# ----------------------------------------------------------------------
+def _ablation_variants() -> List[BeltwayConfig]:
+    """25.25.100 and its three single-mechanism ablations."""
+    base = BeltwayConfig.parse("25.25.100")
+    nursery = replace(base.belts[0], max_increments=None)
+    return [
+        base,
+        replace(base, name="25.25.100-halfreserve", fixed_half_reserve=True),
+        replace(base, name="25.25.100-nocombine", enable_combine=False),
+        replace(base, name="25.25.100-multinursery",
+                belts=(nursery,) + base.belts[1:]),
+    ]
+
+
+def ablations(points: int = 9, scale: float = 1.0) -> ExperimentResult:
+    """Design-choice ablations on jess: a fixed half-heap copy reserve
+    (§3.3.4), no collect-together (§3.3.2), a multi-increment nursery
+    (§3.3.3).  The four minimum-heap searches run in lockstep; every
+    variant then runs at 1.5x the baseline's minimum."""
+    variants = _ablation_variants()
+    minima = find_min_heaps(
+        [("jess", config) for config in variants], scale=scale, **_grid
+    )
+    heap = int(1.5 * minima[("jess", variants[0])])
+    all_stats = run_many(
+        [("jess", config, heap, scale, 13) for config in variants], **_grid
+    )
+    lines = ["Ablations on jess (min heap; GCs measured at 1.5x the baseline minimum)"]
+    data = {}
+    for config, stats in zip(variants, all_stats):
+        minimum = minima[("jess", config)]
+        lines.append(
+            f"  {config.name:28s} min={minimum / KB:6.1f}KB  "
+            f"GCs={stats.collections:4d}  gc_cycles={stats.gc_cycles:12.0f}"
+        )
+        data[config.name] = {
+            "min_heap_bytes": minimum, "completed": stats.completed,
+            "collections": stats.collections, "gc_cycles": stats.gc_cycles,
+        }
+    base, half = data["25.25.100"], data["25.25.100-halfreserve"]
+    # The dynamic reserve buys heap *utilisation*: with the fixed half-heap
+    # reserve, collections come more often and GC work rises at the same
+    # heap.  Every variant still completes (optimisations, not correctness
+    # mechanisms).
+    checks = {
+        "half_reserve_collects_more": half["collections"] > base["collections"],
+        "half_reserve_gc_work_up_20pct": half["gc_cycles"] > 1.2 * base["gc_cycles"],
+    }
+    checks.update({f"{name}_completes": d["completed"] for name, d in data.items()})
+    return ExperimentResult("ablations", "\n".join(lines), data, checks)
+
+
+# ----------------------------------------------------------------------
+# Extension: a MOS (train algorithm) third belt, future work in §3.2/§5
+# ----------------------------------------------------------------------
+_MOS_CONFIGS = ("25.25", "25.25.100", "25.25.MOS")
+_STRESS_HEAP = 18 * KB
+
+
+def _cycle_stress(config: str):
+    """Cross-increment cycles dropped under memory pressure: ``RunStats``."""
+    vm = VM(heap_bytes=_STRESS_HEAP, collector=config)
+    node = vm.define_type("node", nrefs=2, nscalars=1)
+    mu = MutatorContext(vm)
+    pending = None
+    window = []
+    try:
+        for _generation in range(120):
+            ring = [mu.alloc(node) for _ in range(4)]
+            for i, handle in enumerate(ring):
+                mu.write(handle, 0, ring[(i + 1) % 4])
+            if pending is not None:
+                mu.write(ring[0], 1, pending)
+                mu.write(pending, 1, ring[0])
+                pending.drop()
+                pending = None
+            else:
+                pending = mu.copy_handle(ring[0])
+            for handle in ring:
+                handle.drop()
+            for i in range(300):  # pressure with survivors
+                junk = mu.alloc(node)
+                if i % 6 == 0:
+                    window.append(junk)
+                    if len(window) > 40:
+                        window.pop(0).drop()
+                else:
+                    junk.drop()
+    except OutOfMemory:
+        return vm.finish(completed=False, failure="OOM")
+    return vm.finish()
+
+
+def mos(points: int = 9, scale: float = 1.0) -> ExperimentResult:
+    """25.25 vs 25.25.100 vs 25.25.MOS.  Under cyclic-garbage stress 25.25
+    retains dead cross-increment cycles (or dies); MOS reclaims them with
+    no full-heap collection, unlike 25.25.100.  On javac at 1.5x min heap
+    MOS pauses (one car plus the lower belts) stay below 25.25.100's."""
+    stress = {config: _cycle_stress(config) for config in _MOS_CONFIGS}
+    heap = int(1.5 * min_heap("javac", scale))
+    javac = dict(zip(_MOS_CONFIGS, run_many(
+        [("javac", config, heap, scale, 13) for config in _MOS_CONFIGS], **_grid
+    )))
+    lines = [f"Cyclic-garbage stress ({_STRESS_HEAP // KB}KB heap):"]
+    data = {"stress": {}, "javac": {}}
+    for config, stats in stress.items():
+        floor = stats.late_occupancy_floor()
+        lines.append(
+            f"  {config:10s} {'ok' if stats.completed else 'FAIL':5s} "
+            f"GCs={stats.collections:4d} floor={floor:6d}B "
+            f"full-heap GCs={stats.full_heap_collections}"
+        )
+        data["stress"][config] = {
+            "completed": stats.completed, "collections": stats.collections,
+            "floor": floor, "full_heap_collections": stats.full_heap_collections,
+        }
+    lines.append("javac @1.5x min heap:")
+    for config, stats in javac.items():
+        lines.append(
+            f"  {config:10s} GCs={stats.collections:4d} "
+            f"maxpause={stats.max_pause_cycles:10.0f} "
+            f"total={stats.total_cycles:12.0f}"
+        )
+        data["javac"][config] = {key: getattr(stats, key) for key in (
+            "completed", "collections", "max_pause_cycles", "total_cycles",
+            "full_heap_collections")}
+    xx_stress, mos_stress = data["stress"]["25.25"], data["stress"]["25.25.MOS"]
+    mos_javac, complete_javac = data["javac"]["25.25.MOS"], data["javac"]["25.25.100"]
+    checks = {
+        # Completeness under cycle stress: MOS completes; the incomplete
+        # configuration either dies or retains far more garbage.
+        "mos_stress_completes": mos_stress["completed"],
+        "mos_stress_no_full_heap_gc": mos_stress["full_heap_collections"] == 0,
+        "incomplete_retains_cycles": not xx_stress["completed"]
+        or xx_stress["floor"] > 1.3 * mos_stress["floor"],
+        # Incrementality on javac: bounded pauses, below 25.25.100's.
+        "mos_javac_completes": mos_javac["completed"],
+        "mos_javac_pause_below_complete": mos_javac["max_pause_cycles"]
+        < 0.95 * complete_javac["max_pause_cycles"],
+        "mos_javac_no_full_heap_gc": mos_javac["full_heap_collections"] == 0,
+    }
+    return ExperimentResult("mos", "\n".join(lines), data, checks)
+
+
+#: Every experiment, in paper order then the extensions (the one registry
+#: ``beltway-bench experiment``, ``all`` and ``report`` read).
 #: All share the ``(points=9, scale=1.0)`` signature; a table or single-
 #: heap figure has no grid and ignores ``points``, figure 2/3 both.
 ALL_EXPERIMENTS = {
@@ -940,6 +1089,8 @@ ALL_EXPERIMENTS = {
     "figure11": figure11,
     "responsiveness": responsiveness,
     "slo": slo,
+    "ablations": ablations,
+    "mos": mos,
 }
 
 

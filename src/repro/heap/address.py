@@ -15,8 +15,6 @@ shift and compare (paper Fig. 4), which is implemented literally by
 
 from __future__ import annotations
 
-from ..errors import InvalidAddress
-
 #: Bytes per machine word (the paper targets a 32-bit PowerPC).
 WORD_BYTES = 4
 
@@ -41,11 +39,6 @@ def bytes_to_words(nbytes: int) -> int:
     return (nbytes + WORD_BYTES - 1) >> LOG_WORD_BYTES
 
 
-def is_word_aligned(addr: int) -> bool:
-    """True iff ``addr`` falls on a word boundary."""
-    return (addr & (WORD_BYTES - 1)) == 0
-
-
 def frame_of(addr: int, frame_shift: int = DEFAULT_FRAME_SHIFT) -> int:
     """The frame index containing ``addr`` (the paper's ``addr >>> FRAME_SIZE_LOG``)."""
     return addr >> frame_shift
@@ -54,15 +47,3 @@ def frame_of(addr: int, frame_shift: int = DEFAULT_FRAME_SHIFT) -> int:
 def frame_base(frame_index: int, frame_shift: int = DEFAULT_FRAME_SHIFT) -> int:
     """The byte address of the first word of frame ``frame_index``."""
     return frame_index << frame_shift
-
-
-def frame_offset_words(addr: int, frame_shift: int = DEFAULT_FRAME_SHIFT) -> int:
-    """Word offset of ``addr`` within its frame."""
-    return (addr & ((1 << frame_shift) - 1)) >> LOG_WORD_BYTES
-
-
-def check_word_aligned(addr: int) -> int:
-    """Return ``addr`` unchanged, raising :class:`InvalidAddress` if misaligned."""
-    if addr & (WORD_BYTES - 1):
-        raise InvalidAddress(f"address {addr:#x} is not word aligned")
-    return addr

@@ -101,21 +101,6 @@ class BootImage:
         self._install_type_object(desc)
         return desc
 
-    def alloc_global_table(self, slots: int) -> int:
-        """Allocate an immortal reference array used as a global root table.
-
-        Stores into it go through the write barrier like any other heap
-        store, so boot→heap pointers are remembered rather than scanned.
-        """
-        if "<globals>" not in {d.name for d in self.types}:
-            desc = self.define_ref_array("<globals>")
-        else:
-            desc = self.types.by_name("<globals>")
-        addr = self._alloc_raw(desc.size_words(slots))
-        self.model.init_header(addr, desc, length=slots)
-        self.space.store(addr + WORD_BYTES, desc.addr)
-        return addr
-
     def alloc_ballast(self, ref_slots: int) -> int:
         """Populate the boot image with VM-code ballast objects.
 
@@ -156,7 +141,3 @@ class BootImage:
         scan all of these at every collection; the verifier treats them
         as roots."""
         return iter(self._objects)
-
-    @property
-    def size_frames(self) -> int:
-        return len(self.frames)

@@ -56,9 +56,6 @@ class CostModel:
     boot_scan_slot: float = 6.0  # per boot-image slot, for collectors that
     #                              rescan the boot image (the Appel baseline)
 
-    def mutator_alloc_cost(self, size_words: int) -> float:
-        return self.alloc_object + self.alloc_word * size_words
-
     def collection_cost(
         self,
         copied_objects: int,

@@ -77,10 +77,6 @@ class RunStats:
     def max_pause_cycles(self) -> float:
         return max((p.duration for p in self.pauses), default=0.0)
 
-    @property
-    def survival_bytes_per_collection(self) -> float:
-        return self.copied_bytes / self.collections if self.collections else 0.0
-
     def late_occupancy_floor(self) -> int:
         """Lowest post-collection occupancy over the last half of the
         run's collections (0 if fewer than two collections)."""

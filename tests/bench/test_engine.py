@@ -46,15 +46,6 @@ def test_death_schedule_reaps_in_order():
     assert schedule.reaped == 5
 
 
-def test_death_schedule_drop_all():
-    table = RootTable()
-    schedule = DeathSchedule()
-    for i in range(4):
-        schedule.schedule(1000, table.acquire(4 + 4 * i))
-    assert schedule.drop_all() == 4
-    assert len(schedule) == 0
-
-
 def test_death_schedule_drop_fraction():
     table = RootTable()
     schedule = DeathSchedule()

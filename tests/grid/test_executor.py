@@ -46,6 +46,26 @@ def test_pool_executor_is_bit_identical(fresh):
     assert report.execution_mode == "parallel"
 
 
+def test_config_object_cells_pickle_to_the_pool():
+    """Collector objects (the ablation experiment's ``BeltwayConfig``
+    variants) cross the pool by pickle and return the serial stats."""
+    from repro.harness.experiments import _ablation_variants
+
+    jobs = [("jess", config, 24 * 1024, SCALE, 13) for config in _ablation_variants()]
+    pooled = execute_jobs(jobs, force_pool=True, max_workers=2)
+    assert pooled.execution_mode == "parallel"
+    assert pooled.results == execute_jobs(jobs, parallel=False).results
+
+
+def test_failed_cell_names_a_collector_object_by_name():
+    from repro.core.config import BeltwayConfig
+    from repro.grid.executor import _failed_stats
+
+    config = BeltwayConfig.parse("25.25.100")
+    stats = _failed_stats(("jess", config, 24 * 1024, SCALE, 13), "x")
+    assert stats.collector == config.name
+
+
 def test_warm_store_serves_everything(tmp_path, fresh):
     store = ResultStore(tmp_path / "s")
     cold = execute_jobs(JOBS, store=store, parallel=False)

@@ -1,7 +1,8 @@
 """Structural tests of the experiment harness at reduced scale.
 
-Full experiment validation happens in ``benchmarks/``; these tests check
-the *plumbing* quickly — result shapes, caching, series alignment — with
+Full experiment validation (every shape check at the default resolution)
+is ``beltway-bench experiment <name>`` / ``all``; these tests check the
+*plumbing* quickly — result shapes, caching, series alignment — with
 short workloads and tiny grids.
 """
 
@@ -113,7 +114,33 @@ def test_experiment_registry_complete():
         "figure11",
         "responsiveness",
         "slo",
+        "ablations",
+        "mos",
     }
     assert set(E.ALL_EXPERIMENTS) == expected
     for fn in E.ALL_EXPERIMENTS.values():
         assert callable(fn)
+
+
+def test_ablations_and_mos_structure():
+    """Data keys and check names only: at this scale some verdicts differ
+    by design (javac's MOS pause is not below 25.25.100's)."""
+    ablations = E.ablations(points=POINTS, scale=SCALE)
+    variants = [
+        "25.25.100", "25.25.100-halfreserve", "25.25.100-nocombine",
+        "25.25.100-multinursery",
+    ]
+    assert list(ablations.data) == variants
+    assert set(ablations.checks) == {
+        "half_reserve_collects_more", "half_reserve_gc_work_up_20pct",
+    } | {f"{name}_completes" for name in variants}
+    mos = E.mos(points=POINTS, scale=SCALE)
+    configs = ["25.25", "25.25.100", "25.25.MOS"]
+    assert list(mos.data) == ["stress", "javac"]
+    assert list(mos.data["stress"]) == list(mos.data["javac"]) == configs
+    assert set(mos.checks) == {
+        "mos_stress_completes", "mos_stress_no_full_heap_gc",
+        "incomplete_retains_cycles", "mos_javac_completes",
+        "mos_javac_pause_below_complete", "mos_javac_no_full_heap_gc",
+    }
+    assert "Cyclic-garbage stress" in mos.text and "javac @1.5x" in mos.text

@@ -1,18 +1,12 @@
 """Unit tests for address arithmetic."""
 
-import pytest
-
-from repro.errors import InvalidAddress
 from repro.heap.address import (
     DEFAULT_FRAME_SHIFT,
     NULL,
     WORD_BYTES,
     bytes_to_words,
-    check_word_aligned,
     frame_base,
     frame_of,
-    frame_offset_words,
-    is_word_aligned,
     words_to_bytes,
 )
 
@@ -37,13 +31,6 @@ def test_bytes_to_words_rounds_up():
     assert bytes_to_words(0) == 0
 
 
-def test_is_word_aligned():
-    assert is_word_aligned(0)
-    assert is_word_aligned(8)
-    assert not is_word_aligned(2)
-    assert not is_word_aligned(7)
-
-
 def test_frame_of_matches_shift():
     shift = DEFAULT_FRAME_SHIFT
     assert frame_of(0, shift) == 0
@@ -56,20 +43,6 @@ def test_frame_base_inverts_frame_of():
     shift = 10
     for index in (1, 2, 77):
         assert frame_of(frame_base(index, shift), shift) == index
-
-
-def test_frame_offset_words():
-    shift = 12
-    base = frame_base(3, shift)
-    assert frame_offset_words(base, shift) == 0
-    assert frame_offset_words(base + 4, shift) == 1
-    assert frame_offset_words(base + 40, shift) == 10
-
-
-def test_check_word_aligned_raises():
-    assert check_word_aligned(16) == 16
-    with pytest.raises(InvalidAddress):
-        check_word_aligned(17)
 
 
 def test_intra_frame_pointers_share_frame_index():

@@ -10,12 +10,6 @@ from repro.sim.locality import LocalityModel, NO_LOCALITY
 # ----------------------------------------------------------------------
 # CostModel
 # ----------------------------------------------------------------------
-def test_alloc_cost_scales_with_size():
-    cm = DEFAULT_COST_MODEL
-    assert cm.mutator_alloc_cost(10) > cm.mutator_alloc_cost(2)
-    assert cm.mutator_alloc_cost(0) == cm.alloc_object
-
-
 def test_collection_cost_components():
     cm = CostModel()
     base = cm.collection_cost(0, 0, 0, 0, 0, 0)

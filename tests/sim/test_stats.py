@@ -36,12 +36,6 @@ def test_pause_intervals():
     assert stats.pause_intervals() == [(1, 2)]
 
 
-def test_survival_bytes_per_collection():
-    stats = make_stats(copied_bytes=300, collections=3)
-    assert stats.survival_bytes_per_collection == 100
-    assert make_stats().survival_bytes_per_collection == 0.0
-
-
 def test_late_occupancy_floor():
     stats = make_stats(post_gc_occupancy_bytes=[100, 90, 80, 50, 70, 60])
     # last half = [50, 70, 60] -> 50
