@@ -100,7 +100,6 @@ from .obs import (
     Event,
     JsonlLoadReport,
     JsonlSink,
-    ProfileOptions,
     ProfileReport,
     Profiler,
     RingBufferSink,
@@ -145,7 +144,7 @@ from .workloads import (
     load_file as load_workload,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     # consolidated run API
@@ -198,7 +197,6 @@ __all__ = [
     # profiler
     "attach_profiler",
     "Profiler",
-    "ProfileOptions",
     "ProfileReport",
     # sanitizer
     "attach_sanitizer",

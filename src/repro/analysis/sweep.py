@@ -29,11 +29,11 @@ PAPER_POINTS = 33
 MAX_RATIO = 3.0
 
 
-def heap_multipliers(points: int = PAPER_POINTS, max_ratio: float = MAX_RATIO) -> List[float]:
-    """Log-spaced multipliers from 1.0 to ``max_ratio`` inclusive."""
+def heap_multipliers(points: int = PAPER_POINTS) -> List[float]:
+    """Log-spaced multipliers from 1.0 to :data:`MAX_RATIO` inclusive."""
     if points < 2:
         raise ValueError("a sweep needs at least two points")
-    step = max_ratio ** (1.0 / (points - 1))
+    step = MAX_RATIO ** (1.0 / (points - 1))
     return [step ** i for i in range(points)]
 
 
@@ -79,7 +79,7 @@ def sweep(
     multipliers: Sequence[float],
     scale: float = 1.0,
     seed: int = 13,
-    parallel: Optional[bool] = None,
+    parallel: bool = True,
     max_workers: Optional[int] = None,
     store=None,
     bus=None,
@@ -105,7 +105,7 @@ def sweep_grid(
     multipliers: Sequence[float],
     scale: float = 1.0,
     seed: int = 13,
-    parallel: Optional[bool] = None,
+    parallel: bool = True,
     max_workers: Optional[int] = None,
     store=None,
     bus=None,
@@ -117,8 +117,8 @@ def sweep_grid(
     :func:`repro.grid.executor.execute_jobs` in one batch, so worker
     processes stay busy across benchmark boundaries instead of draining
     per-sweep.  The executor alone decides how the batch runs
-    (``parallel=False`` rules a pool out; ``None`` / ``True`` let it use
-    one when it can pay for itself) and every
+    (``parallel=False`` rules a pool out; ``True`` lets it use one when
+    it can pay for itself) and every
     ``SweepResult.execution_mode`` records what it reported.  With a
     :class:`~repro.grid.store.ResultStore` as ``store``, previously
     computed cells are served from disk and fresh ones are checkpointed

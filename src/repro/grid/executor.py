@@ -21,7 +21,7 @@ where the wall-clock goes:
   campaign has lost nothing but the cells still in flight.
 
 * **Fault tolerance.**  Worker-side exceptions are caught in the worker
-  and retried up to ``retries`` times; a worker *crash* (hard exit — the
+  and retried up to :data:`RETRIES` times; a worker *crash* (hard exit — the
   pool is broken) falls back to executing the remaining cells serially
   in-process, each isolated, so one poison cell records a failure
   instead of losing the batch.  Permanently failed cells yield
@@ -60,6 +60,9 @@ from ..obs.relay import (
 from ..sim.stats import RunStats
 from ..specs import SpecRef, load as load_spec
 from .store import ResultStore, cell_key
+
+#: Re-attempts of a cell whose run raised, before it is recorded as failed.
+RETRIES = 1
 
 #: One grid cell: (benchmark ref, collector, heap_bytes, scale, seed).
 #: The first element is any spec ref ``repro.specs.load`` resolves —
@@ -130,11 +133,12 @@ def should_parallelise(num_jobs: int, max_workers: Optional[int] = None) -> bool
     return num_jobs > 1 and effective_workers(max_workers) > 1
 
 
-def _run_cell(job: Job, forward: bool = False, capacity: Optional[int] = None):
+def _run_cell(job: Job, forward: bool = False):
     """Execute one grid cell: its ``RunStats``, or with ``forward`` a
     :class:`ForwardedCell` carrying the stats plus the telemetry prefix a
-    bounded forwarding sink retained and its overflow count, for the
-    coordinator to replay onto its own bus.
+    forwarding sink of :data:`~repro.obs.relay.DEFAULT_FORWARD_CAPACITY`
+    events retained and its overflow count, for the coordinator to replay
+    onto its own bus.
 
     Module-level (dispatched via :func:`functools.partial`) so the pool
     can pickle it; the one place below the harness that imports it.
@@ -142,7 +146,7 @@ def _run_cell(job: Job, forward: bool = False, capacity: Optional[int] = None):
     from ..harness.runner import RunOptions, run
 
     benchmark, collector, heap_bytes, scale, seed = job
-    sinks = (ForwardingSink(capacity),) if forward else ()
+    sinks = (ForwardingSink(DEFAULT_FORWARD_CAPACITY),) if forward else ()
     options = RunOptions(scale=scale, seed=seed, sinks=sinks)
     stats = run(benchmark, collector, heap_bytes, options=options).stats
     if not forward:
@@ -269,19 +273,17 @@ def execute_jobs(
     jobs: Sequence[Job],
     *,
     store: Optional[ResultStore] = None,
-    parallel: Optional[bool] = None,
+    parallel: bool = True,
     max_workers: Optional[int] = None,
-    retries: int = 1,
     bus=None,
     cell_runner: Optional[Callable[[Job], RunStats]] = None,
     force_pool: bool = False,
-    forward_capacity: Optional[int] = DEFAULT_FORWARD_CAPACITY,
 ) -> GridReport:
     """Run a batch of grid cells through the store and the executor.
 
-    ``parallel=None`` (the default) and ``True`` both defer to
-    :func:`should_parallelise` — a pool is used only when it can pay for
-    itself; ``False`` forces the in-process loop.  ``cell_runner``
+    ``parallel=True`` (the default) defers to :func:`should_parallelise`
+    — a pool is used only when it can pay for itself; ``False`` forces
+    the in-process loop.  ``cell_runner``
     replaces the real run for tests (must be a picklable module-level
     callable when a pool is involved).  ``force_pool`` bypasses the
     single-CPU veto so the pool path stays testable on one-core runners;
@@ -291,28 +293,22 @@ def execute_jobs(
     ``bus`` is attached and the cell runner is the real run (a custom
     ``cell_runner`` may opt in by returning
     :class:`~repro.obs.relay.ForwardedCell` values itself — the unwrap
-    below handles either).  ``forward_capacity`` bounds the per-cell
-    buffer (``None`` = unbounded; see :mod:`repro.obs.relay`).
+    below handles either); each cell's buffer is bounded (see
+    :mod:`repro.obs.relay`).
     """
     jobs = [tuple(job) for job in jobs]
     report = GridReport(results=[None] * len(jobs))
-    runner = cell_runner or functools.partial(
-        _run_cell, forward=bus is not None, capacity=forward_capacity
-    )
+    runner = cell_runner or functools.partial(_run_cell, forward=bus is not None)
 
     keys: List[Optional[str]] = []
     for job in jobs:
-        # Non-string collector specs and unfingerprintable workload refs
-        # (hand-built WorkloadSpec objects, unreadable files) have no
-        # canonical identity; they execute uncached rather than risking
-        # key aliasing.
-        key = None
-        if isinstance(job[1], str):
-            try:
-                key = cell_key(*job)
-            except ReproError:
-                pass
-        keys.append(key)
+        # Unfingerprintable workload refs (hand-built WorkloadSpec
+        # objects, unreadable files) have no canonical identity; they
+        # execute uncached rather than risking key aliasing.
+        try:
+            keys.append(cell_key(*job))
+        except ReproError:
+            keys.append(None)
     emitter = _Emitter(bus, report, jobs, keys)
 
     missing: List[int] = []
@@ -335,9 +331,7 @@ def execute_jobs(
     # serial path remains deterministic).
     missing.sort(key=lambda i: (-_cost_estimate(jobs[i]), i))
 
-    use_pool = force_pool or (
-        parallel is not False and should_parallelise(len(missing), max_workers)
-    )
+    use_pool = force_pool or (parallel and should_parallelise(len(missing), max_workers))
     report.execution_mode = "parallel" if use_pool else "serial"
     attempts: Dict[int, int] = {}
 
@@ -351,7 +345,7 @@ def execute_jobs(
         """
         if status != "ok":
             attempts[i] = attempts.get(i, 0) + 1
-            failed = status == "error" and attempts[i] > retries
+            failed = status == "error" and attempts[i] > RETRIES
             if failed:
                 report.failures.append(GridFailure(jobs[i], value, attempts[i]))
                 report.results[i] = _failed_stats(jobs[i], value)

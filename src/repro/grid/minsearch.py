@@ -37,16 +37,17 @@ from .store import ResultStore
 #: One search target: (benchmark, collector).
 Target = Tuple[str, str]
 
+#: The largest heap a search probes before it gives up on a target.
+MAX_HEAP_BYTES = 4 * 1024 * 1024
+
 
 def find_min_heaps(
     targets: Sequence[Target],
     scale: float = 1.0,
     seed: int = 13,
-    start_bytes: Optional[int] = None,
-    max_bytes: int = 4 * 1024 * 1024,
     *,
     store: Optional[ResultStore] = None,
-    parallel: Optional[bool] = None,
+    parallel: bool = True,
     max_workers: Optional[int] = None,
     bus=None,
 ) -> Dict[Target, int]:
@@ -56,14 +57,14 @@ def find_min_heaps(
     through :func:`repro.grid.executor.execute_jobs`, so a store serves
     previously computed probes and each round's probes (one per active
     search) execute in parallel.  Raises :class:`OutOfMemory` naming the
-    first target for which no heap up to ``max_bytes`` completes.
+    first target for which no heap up to :data:`MAX_HEAP_BYTES` completes.
     """
     searches: Dict[Target, MonotoneSearch] = {}
     for benchmark, collector in targets:
         spec = load_spec(benchmark, scale)
-        lo = start_bytes or max(4 * FRAME_BYTES, spec.total_alloc_bytes // 64)
+        lo = max(4 * FRAME_BYTES, spec.total_alloc_bytes // 64)
         searches[(benchmark, collector)] = MonotoneSearch(
-            round_to_step(lo, FRAME_BYTES, 2 * FRAME_BYTES), max_bytes, FRAME_BYTES
+            round_to_step(lo, FRAME_BYTES, 2 * FRAME_BYTES), MAX_HEAP_BYTES, FRAME_BYTES
         )
 
     drive_searches(
@@ -79,6 +80,6 @@ def find_min_heaps(
     for (benchmark, collector), search in searches.items():
         if search.failed:
             raise OutOfMemory(
-                f"{benchmark}/{collector}: no heap up to {max_bytes} bytes works"
+                f"{benchmark}/{collector}: no heap up to {MAX_HEAP_BYTES} bytes works"
             )
     return {target: search.result for target, search in searches.items()}

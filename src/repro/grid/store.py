@@ -25,14 +25,14 @@ the executor recomputes the cell.  The store never serves bytes it
 cannot verify.
 
 Keys are deterministic fingerprints of the *complete* cell identity —
-``(benchmark, collector, heap_bytes, scale, seed, substrate tier,
-store-format version)``.  The tier is part of the key even though tiers
-are bit-identical by contract: the store must stay trustworthy even
-while that contract is being debugged, and a tier change must invalidate
-rather than alias.  Bump :data:`STORE_FORMAT_VERSION` whenever the
-serialised form *or the meaning of a run* changes (new counters, cost
-model recalibration): every old key goes stale at once, which is the
-correct failure mode for a cache of experiment results.
+``(benchmark, collector, heap_bytes, scale, seed, store-format
+version)``.  The substrate tier is not part of it: tiers are
+bit-identical by contract, and the tier-1 suite runs on both tiers to
+hold that contract, so a cell computed on one tier is the cell on the
+other.  Bump :data:`STORE_FORMAT_VERSION` whenever the serialised form
+*or the meaning of a run* changes (new counters, cost model
+recalibration): every old key goes stale at once, which is the correct
+failure mode for a cache of experiment results.
 """
 
 from __future__ import annotations
@@ -49,28 +49,14 @@ from ..sim.stats import RunStats
 
 #: Bump on any change to the serialised form or to what a run means.
 #: v2: RunStats grew the ``requests`` field (server-workload latency).
-STORE_FORMAT_VERSION = 2
+#: v3: the substrate tier left the key.
+STORE_FORMAT_VERSION = 3
 
 _INDEX_NAME = "index.json"
 _SHARD_GLOB = "cells-*.jsonl"
 
 
-def _resolved_tier(tier: Optional[str]) -> str:
-    if tier is not None:
-        return tier
-    from ..kernels import resolve
-
-    return resolve(None).name
-
-
-def cell_key(
-    benchmark,
-    collector: str,
-    heap_bytes: int,
-    scale: float,
-    seed: int,
-    tier: Optional[str] = None,
-) -> str:
+def cell_key(benchmark, collector, heap_bytes: int, scale: float, seed: int) -> str:
     """Deterministic fingerprint of one grid cell.
 
     ``benchmark`` is any spec ref :func:`repro.specs.load` accepts; its
@@ -82,10 +68,12 @@ def cell_key(
     raise :class:`~repro.errors.ConfigError` — the executor runs those
     uncached.
 
-    ``tier`` defaults to the tier the current process would resolve
-    (``repro.kernels.resolve``), i.e. the tier the run would actually
-    execute on.  ``scale`` is fingerprinted via ``repr(float(...))`` so
-    ``0.4`` and ``0.40`` agree and the key survives JSON round trips.
+    ``collector`` is fingerprinted as ``str(collector)``: a spec string
+    as written, a parsed :class:`~repro.core.config.BeltwayConfig` as its
+    full dataclass ``repr``, which names every field and so cannot alias
+    a spec string or another configuration.  ``scale`` is fingerprinted
+    via ``repr(float(...))`` so ``0.4`` and ``0.40`` agree and the key
+    survives JSON round trips.
     """
     from ..errors import ConfigError
     from ..specs import fingerprint
@@ -104,7 +92,6 @@ def cell_key(
             "heap_bytes": int(heap_bytes),
             "scale": repr(float(scale)),
             "seed": int(seed),
-            "tier": _resolved_tier(tier),
         },
         sort_keys=True,
     )

@@ -8,20 +8,23 @@ Examples
     beltway-bench run --benchmark jess --collector 25.25.100 --heap-kb 24
     beltway-bench minheap --benchmark javac --collector gctk:Appel
     beltway-bench experiment figure9 --points 9
-    beltway-bench all --points 7
-    beltway-bench experiment figure9 --full        # the paper's 33 points
+    beltway-bench experiment --points 7            # every table and figure
+    beltway-bench experiment figure9 --points 33   # the paper's grid
     beltway-bench profile --benchmark jess --heap-kb 48 --output jess.md
 
 Exit codes (consistent across subcommands): ``0`` success; ``1``
 failure — a run that did not complete, a sanitizer violation, a failed
 shape check, or an output artefact that could not be written; ``2``
-usage errors (argparse).
+usage errors (argparse).  The substrate-kernel tier of every VM a
+command builds is the ``REPRO_SUBSTRATE_TIER`` environment variable's
+(default auto; results are bit-identical across tiers).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 import time
@@ -58,8 +61,14 @@ def _checked(cast, accepts, requirement: str):
 
 _points = _checked(int, lambda n: n >= 2, "a sweep needs at least two points")
 _heap_kb = _checked(
-    float, lambda kb: 0.0 < kb < float("inf"),
-    "a heap size must be positive and finite",
+    float, lambda kb: 0.0 < kb < math.inf, "a heap size must be positive and finite",
+)
+_duration = _checked(
+    float, lambda s: 0.0 < s < math.inf, "a duration must be positive and finite",
+)
+_experiment = _checked(
+    str, ALL_EXPERIMENTS.__contains__,
+    "unknown experiment (choose from " + ", ".join(sorted(ALL_EXPERIMENTS)) + ")",
 )
 _workers = _checked(int, lambda n: n >= 1, "must be at least 1")
 _snapshot_every = _checked(int, lambda n: n >= 0, "must be 0 or a positive count")
@@ -68,28 +77,27 @@ _mmu_window = _checked(
 )
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
+    """``--scale``, and ``--seed`` where the command's runs read it (the
+    registry's experiments fix their own seed)."""
     parser.add_argument("--scale", type=float, default=1.0, help="workload length multiplier")
-    parser.add_argument("--seed", type=int, default=13)
-    parser.add_argument(
-        "--tier", choices=("python", "cffi", "auto"), default=None,
-        help="substrate-kernel tier for every VM this command builds "
-        "(default: the " + kernels.TIER_ENV + " environment variable, else auto; "
-        "results are bit-identical across tiers)",
-    )
+    if seed:
+        parser.add_argument("--seed", type=int, default=13)
 
 
-def _add_grid(parser: argparse.ArgumentParser) -> None:
-    """Grid-campaign flags for the commands that execute cell batches."""
+def _add_grid(parser: argparse.ArgumentParser, pooled: bool = True) -> None:
+    """Grid-campaign flags for the commands that execute cell batches;
+    ``--workers`` only where a batch may fan out over a pool."""
     parser.add_argument(
         "--store", metavar="DIR", default=None,
         help="content-addressed result store: previously computed cells "
         "are served from here and fresh ones checkpointed as they finish",
     )
-    parser.add_argument(
-        "--workers", type=_workers, default=None, metavar="N",
-        help="cap the worker processes of parallel batches",
-    )
+    if pooled:
+        parser.add_argument(
+            "--workers", type=_workers, default=None, metavar="N",
+            help="cap the worker processes of parallel batches",
+        )
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="stream telemetry as JSON lines: campaign progress "
@@ -173,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_min.add_argument("--benchmark", required=True, metavar="REF", help=_REF_HELP)
     p_min.add_argument("--collector", default="gctk:Appel")
     _add_common(p_min)
-    _add_grid(p_min)
+    _add_grid(p_min, pooled=False)  # one search: sequential by nature
 
     p_srv = sub.add_parser(
         "serve",
@@ -196,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         "comma-separated ladder runs the workload once per rate",
     )
     p_srv.add_argument(
-        "--duration", type=float, default=None, metavar="S",
+        "--duration", type=_duration, default=None, metavar="S",
         help="override the spec's observation window (simulated seconds)",
     )
     p_srv.add_argument(
@@ -283,18 +291,21 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_slo)
     _add_grid(p_slo)
 
-    p_exp = sub.add_parser("experiment", help="reproduce one table/figure")
-    p_exp.add_argument("name", choices=sorted(ALL_EXPERIMENTS))
-    p_exp.add_argument("--points", type=_points, default=9, help="heap grid points")
-    p_exp.add_argument("--full", action="store_true", help="use the paper's 33-point grid")
-    _add_common(p_exp)
+    p_exp = sub.add_parser(
+        "experiment", help="reproduce tables and figures (default: every one)"
+    )
+    # Checked by ``type=`` rather than ``choices=``: argparse rejects an
+    # empty ``nargs="*"`` list against choices.
+    p_exp.add_argument(
+        "names", nargs="*", type=_experiment, metavar="NAME",
+        help="experiments to run, in this order (default: all, in registry order)",
+    )
+    p_exp.add_argument(
+        "--points", type=_points, default=9,
+        help="heap grid points (the paper's grid: 33)",
+    )
+    _add_common(p_exp, seed=False)
     _add_grid(p_exp)
-
-    p_all = sub.add_parser("all", help="reproduce every table and figure")
-    p_all.add_argument("--points", type=_points, default=9)
-    p_all.add_argument("--full", action="store_true")
-    _add_common(p_all)
-    _add_grid(p_all)
 
     p_tr = sub.add_parser(
         "trace",
@@ -332,14 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_rep = sub.add_parser("report", help="write a full markdown report")
-    p_rep.add_argument("--output", default="beltway-report.md")
-    p_rep.add_argument("--points", type=_points, default=9)
-    p_rep.add_argument("--full", action="store_true")
     p_rep.add_argument(
-        "--only", nargs="*", choices=sorted(ALL_EXPERIMENTS), default=None,
-        help="restrict to these experiments",
+        "names", nargs="*", type=_experiment, metavar="NAME",
+        help="experiments to include (default: all), in registry order",
     )
-    _add_common(p_rep)
+    p_rep.add_argument("--output", default="beltway-report.md")
+    p_rep.add_argument(
+        "--points", type=_points, default=9,
+        help="heap grid points (the paper's grid: 33)",
+    )
+    _add_common(p_rep, seed=False)
     _add_grid(p_rep)
     return parser
 
@@ -371,7 +384,9 @@ def _campaign(args):
             bus = TelemetryBus()
             bus.subscribe(sink)
             tally = bus.subscribe(DropTally())
-        experiments.configure_grid(store=store, max_workers=args.workers, bus=bus)
+        experiments.configure_grid(
+            store=store, max_workers=getattr(args, "workers", None), bus=bus
+        )
         yield store, bus
     finally:
         # The grid config is process-wide; a later in-process caller must
@@ -421,8 +436,8 @@ def _parse_rates(parser: argparse.ArgumentParser, text: str) -> List[float]:
             rate = float(part)
         except ValueError:
             parser.error(f"invalid rate {part!r} in {text!r}")
-        if rate <= 0:
-            parser.error(f"rates must be positive (got {part!r})")
+        if not 0 < rate < math.inf:
+            parser.error(f"rates must be positive and finite (got {part!r})")
         rates.append(rate)
     if not rates:
         parser.error(f"no rates in {text!r}")
@@ -734,11 +749,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _dispatch(parser: argparse.ArgumentParser, args) -> int:
-    if getattr(args, "tier", None):
-        # Through the environment rather than plumbing a parameter into
-        # every run/sweep call: the VM resolves the tier at construction,
-        # and worker processes of a parallel sweep inherit the setting.
-        os.environ[kernels.TIER_ENV] = args.tier
     if os.environ.get(kernels.TIER_ENV):
         # A degraded request still runs (and stdout stays golden-clean),
         # but never silently: stderr, once per invocation.
@@ -880,13 +890,10 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
             )
             print(f"{args.benchmark}/{args.collector}: min heap = {minimum / KB:.1f}KB")
             return 0
-        points = 33 if getattr(args, "full", False) else args.points
         if args.command == "experiment":
-            return 0 if _run_experiment(args.name, points, args.scale) else 1
-        if args.command == "all":
             ok = True
-            for name in ALL_EXPERIMENTS:
-                ok = _run_experiment(name, points, args.scale) and ok
+            for name in args.names or ALL_EXPERIMENTS:
+                ok = _run_experiment(name, args.points, args.scale) and ok
             return 0 if ok else 1
         if args.command == "report":
             from pathlib import Path
@@ -895,8 +902,8 @@ def _dispatch(parser: argparse.ArgumentParser, args) -> int:
 
             try:
                 results = write_report(
-                    Path(args.output), points=points, scale=args.scale,
-                    names=args.only,
+                    Path(args.output), points=args.points, scale=args.scale,
+                    names=args.names,
                 )
             except OSError as error:
                 print(f"error: cannot write report: {error}", file=sys.stderr)

@@ -6,7 +6,7 @@ Every function returns an :class:`ExperimentResult` holding
 * ``data`` — the underlying structured numbers;
 * ``checks`` — named boolean *shape* assertions capturing the paper's
   qualitative claims (who wins, where, by roughly what factor).
-  ``beltway-bench experiment|all|report`` exit non-zero when one fails,
+  ``beltway-bench experiment|report`` exit non-zero when one fails,
   so a regression in any collector shows up as a failed reproduction,
   not a silently different curve.
 
@@ -53,11 +53,11 @@ _sweep_cache: Dict[Tuple[str, str, int, float, int], SweepResult] = {}
 #: cap.  Set by :func:`configure_grid` (the CLI's ``--store``/``--workers``
 #: flags land here); the defaults are store-less auto-parallel.
 _grid: Dict[str, object] = {
-    "store": None, "parallel": None, "max_workers": None, "bus": None,
+    "store": None, "parallel": True, "max_workers": None, "bus": None,
 }
 
 
-def configure_grid(store=None, parallel=None, max_workers=None, bus=None) -> None:
+def configure_grid(store=None, parallel: bool = True, max_workers=None, bus=None) -> None:
     """Route all experiment runs through ``store`` and these executor
     settings (process-wide, like the caches; ``configure_grid()`` resets).
     With a telemetry ``bus``, every campaign batch emits ``grid.job``

@@ -59,20 +59,20 @@ class RunOptions:
     scale: float = 1.0
     #: Benchmark PRNG seed; runs are fully determined by it.
     seed: int = 13
-    #: Run the heap verifier after every collection (slow; debugging).
-    verify: bool = False
     #: ``False`` (default): no profiling.  ``True``: legacy host
     #: wall-time phase breakdown only (wraps the store path — adds
-    #: per-store overhead, so only the *split* is meaningful).  ``"full"``
-    #: or a :class:`~repro.obs.profiler.ProfileOptions`: additionally
-    #: attach the GC profiler (lifetime demographics, pause
-    #: analytics, heap-geometry timeline, cost attribution) and fill
-    #: ``RunReport.profile`` with its :class:`ProfileReport`.
-    profile: Union[bool, str, object] = False
+    #: per-store overhead, so only the *split* is meaningful).
+    #: ``"full"``: additionally attach the GC profiler (lifetime
+    #: demographics, pause analytics, heap-geometry timeline, cost
+    #: attribution) and fill ``RunReport.profile`` with its
+    #: :class:`ProfileReport`.
+    profile: Union[bool, str] = False
     #: Write telemetry events as JSON lines to this path or text stream.
     trace: Optional[object] = None
     #: Emit a ``heap.snapshot`` event after every Nth collection
-    #: (0 disables periodic snapshots).  Only used when telemetry is on.
+    #: (0 disables periodic snapshots; with ``profile="full"``, the
+    #: heap-geometry samples keep the same cadence).  Only used when
+    #: telemetry is on.
     snapshot_every: int = 1
     #: Keep the last N events in memory (0 = unbounded); ``None`` disables
     #: the ring buffer.  Events land in ``RunReport.events``.
@@ -113,8 +113,7 @@ class RunReport:
     #: ``options.sanitize`` was set, else ``None``.
     sanitizer: Optional[object] = None
     #: :class:`~repro.obs.profiler.ProfileReport` when ``options.profile``
-    #: requested the full profiler (``"full"`` / ProfileOptions), else
-    #: ``None``.
+    #: is ``"full"``, else ``None``.
     profile: Optional[object] = None
     #: :class:`~repro.runtime.tape.ReplayPath`: which code replayed the
     #: mutator tape (compiled kernel or Python, and why), records run in
@@ -144,27 +143,20 @@ def _wants_telemetry(options: RunOptions) -> bool:
     )
 
 
-def _profile_options(options: RunOptions):
-    """Coerce ``RunOptions.profile`` into a ProfileOptions-or-None.
+def _full_profile(options: RunOptions) -> bool:
+    """Whether ``RunOptions.profile`` asks for the GC profiler.
 
     ``False`` and ``True`` keep their legacy meanings (no profiler;
-    ``True`` still measures the host wall-time phase split).  ``"full"``
-    means profiler defaults; a :class:`~repro.obs.profiler.ProfileOptions`
-    instance is used as-is.  Anything else is a :class:`ConfigError`.
+    ``True`` still measures the host wall-time phase split); ``"full"``
+    attaches the profiler.  Anything else is a :class:`ConfigError`.
     """
     value = options.profile
     if value is False or value is True:
-        return None
-    # Imported lazily so the plain path never touches the profiler.
-    from ..obs.profiler import ProfileOptions
-
+        return False
     if value == "full":
-        return ProfileOptions()
-    if isinstance(value, ProfileOptions):
-        return value
+        return True
     raise ConfigError(
-        f"RunOptions.profile must be False, True, 'full' or a "
-        f"ProfileOptions, got {value!r}"
+        f"RunOptions.profile must be False, True or 'full', got {value!r}"
     )
 
 
@@ -188,13 +180,12 @@ def run(
     request-latency percentiles.
     """
     options = options or RunOptions()
-    profile_opts = _profile_options(options)  # validate before building a VM
+    full_profile = _full_profile(options)  # validate before building a VM
     bench = load_spec(spec, options.scale)
     vm = VM(
         heap_bytes,
         collector=plan,
         locality=bench.locality,
-        debug_verify=options.verify,
         benchmark_name=bench.name,
     )
     sanitizer = None
@@ -245,12 +236,13 @@ def run(
         # attach() keeps the construction-order contract above intact.
         engine.bus = bus
     profiler = None
-    if profile_opts is not None:
+    if full_profile:
+        # Imported lazily so the plain path never touches the profiler.
         from ..obs.profiler import Profiler
 
         # Shares the harness bus (one instrumentation feeds every sink);
         # attached before run.start so the profiler sees the identity.
-        profiler = Profiler(vm, options=profile_opts, bus=bus)
+        profiler = Profiler(vm, bus=bus)
     inst.begin(scale=options.scale, seed=options.seed)
     t0 = time.perf_counter()
     stats = _execute(engine, vm, sanitizer)
@@ -315,7 +307,7 @@ def _sanitizer_violation():
 
 def run_many(
     jobs: Iterable[Job],
-    parallel: Optional[bool] = True,
+    parallel: bool = True,
     max_workers: Optional[int] = None,
     store=None,
     bus=None,
@@ -342,8 +334,6 @@ def find_min_heap(
     collector: str,
     scale: float = 1.0,
     seed: int = 13,
-    start_bytes: Optional[int] = None,
-    max_bytes: int = 4 * 1024 * 1024,
     store=None,
     bus=None,
 ) -> int:
@@ -361,8 +351,6 @@ def find_min_heap(
         [(benchmark, collector)],
         scale=scale,
         seed=seed,
-        start_bytes=start_bytes,
-        max_bytes=max_bytes,
         store=store,
         bus=bus,
         parallel=False,  # a single search is sequential by nature

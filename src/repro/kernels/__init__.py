@@ -19,7 +19,7 @@ is absent — see :func:`available`).
 Selection is explicit and layered per DESIGN §9: ``tier="python" |
 "cffi" | "auto"`` at VM construction, defaulting to the
 ``REPRO_SUBSTRATE_TIER`` environment variable and then to ``auto``
-(fastest available).  ``beltway-bench --tier`` forwards the same choice.
+(fastest available).  ``beltway-bench`` reads the same variable.
 """
 
 from __future__ import annotations

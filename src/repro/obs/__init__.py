@@ -41,7 +41,6 @@ from .sinks import (
     iter_jsonl,
 )
 from .profiler import (
-    ProfileOptions,
     ProfileReport,
     Profiler,
     attach_profiler,
@@ -57,7 +56,6 @@ __all__ = [
     "Instrumentation",
     "JsonlLoadReport",
     "JsonlSink",
-    "ProfileOptions",
     "ProfileReport",
     "Profiler",
     "RingBufferSink",

@@ -29,7 +29,6 @@ from .demographics import CollectionTally, LifetimeCensus
 from .geometry import GeometryTimeline
 from .report import (
     DEFAULT_STREAM_WINDOWS,
-    ProfileOptions,
     ProfileReport,
     aggregate_by_label,
 )
@@ -40,7 +39,6 @@ __all__ = [
     "DEFAULT_STREAM_WINDOWS",
     "GeometryTimeline",
     "LifetimeCensus",
-    "ProfileOptions",
     "ProfileReport",
     "Profiler",
     "aggregate_by_label",

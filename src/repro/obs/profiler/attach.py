@@ -34,27 +34,18 @@ from ..instrument import attach
 from .attribution import CostAttribution
 from .demographics import CollectionTally, LifetimeCensus
 from .geometry import GeometryTimeline
-from .report import ProfileOptions, ProfileReport, aggregate_by_label
+from .report import DEFAULT_STREAM_WINDOWS, ProfileReport, aggregate_by_label
 
 
 class Profiler:
     """One VM's lifetime census, geometry timeline and cost attribution;
     pause analytics are computed post-hoc in :meth:`finalise`."""
 
-    def __init__(
-        self,
-        vm,
-        options: Optional[ProfileOptions] = None,
-        bus: Optional[TelemetryBus] = None,
-    ):
+    def __init__(self, vm, bus: Optional[TelemetryBus] = None):
         self.vm = vm
-        self.options = options or ProfileOptions()
-        self._owns_bus = bus is None
         if bus is None:
             bus = TelemetryBus()
-            self._inst = attach(
-                vm, bus, snapshot_every=self.options.snapshot_every
-            )
+            self._inst = attach(vm, bus)
         else:
             self._inst = None
         self.bus = bus
@@ -136,21 +127,19 @@ class Profiler:
         if not rows:
             return
         self.survival_rows.extend(rows)
-        if self.options.emit_events:
-            for row in rows:
-                self.bus.emit("profiler.survival", time, row)
+        for row in rows:
+            self.bus.emit("profiler.survival", time, row)
 
     def _sample_geometry(self, time: float, trigger: str) -> None:
         row = self.geometry.sample(time, trigger, self.vm.space)
-        if self.options.emit_events:
-            self._geometry_seq += 1
-            self.bus.emit("profiler.geometry", time, {
-                "sample": self._geometry_seq,
-                "trigger": trigger,
-                "frames_in_use": row["frames_in_use"],
-                "frames_total": row["frames_total"],
-                "occupancy": row["occupancy"],
-            })
+        self._geometry_seq += 1
+        self.bus.emit("profiler.geometry", time, {
+            "sample": self._geometry_seq,
+            "trigger": trigger,
+            "frames_in_use": row["frames_in_use"],
+            "frames_total": row["frames_total"],
+            "occupancy": row["occupancy"],
+        })
 
     # ------------------------------------------------------------------
     def finalise(self, stats) -> ProfileReport:
@@ -162,9 +151,8 @@ class Profiler:
         """
         total = stats.total_cycles
         pauses = stats.pause_intervals()
-        windows = sorted(set(map(float, self.options.mmu_windows)))
         worst_windows = []
-        for window in windows:
+        for window in DEFAULT_STREAM_WINDOWS:
             if not 0 < window < total:
                 continue  # clamps to the whole run: nothing to locate
             util, start, paused = worst_window(pauses, total, window)
@@ -191,7 +179,7 @@ class Profiler:
             survival_by_collection=list(self.survival_rows),
             survival_by_label=aggregate_by_label(self.survival_rows),
             pauses=dataclasses.asdict(summarise(pauses)),
-            mmu_curve=mmu_curve(pauses, total, windows),
+            mmu_curve=mmu_curve(pauses, total, DEFAULT_STREAM_WINDOWS),
             worst_windows=worst_windows,
             geometry=self.geometry.rows,
             geometry_labels=self.geometry.labels,
@@ -210,18 +198,15 @@ class Profiler:
             self._inst.detach()
 
 
-def attach_profiler(
-    vm,
-    options: Optional[ProfileOptions] = None,
-    bus: Optional[TelemetryBus] = None,
-) -> Profiler:
+def attach_profiler(vm, bus: Optional[TelemetryBus] = None) -> Profiler:
     """Attach a :class:`Profiler` to ``vm`` and return it (public API).
 
     With ``bus=None`` the profiler builds a private bus and attaches
     standard instrumentation to feed it (standalone use on a hand-built
-    VM).  The harness passes its shared bus instead, so one set of
-    wrappers serves tracing and profiling together.  Attach before the
+    VM; a heap snapshot after every collection).  The harness passes its
+    shared bus instead, so one set of wrappers serves tracing and
+    profiling together.  Attach before the
     workload allocates — objects born earlier are invisible to the
     census (the boot image deliberately so).
     """
-    return Profiler(vm, options=options, bus=bus)
+    return Profiler(vm, bus=bus)

@@ -13,30 +13,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
-#: Default MMU window ladder (cycles): geometric steps of 4x from about
-#: 1e3 to 1e9 cycles, bracketing every scaled workload's pauses and run
-#: lengths.  A window longer than the run clamps to the run length.
+#: The MMU window ladder (cycles) of every profile: geometric steps of 4x
+#: from about 1e3 to 1e9 cycles, bracketing every scaled workload's pauses
+#: and run lengths.  A window longer than the run clamps to the run length.
 DEFAULT_STREAM_WINDOWS: Tuple[float, ...] = tuple(
     float(4 ** k) for k in range(5, 16)
 )
-
-
-@dataclass(frozen=True)
-class ProfileOptions:
-    """How to profile a run (``RunOptions(profile=ProfileOptions(...))``;
-    ``profile="full"`` means these defaults)."""
-
-    #: Window ladder (cycles) of the report's MMU curve.
-    mmu_windows: Tuple[float, ...] = DEFAULT_STREAM_WINDOWS
-    #: Emit ``profiler.survival`` / ``profiler.geometry`` events back
-    #: into the telemetry bus (they land in traces and ring buffers).
-    emit_events: bool = True
-    #: Heap-snapshot cadence when the profiler owns its private bus
-    #: (standalone ``attach_profiler``); the harness's shared bus uses
-    #: ``RunOptions.snapshot_every`` instead.
-    snapshot_every: int = 1
 
 
 @dataclass
@@ -65,7 +49,7 @@ class ProfileReport:
     #: Percentile summary (count/total/mean/p50/p90/p99/max), the fields
     #: of :class:`repro.analysis.pauses.PauseSummary`.
     pauses: Dict[str, float] = field(default_factory=dict)
-    #: (window, mmu) ladder over ``ProfileOptions.mmu_windows``.
+    #: (window, mmu) ladder over :data:`DEFAULT_STREAM_WINDOWS`.
     mmu_curve: List[Tuple[float, float]] = field(default_factory=list)
     #: Where the minimum-utilisation window sits, per window length
     #: shorter than the run with MMU below 1.

@@ -178,7 +178,7 @@ def sweep_frontier(
     scale: float = 1.0,
     seed: int = 13,
     store: Optional[ResultStore] = None,
-    parallel: Optional[bool] = None,
+    parallel: bool = True,
     max_workers: Optional[int] = None,
     bus=None,
     distill: bool = True,

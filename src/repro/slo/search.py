@@ -87,7 +87,7 @@ def max_sustainable_rates(
     scale: float = 1.0,
     seed: int = 13,
     store: Optional[ResultStore] = None,
-    parallel: Optional[bool] = None,
+    parallel: bool = True,
     max_workers: Optional[int] = None,
     bus=None,
     cell_runner=None,

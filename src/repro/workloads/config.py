@@ -19,8 +19,9 @@ round-trip: ``from_mapping(spec.to_dict()) == spec``.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..bench.engine import WORKLOAD_TYPE_NAMES, AllocSite
 from ..bench.lifetime import LifetimeClass
@@ -84,6 +85,8 @@ def _number(ctx: _Ctx, doc, key, pointer, default=None, minimum=None,
     where = f"{pointer}/{key}"
     if isinstance(value, bool) or not isinstance(value, _NUM):
         raise ctx.fail(where, f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ctx.fail(where, f"expected a finite number, got {value!r}")
     if minimum is not None:
         if exclusive and value <= minimum:
             raise ctx.fail(where, f"must be > {minimum} (got {value})")
@@ -136,6 +139,8 @@ def _range(ctx: _Ctx, doc, key, pointer, default, *, integral, minimum,
     for element in (lo, hi):
         if isinstance(element, bool) or not isinstance(element, kind):
             raise ctx.fail(where, f"expected two numbers, got {value!r}")
+        if not math.isfinite(element):
+            raise ctx.fail(where, f"expected two finite numbers, got {value!r}")
     if (lo <= minimum) if exclusive else (lo < minimum):
         op = ">" if exclusive else ">="
         raise ctx.fail(where, f"lo must be {op} {minimum} (got {lo})")

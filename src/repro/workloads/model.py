@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple
 
@@ -76,6 +77,11 @@ class ArrivalSpec:
                 f"unknown arrival process {self.process!r} "
                 f"(have {ARRIVAL_PROCESSES})"
             )
+        for name in ("rate_rps", "burst_multiplier", "on_s", "off_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(
+                    f"arrival {name} must be finite (got {getattr(self, name)})"
+                )
         if self.rate_rps <= 0:
             raise ConfigError(
                 f"arrival rate must be > 0 requests/s (got {self.rate_rps})"
@@ -248,9 +254,10 @@ class ServerWorkloadSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ConfigError("a server workload needs a name")
-        if self.duration_s <= 0:
+        if not 0 < self.duration_s < math.inf:
             raise ConfigError(
-                f"{self.name}: duration_s must be > 0 (got {self.duration_s})"
+                f"{self.name}: duration_s must be > 0 and finite "
+                f"(got {self.duration_s})"
             )
         if self.max_requests < 0:
             raise ConfigError(f"{self.name}: max_requests must be >= 0")

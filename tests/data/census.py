@@ -12,8 +12,9 @@ under ``sys.setprofile``, which records every Python code object entered
 Pools are forced serial (``os.cpu_count`` reads 1), so grid cells run in
 the profiled process instead of in pool workers.  The user paths:
 
-* every ``beltway-bench`` subcommand: ``list``; ``all`` and ``report``,
-  each cold and then warm against one ``--store``; ``run`` plain, with
+* every ``beltway-bench`` subcommand: ``list``; ``experiment`` (no
+  names: every registry entry) and ``report``, each cold and then warm
+  against one ``--store``; ``run`` plain, with
   ``--profile`` and with ``--trace``; ``check`` without a fault and with
   every fault kind, on a Beltway and a gctk plan; ``profile``; ``slo``
   frontier and search; ``serve`` (``--validate``, and a traced rate
@@ -90,7 +91,7 @@ def user_paths(tier: str, work: Path) -> List[Callable[[], object]]:
 
     s = str(SCALE)
     paths = [_cli("list")]
-    for command, extra in (("all", ()), ("report", ("--output", str(work / "report.md")))):
+    for command, extra in (("experiment", ()), ("report", ("--output", str(work / "report.md")))):
         store = str(work / f"store-{command}")
         for _ in ("cold", "warm"):
             paths.append(_cli(command, "--points", "2", "--scale", s, "--store", store, *extra))

@@ -24,8 +24,15 @@ SCALE = 0.2
 # sweep defaults (satellite: the parallel=False/parallel=True split)
 # ----------------------------------------------------------------------
 def test_sweep_and_sweep_grid_share_the_auto_default():
-    assert inspect.signature(sweep).parameters["parallel"].default is None
-    assert inspect.signature(sweep_grid).parameters["parallel"].default is None
+    """One way to say "let the executor decide": ``parallel=True``, the
+    default of every campaign entry point (``None`` was a second spelling)."""
+    from repro import find_min_heaps, run_many, sweep_frontier
+    from repro.grid import execute_jobs
+    from repro.slo import max_sustainable_rates
+
+    for fn in (sweep, sweep_grid, execute_jobs, run_many, find_min_heaps,
+               sweep_frontier, max_sustainable_rates, E.configure_grid):
+        assert inspect.signature(fn).parameters["parallel"].default is True, fn
 
 
 def test_default_sweep_matches_explicit_serial():

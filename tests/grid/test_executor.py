@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.grid import GridFailure, ResultStore, cell_key, execute_jobs
+from repro.grid import GridFailure, ResultStore, cell_key, execute_jobs, executor
 from repro.harness.runner import RunOptions, run
 from repro.obs import RingBufferSink, TelemetryBus
 from repro.obs.events import validate_events
@@ -120,9 +120,7 @@ def _crash_once(job):
 
 def test_failed_cell_is_recorded_not_stored(tmp_path, fresh):
     store = ResultStore(tmp_path / "s")
-    report = execute_jobs(
-        JOBS, store=store, parallel=False, cell_runner=_poison_32k, retries=1
-    )
+    report = execute_jobs(JOBS, store=store, parallel=False, cell_runner=_poison_32k)
     assert report.results[0] == fresh[0] and report.results[2] == fresh[2]
     bad = report.results[1]
     assert not bad.completed and bad.failure.startswith("grid: RuntimeError")
@@ -143,7 +141,7 @@ def test_poison_cell_settles_the_same_on_both_paths(force_pool):
     sink = bus.subscribe(RingBufferSink(capacity=4096))
     report = execute_jobs(
         JOBS, parallel=False, force_pool=force_pool, max_workers=2,
-        cell_runner=_poison_32k, retries=1, bus=bus,
+        cell_runner=_poison_32k, bus=bus,
     )
     events = [e.data for e in sink.events if e.kind == "grid.job"]
     poison = [(d["status"], d["attempt"]) for d in events if d["job"] == 1]
@@ -157,7 +155,8 @@ def test_poison_cell_settles_the_same_on_both_paths(force_pool):
     assert report.results[1].failure.startswith("grid: RuntimeError: poison cell")
 
 
-def test_worker_crash_recovers_remaining_cells(tmp_path, fresh):
+def test_worker_crash_recovers_remaining_cells(tmp_path, fresh, monkeypatch):
+    monkeypatch.setattr(executor, "RETRIES", 2)
     os.environ["GRID_TEST_SENTINEL"] = str(tmp_path / "sentinel")
     try:
         report = execute_jobs(
@@ -165,7 +164,6 @@ def test_worker_crash_recovers_remaining_cells(tmp_path, fresh):
             force_pool=True,
             max_workers=2,
             cell_runner=_crash_once,
-            retries=2,
         )
     finally:
         del os.environ["GRID_TEST_SENTINEL"]
@@ -209,14 +207,20 @@ def test_cost_model_orders_small_heaps_first():
     assert [r.heap_bytes for r in report.results] == [48 * 1024, 16 * 1024, 32 * 1024]
 
 
-def test_non_string_collector_runs_uncached(tmp_path):
-    from repro.core.config import BeltwayConfig
+def test_config_object_collectors_are_cached(tmp_path):
+    """Parsed-config cells (the ablations experiment's) are keyed by the
+    config's full repr: a second pass through one store runs nothing,
+    and no variant aliases another or the spec string it was parsed from."""
+    from repro.harness.experiments import _ablation_variants
 
     store = ResultStore(tmp_path / "s")
-    job = ("jess", BeltwayConfig.parse("25.25.100"), 24 * 1024, SCALE, 13)
-    first = execute_jobs([job], store=store, parallel=False)
-    second = execute_jobs([job], store=store, parallel=False)
-    assert second.cached == 0 and len(second.executed) == 1
+    jobs = [("jess", config, 24 * 1024, SCALE, 13) for config in _ablation_variants()]
+    jobs.append(("jess", "25.25.100", 24 * 1024, SCALE, 13))
+    assert len({cell_key(*job) for job in jobs}) == len(jobs)
+    first = execute_jobs(jobs, store=store, parallel=False)
+    second = execute_jobs(jobs, store=store, parallel=False)
+    assert len(first.executed) == len(jobs)
+    assert second.cached == len(jobs) and second.executed == []
     assert first.results == second.results
 
 

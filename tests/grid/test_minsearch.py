@@ -83,14 +83,12 @@ def test_search_reports_failure_beyond_max_bytes():
     assert search.failed and search.result is None
 
 
-def test_unsatisfiable_target_raises_out_of_memory():
+def test_unsatisfiable_target_raises_out_of_memory(monkeypatch):
+    from repro.grid import minsearch
+
+    monkeypatch.setattr(minsearch, "MAX_HEAP_BYTES", 4 * FRAME_BYTES)
     with pytest.raises(OutOfMemory, match="jess/gctk:Fixed.10"):
-        find_min_heaps(
-            [("jess", "gctk:Fixed.10")],
-            scale=0.2,
-            max_bytes=4 * FRAME_BYTES,
-            parallel=False,
-        )
+        find_min_heaps([("jess", "gctk:Fixed.10")], scale=0.2, parallel=False)
 
 
 # ----------------------------------------------------------------------

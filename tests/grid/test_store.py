@@ -46,9 +46,16 @@ def test_key_separates_every_identity_field(other):
     assert cell_key("jess", "25.25.100", 24576, 0.2, 13) != cell_key(*other)
 
 
-def test_tier_change_invalidates_keys():
-    base = cell_key("jess", "25.25.100", 24576, 0.2, 13, tier="python")
-    assert base != cell_key("jess", "25.25.100", 24576, 0.2, 13, tier="cffi")
+def test_key_is_tier_independent(monkeypatch):
+    """Tiers are bit-identical by contract, so a cell is one cell on both:
+    the key never resolves (or compiles) a tier."""
+    from repro import kernels
+
+    keys = set()
+    for tier in ("python", "cffi"):
+        monkeypatch.setenv(kernels.TIER_ENV, tier)
+        keys.add(cell_key("jess", "25.25.100", 24576, 0.2, 13))
+    assert len(keys) == 1
 
 
 def test_scale_key_distinguishes_float_identity():

@@ -1,7 +1,7 @@
 """``beltway-bench trace`` and the uniform ``--trace`` campaign flag.
 
 The contract: every grid-executing subcommand (minheap/serve/slo/
-experiment/all/report) accepts ``--trace PATH`` through one shared flag
+experiment/report) accepts ``--trace PATH`` through one shared flag
 group; the ``trace`` subcommand converts any such artefact to Perfetto
 JSON; usage errors exit 2.
 """
@@ -18,7 +18,7 @@ SCALE = "0.05"
 
 def test_trace_flag_is_uniform_across_grid_commands():
     parser = build_parser()
-    for command in ("minheap", "serve", "slo", "experiment", "all", "report"):
+    for command in ("minheap", "serve", "slo", "experiment", "report"):
         actions = {
             a.dest
             for a in parser._subparsers._group_actions[0].choices[command]._actions

@@ -183,9 +183,8 @@ def test_cli_degraded_tier_is_announced_on_stderr_only(capsys, monkeypatch):
                         "unavailable: simulated")
     seen = {}
     for request in ("python", "numpy", "cffi"):
-        # numpy is no --tier choice any more: the variable is its only way in.
         monkeypatch.setenv(kernels.TIER_ENV, request)
-        assert main(argv if request == "numpy" else argv + ["--tier", request]) == 0
+        assert main(argv) == 0
         seen[request] = capsys.readouterr()
     assert seen["python"].err == ""
     assert seen["numpy"].err == (
@@ -217,7 +216,7 @@ def test_cli_rejects_unknown_experiment():
 
 @pytest.mark.parametrize("argv", [
     ["experiment", "figure5", "--points", "1"],
-    ["all", "--points", "0"],
+    ["experiment", "--points", "0"],
     ["report", "--points", "1"],
     ["run", "--benchmark", "jess", "--heap-kb", "25", "--trace", "t.jsonl",
      "--snapshot-every", "-1"],
@@ -232,7 +231,7 @@ def test_cli_rejects_unknown_experiment():
     ["serve", "kvstore.json", "--heap-kb", "-2"],
     ["slo", "kvstore.json", "--rates", "100", "--heap-kb", "-0.5"],
     ["run", "--benchmark", "jess", "--heap-kb", "inf"],
-    ["minheap", "--benchmark", "jess", "--workers", "0"],
+    ["experiment", "figure5", "--workers", "0"],
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_cli_out_of_range_flag_is_a_usage_error(argv, capsys):
     """Exit 2 from argparse, before anything runs — not a ValueError from

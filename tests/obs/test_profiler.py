@@ -27,7 +27,6 @@ from repro.harness.runner import RunOptions, run
 from repro.obs import pauses_from_events, validate_events
 from repro.obs.profiler import (
     DEFAULT_STREAM_WINDOWS,
-    ProfileOptions,
     ProfileReport,
     attach_profiler,
 )
@@ -246,15 +245,15 @@ def test_profile_true_keeps_legacy_meaning():
     assert report.profile is None
 
 
-def test_profile_options_instance_and_bad_value():
+def test_profile_full_emits_its_events_and_rejects_bad_values():
     report = run(
         "jess", "25.25.100", 48 * 1024,
-        options=RunOptions(
-            scale=0.1, profile=ProfileOptions(emit_events=False), ring_buffer=0,
-        ),
+        options=RunOptions(scale=0.1, profile="full", ring_buffer=0),
     )
     assert report.profile is not None
-    assert not any(e.kind.startswith("profiler.") for e in report.events)
+    kinds = {e.kind for e in report.events}
+    assert {"profiler.survival", "profiler.geometry"} <= kinds
+    assert [w for w, _ in report.profile.mmu_curve] == list(DEFAULT_STREAM_WINDOWS)
 
     with pytest.raises(ConfigError):
         run("jess", "25.25.100", 48 * 1024,

@@ -105,11 +105,14 @@ def test_drop_tally_sums_grid_job_annotations():
 # ----------------------------------------------------------------------
 # Executor integration: overflow is loud, the timeline stays coherent
 # ----------------------------------------------------------------------
-def test_executor_overflow_is_counted_and_timeline_stays_coherent(tmp_path):
+def test_executor_overflow_is_counted_and_timeline_stays_coherent(monkeypatch):
+    from repro.grid import executor
+
+    monkeypatch.setattr(executor, "DEFAULT_FORWARD_CAPACITY", 16)
     bus = TelemetryBus()
     ring = bus.subscribe(RingBufferSink(capacity=65536))
     tally = bus.subscribe(DropTally())
-    report = execute_jobs([JOB], parallel=False, bus=bus, forward_capacity=16)
+    report = execute_jobs([JOB], parallel=False, bus=bus)
     assert report.forwarded_events == 16
     assert report.forwarded_dropped > 0
     # The terminal grid.job event carries the same accounting ...

@@ -55,10 +55,69 @@ def test_removed_shims_stay_removed():
     assert not hasattr(repro.obs, "load_jsonl")
     for module in ("repro.sim.trace", "repro.heap.dump", "repro.analysis.profile"):
         assert module not in MODULES
+    # The options census (DESIGN §9): ProfileOptions is gone with its knobs.
+    assert "ProfileOptions" not in repro.__all__
+    assert not hasattr(repro.obs, "ProfileOptions")
+
+
+def test_run_options_fields_are_pinned():
+    """The options census (DESIGN §9) counted these; a field added or a
+    deleted one brought back has to change this list on purpose."""
+    import dataclasses
+
+    assert [f.name for f in dataclasses.fields(repro.RunOptions)] == [
+        "scale", "seed", "profile", "trace", "snapshot_every",
+        "ring_buffer", "counters", "sinks", "sanitize", "faults",
+    ]
+
+
+def test_cli_surface_is_pinned():
+    """Every ``beltway-bench`` subcommand with its flags and positionals
+    (DESIGN §9's options census): a deleted knob cannot come back
+    unnoticed, and a new one is a deliberate edit here."""
+    import argparse
+
+    from repro.harness.cli import build_parser
+
+    (sub,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    surface = {
+        name: [
+            action.option_strings[-1] if action.option_strings else action.dest
+            for action in parser._actions
+            if not isinstance(action, argparse._HelpAction)
+        ]
+        for name, parser in sub.choices.items()
+    }
+    grid = ["--store", "--workers", "--trace"]
+    assert surface == {
+        "list": [],
+        "run": ["--benchmark", "--collector", "--heap-kb", "--profile", "--trace",
+                "--snapshot-every", "--scale", "--seed"],
+        "check": ["--benchmark", "--collector", "--heap-kb", "--fault",
+                  "--scale", "--seed"],
+        "profile": ["--benchmark", "--collector", "--heap-kb", "--output", "--json",
+                    "--snapshot-every", "--scale", "--seed"],
+        "minheap": ["--benchmark", "--collector", "--scale", "--seed",
+                    "--store", "--trace"],
+        "serve": ["spec", "--collector", "--heap-kb", "--rate", "--duration",
+                  "--validate", "--scale", "--seed"] + grid,
+        "slo": ["spec", "--collector", "--heap-kb", "--rates", "--no-distill",
+                "--mmu-window", "--search", "--slo-p50-ms", "--slo-p99-ms",
+                "--slo-p999-ms", "--slo-mmu", "--rate-step", "--max-rate",
+                "--start-rate", "--json", "--output", "--scale", "--seed"] + grid,
+        "experiment": ["names", "--points", "--scale"] + grid,
+        "trace": ["artefact", "--output"],
+        "compare": ["baseline", "candidate", "--threshold", "--metric-threshold",
+                    "--verbose"],
+        "report": ["names", "--output", "--points", "--scale"] + grid,
+    }
 
 
 def test_version():
-    assert repro.__version__ == "2.0.0"
+    assert repro.__version__ == "3.0.0"
     # The packaged version cannot drift from the imported one again.
     pyproject = Path(__file__).parent.parent / "pyproject.toml"
     (packaged,) = re.findall(r'^version = "(.+)"$', pyproject.read_text(), re.M)

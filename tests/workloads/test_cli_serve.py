@@ -158,3 +158,25 @@ def test_run_subcommand_accepts_workload_file(tmp_path, capsys):
                  "--heap-kb", "96"])
     assert code == 0
     assert "mini" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--rate", "inf"], ["--rate", "nan"], ["--rate", "600,inf"],
+    ["--duration", "inf"], ["--duration", "nan"],
+], ids=" ".join)
+def test_serve_non_finite_rate_or_duration_is_a_usage_error(argv, capsys):
+    """Exit 2 before anything is built — at an infinite rate or window
+    the arrival generator would never stop."""
+    with pytest.raises(SystemExit) as exit_info:
+        main(["serve", KVSTORE, "--validate"] + argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "finite" in err and "Traceback" not in err
+
+
+def test_serve_spec_with_non_finite_number_is_an_invalid_spec(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text(Path(mini_file(tmp_path)).read_text().replace("700", "Infinity"))
+    assert main(["serve", str(path), "--validate"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid workload spec: ") and "/arrival/rate_rps" in err

@@ -207,3 +207,32 @@ def test_loads_string_yaml_missing(monkeypatch):
         loads("name: t\n", format="yaml")
     # the JSON path is untouched by the missing backend
     assert loads(json.dumps(minimal_doc()), format="json").name == "t"
+
+
+# ----------------------------------------------------------------------
+# Non-finite numbers: Python's json reads Infinity / NaN, the schema not
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+@pytest.mark.parametrize("field, pointer", [
+    ('"duration_s": {}', "spec:/duration_s:"),
+    ('"arrival": {{"rate_rps": {}}}', "spec:/arrival/rate_rps:"),
+    ('"cache": {{"ttl_s": [0.1, {}]}}', "spec:/cache/ttl_s:"),
+], ids=["duration_s", "rate_rps", "ttl_s"])
+def test_non_finite_number_is_rejected_with_pointer(field, pointer, literal):
+    text = json.dumps(minimal_doc())[:-1] + ", " + field.format(literal) + "}"
+    with pytest.raises(ConfigError, match="finite") as excinfo:
+        loads(text, source="spec")
+    assert pointer in str(excinfo.value)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_constructors_reject_non_finite_rate_and_duration(value):
+    from repro.workloads.model import ArrivalSpec
+
+    spec = from_mapping(minimal_doc())
+    with pytest.raises(ConfigError, match="finite"):
+        ArrivalSpec(rate_rps=value)
+    with pytest.raises(ConfigError, match="finite"):
+        spec.with_rate(value)
+    with pytest.raises(ConfigError, match="finite"):
+        spec.with_duration(value)

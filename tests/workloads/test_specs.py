@@ -132,9 +132,12 @@ def test_run_many_mixes_ref_kinds():
     assert bench_stats.completed
 
 
-def test_find_min_heap_accepts_server_spec():
+def test_find_min_heap_accepts_server_spec(monkeypatch):
+    from repro.grid import minsearch
+
+    monkeypatch.setattr(minsearch, "MAX_HEAP_BYTES", 512 * 1024)
     spec = from_mapping(MINI)
-    min_heap = find_min_heap(spec, "gctk:Appel", max_bytes=512 * 1024)
+    min_heap = find_min_heap(spec, "gctk:Appel")
     assert 0 < min_heap <= 512 * 1024
     assert run(spec, "gctk:Appel", min_heap,
                options=RunOptions(seed=13)).completed
