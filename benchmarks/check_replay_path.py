@@ -9,9 +9,10 @@ under a Beltway and a gctk collector and reads ``RunReport.replay``.  A
 tier that silently fell back to Python for good — no compiler, an unknown
 plan, a kernel that hands every record back — produces the same
 statistics as a healthy one, so only this count can fail it (DESIGN §13,
-the bail-out rule).  Marks are scheduled hand-backs and not in the ratio;
-the server cell's ratio is printed, not gated (a quarter of kvstore's
-allocations cross a frame, which alone is ~6%).
+the bail-out rule).  Marks are scheduled hand-backs and not in the ratio,
+and neither is a move onto a frame the plan granted (``granted``), so
+both cells are gated: what crosses a frame without a grant is a fresh
+frame's first fill or a trigger.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import repro  # noqa: E402
 
 MAX_BAIL_RATIO = 0.10
 KVSTORE = str(Path(__file__).resolve().parent.parent / "examples/workloads/kvstore.json")
-#: (label, spec ref, heap bytes, whether MAX_BAIL_RATIO gates the cell)
-CELLS = (("jess", "jess", 25600, True), ("kvstore", KVSTORE, 256 * 1024, False))
+#: (label, spec ref, heap bytes)
+CELLS = (("jess", "jess", 25600), ("kvstore", KVSTORE, 256 * 1024))
 
 
 def main(argv) -> int:
@@ -35,14 +36,14 @@ def main(argv) -> int:
         return 2
     expected = argv[0]
     status = 0
-    for label, ref, heap, gated in CELLS:
+    for label, ref, heap in CELLS:
         for collector in ("25.25.100", "gctk:Appel"):
             report = repro.run(ref, collector, heap)
             path = report.replay
             print(f"{label}/{collector}: {path.summary_row()}")
             if not report.completed or path.path != expected:
                 status = 1
-            elif expected == "cffi" and gated and not path.bail_ratio < MAX_BAIL_RATIO:
+            elif expected == "cffi" and not path.bail_ratio < MAX_BAIL_RATIO:
                 status = 1
             elif expected == "python" and path.why != "tier":
                 status = 1

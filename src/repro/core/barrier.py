@@ -171,7 +171,9 @@ class CompiledBarrier:
             **self.record_names(),
         }
         exec(compile(source, f"<compiled {name}>", "exec"), namespace)
-        return namespace[name]
+        # Popped, so that the function's globals do not point back at it:
+        # no cycle keeps the space alive once its VM is gone.
+        return namespace.pop(name)
 
     def compile_write_field(self, model) -> Callable[[int, int, int], None]:
         """The compiled mutator store inner loop: slot decode + barrier +

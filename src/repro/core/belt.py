@@ -8,6 +8,7 @@ collected independently of each other (§2.2).
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from itertools import count
 from typing import Deque, Iterator, List, Optional, Set
@@ -23,7 +24,7 @@ class Increment:
 
     def __init__(self, belt: "Belt", max_frames: Optional[int]):
         self.id = next(belt.ids)
-        self.belt = belt
+        self._belt = weakref.ref(belt)
         self.max_frames = max_frames  # None = growable
         self.region = BumpRegion(belt.space)
         #: Relative collection-order stamp shared by all this increment's
@@ -33,6 +34,11 @@ class Increment:
         self.copied_in_words = 0
 
     # ------------------------------------------------------------------
+    @property
+    def belt(self) -> "Belt":
+        """The belt this increment is on (held weakly: the belt owns it)."""
+        return self._belt()
+
     @property
     def num_frames(self) -> int:
         return self.region.num_frames
@@ -60,10 +66,11 @@ class Increment:
         """Grow by one frame (caller has already authorised the acquisition)."""
         if self.at_max_size:
             raise HeapCorruption(f"increment {self.id} grew past its max size")
-        frame = self.belt.space.acquire_frame(f"belt{self.belt.index}")
+        belt = self._belt()
+        frame = belt.space.acquire_frame(f"belt{belt.index}")
         frame.increment = self
         self.region.add_frame(frame)
-        self.belt.space.set_order(frame, self.stamp)
+        belt.space.set_order(frame, self.stamp)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

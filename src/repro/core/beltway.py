@@ -39,7 +39,7 @@ from .config import BeltwayConfig
 from .order import restamp
 from .policy import make_policy
 from .remset import RememberedSets
-from .reserve import required_reserve_frames
+from .reserve import reserve_at, reserve_terms
 from .triggers import Triggers
 
 
@@ -84,6 +84,12 @@ class BeltwayHeap:
         #: BOF role tracking: which physical belt is the allocation belt A.
         self.of_alloc_belt = 0
         self.allocation_increment: Optional[Increment] = None
+        #: The copy reserve's frozen terms (``core.reserve.reserve_terms``)
+        #: for allocation increment ``_reserve_for``, or None when belt
+        #: structure changed since; ``reserve_epoch`` counts those changes.
+        self._reserve_terms = None
+        self._reserve_for: Optional[Increment] = None
+        self.reserve_epoch = 0
         self.root_arrays: List[List[int]] = []
         #: Observers called with each CollectionResult (the VM's cost model).
         self.collection_listeners: List[Callable[[CollectionResult], None]] = []
@@ -152,11 +158,7 @@ class BeltwayHeap:
             if self.triggers.should_switch_nursery_increment(self):
                 if self._try_open_allocation_increment(force=True):
                     continue
-            if (
-                inc is not None
-                and not inc.at_max_size
-                and self._reserve_allows(extra_frames=1)
-            ):
+            if inc is not None and self._may_grow(inc):
                 inc.add_frame()
                 continue
             if self._try_open_allocation_increment():
@@ -201,9 +203,48 @@ class BeltwayHeap:
         self.allocation_increment = inc
         return True
 
-    def _reserve_allows(self, extra_frames: int) -> bool:
-        free_after = self.space.heap_frames_free() - extra_frames
-        return free_after >= self.current_reserve_frames()
+    def _reserve_allows(self, extra_frames: int, ahead: int = 0) -> bool:
+        free_after = self.space.heap_frames_free() - ahead - extra_frames
+        return free_after >= self.current_reserve_frames(ahead)
+
+    def _may_grow(self, inc: Increment, ahead: int = 0) -> bool:
+        """The slow path's rule for growing ``inc`` by a frame, ``ahead``
+        frames on (the frame grant's lookahead): ``inc`` is below its
+        maximum size and the copy reserve still fits after the frame."""
+        return (
+            inc.max_frames is None or inc.num_frames + ahead < inc.max_frames
+        ) and self._reserve_allows(1, ahead)
+
+    def grant_key(self):
+        """What :meth:`frame_grant` depends on, cheaply: it is recomputed
+        only when this changes."""
+        remsets = len(self.remsets) if self.triggers.remset_threshold else 0
+        return (self.reserve_epoch, self.allocation_increment,
+                self.space.heap_frames_in_use, remsets)
+
+    def frame_grant(self):
+        """The free-pool frames, in pop order, that the slow path would add
+        to the allocation increment one after another with no decision in
+        between — no trigger, no time-to-die switch, room to grow — with
+        their stamp and nursery flag (``cik.Replayer``)."""
+        inc = self.allocation_increment
+        triggers = self.triggers
+        if inc is None or triggers.poll(self) is not None:
+            return [], 0, 0
+        frames = self.space.recycled_frames()
+        k = 0
+        while (
+            k < len(frames)
+            and not triggers.should_switch_nursery_increment(self, k)
+            and self._may_grow(inc, k)
+        ):
+            k += 1
+        return frames[:k], inc.stamp, 0
+
+    def grow_mutator_region(self) -> None:
+        """The slow path's growth step, for a frame :meth:`frame_grant`
+        granted."""
+        self.allocation_increment.add_frame()
 
     # Field access: ``write_ref_field`` (barriered store) and
     # ``read_ref_field`` (no barrier — collections are stop-the-world) are
@@ -214,9 +255,11 @@ class BeltwayHeap:
     # ------------------------------------------------------------------
     def collect(self, reason: str = "forced") -> CollectionResult:
         """Run one collection chosen by the scheduling policy."""
+        self._restructured()
         pre = self.policy.pre_collection(self, reason)
         if pre is not None:
             # Copy-free reclamation (a garbage MOS train).
+            self._restructured()
             pre.reserve_frames = self.current_reserve_frames()
             self.collections.append(pre)
             for listener in self.collection_listeners:
@@ -228,6 +271,7 @@ class BeltwayHeap:
                 f"{self.config.name}: heap full and nothing collectible"
             )
         result = self.collector.collect(batch, reason)
+        self._restructured()
         result.reserve_frames = self.current_reserve_frames()
         self.collections.append(result)
         for listener in self.collection_listeners:
@@ -237,25 +281,42 @@ class BeltwayHeap:
     def record_auxiliary_collection(self, result: CollectionResult) -> None:
         """Record a copy-free reclamation performed by the policy (MOS
         train reclamation) so statistics and the cost model see it."""
+        self._restructured()
         result.reserve_frames = self.current_reserve_frames()
         self.collections.append(result)
         for listener in self.collection_listeners:
             listener(result)
 
-    def current_reserve_frames(self) -> int:
+    def current_reserve_frames(self, ahead: int = 0) -> int:
+        """The copy reserve (§3.3.4) — with ``ahead``, once the allocation
+        increment has grown that many frames more.  O(1) between two
+        structural changes (``core.reserve``); the policy floor is not
+        cached (MOS's depends on the lower belts' frames)."""
         if self.config.fixed_half_reserve:
             # Ablation: the classic semi-space / generational reserve.
             return self.space.heap_frames // 2
-        base = required_reserve_frames(
-            self.belts, self.policy.target_belt_index, self.allocation_increment
-        )
-        return max(base, self.policy.min_reserve_frames(self))
+        inc = self.allocation_increment
+        if self._reserve_terms is None or self._reserve_for is not inc:
+            self._reserve_for = inc
+            self._reserve_terms = reserve_terms(
+                self.belts, self.policy.target_belt_index, inc
+            )
+        frames = inc.num_frames + ahead if inc is not None else 0
+        return max(reserve_at(self._reserve_terms, frames),
+                   self.policy.min_reserve_frames(self, ahead))
+
+    def _restructured(self) -> None:
+        """Belt structure changed: the frozen reserve terms (and any frame
+        grant built on them) are stale."""
+        self._reserve_terms = None
+        self.reserve_epoch += 1
 
     # ------------------------------------------------------------------
     # Structure maintenance (used by the collector and policies)
     # ------------------------------------------------------------------
     def open_increment(self, belt: Belt) -> Increment:
         inc = belt.open_increment()
+        self._restructured()
         self.restamp()
         return inc
 
@@ -265,6 +326,7 @@ class BeltwayHeap:
     def note_increments_removed(self, batch: List[Increment]) -> None:
         if self.allocation_increment in batch:
             self.allocation_increment = None
+        self._restructured()
 
     def note_flip(self) -> None:
         """BOF belt flip: drop empty leftover increments, reset allocation."""
@@ -276,6 +338,7 @@ class BeltwayHeap:
                         self.space.release_frame(frame)
                     belt.remove(inc)
         self.allocation_increment = None
+        self._restructured()
         self.restamp()
 
     # ------------------------------------------------------------------

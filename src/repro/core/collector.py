@@ -29,6 +29,7 @@ minimum" (Table 1).
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Set
 
@@ -72,7 +73,9 @@ class Collector:
     """Stateless-between-collections copying machinery for a BeltwayHeap."""
 
     def __init__(self, heap: "BeltwayHeap"):
-        self.heap = heap
+        # Weak: the heap owns its collector, and no cycle may keep a
+        # finished heap (and its address space) alive.
+        self._heap = weakref.ref(heap)
         self._collections = 0
         # Policies that route copies through destination contexts (MOS
         # trains) are not kernel-traceable and always run the Python
@@ -83,7 +86,7 @@ class Collector:
 
     # ------------------------------------------------------------------
     def collect(self, batch: List[Increment], reason: str) -> CollectionResult:
-        heap = self.heap
+        heap = self._heap()
         if not batch:
             raise HeapCorruption("collect() called with an empty batch")
         # §3.3.1, checked where every policy's batch passes: stamped lower

@@ -184,7 +184,7 @@ class MOSPolicy(GenerationalPolicy):
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def min_reserve_frames(self, heap: "BeltwayHeap") -> int:
+    def min_reserve_frames(self, heap: "BeltwayHeap", ahead: int = 0) -> int:
         """A mature service cycle evacuates the lower belts plus one car
         in a single batch; the reserve must be able to hold all of it.
         Unlike X.X.100's reserve this never grows with the mature space —
@@ -198,7 +198,8 @@ class MOSPolicy(GenerationalPolicy):
                 # and would inflate every reserve check
                 lower += inc.num_frames
         car = heap.belts[top].increment_frames or 0
-        return lower + car + 1
+        # The allocation increment is on belt 0, below the mature belt.
+        return lower + ahead + car + 1
 
     def choose_collection(self, heap: "BeltwayHeap"):
         batch = super().choose_collection(heap)

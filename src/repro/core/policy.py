@@ -83,9 +83,10 @@ class Policy:
         reclamation).  Returns a CollectionResult or None."""
         return None
 
-    def min_reserve_frames(self, heap: "BeltwayHeap") -> int:
+    def min_reserve_frames(self, heap: "BeltwayHeap", ahead: int = 0) -> int:
         """Extra copy-reserve floor a policy's batching requires (MOS
-        service cycles collect the lower belts plus one car together)."""
+        service cycles collect the lower belts plus one car together);
+        ``ahead``: once the allocation increment grew that many frames."""
         return 0
 
     # -- destination contexts (train-aware policies only) ----------------

@@ -16,9 +16,14 @@ increment accrues a potential term.  Increments on fixed-size belts cap
 their potential at the increment size — overflow opens a fresh increment
 whose own potential is bounded the same way.
 
-The reserve is recomputed before every frame acquisition for the mutator,
-so it "automatically falls back to a smaller size" after a big collection,
-exactly as §3.3.4 describes for the X.X.100 third belt.
+The paper recomputes the reserve before every frame acquisition for the
+mutator, so it "automatically falls back to a smaller size" after a big
+collection, exactly as §3.3.4 describes for the X.X.100 third belt.
+Between two structural changes (an increment opened, retired or flipped, a
+collection) only the allocation increment's frame count moves, so the heap
+keeps :func:`reserve_terms` — everything else frozen — and evaluates
+:func:`reserve_at` in O(1) per acquisition; :func:`required_reserve_frames`
+stays the from-scratch spec both must equal.
 """
 
 from __future__ import annotations
@@ -99,4 +104,59 @@ def required_reserve_frames(
             # and what guarantees the eventual full belt collection fits.
             potential = occupied + incoming_sum.get(belt.index, 0)
         reserve = max(reserve, potential)
+    return reserve + SLACK_FRAMES if reserve else 0
+
+
+def reserve_terms(belts: List[Belt], target_belt_index, alloc: Optional[Increment]):
+    """:func:`required_reserve_frames` with every increment frozen but
+    ``alloc``, whose frame count :func:`reserve_at` takes: (the largest
+    frozen term, ``alloc``'s source size — None: its frame count — and per
+    belt whose potential moves with that count, (receiver frames — None:
+    ``alloc``'s —, incoming max, incoming sum, fed by ``alloc``, increment
+    size))."""
+    receivers = {belt.index: belt.youngest() for belt in belts}
+    largest, incoming_max, incoming_sum = 0, {}, {}
+    for belt in belts:
+        tgt = target_belt_index(belt.index)
+        for inc in belt.increments:
+            frames = inc.num_frames
+            if frames and inc is not alloc:
+                largest = max(largest, frames)
+                if inc is not receivers[tgt]:
+                    incoming_max[tgt] = max(incoming_max.get(tgt, 0), frames)
+                    incoming_sum[tgt] = incoming_sum.get(tgt, 0) + frames
+    fed = None
+    if alloc is not None:
+        fed = target_belt_index(alloc.belt.index)
+        fed = None if alloc is receivers[fed] else fed
+    dependent = []
+    for belt in belts:
+        i, receiver = belt.index, receivers[belt.index]
+        grows = receiver is not None and receiver is alloc
+        term = (None if grows else receiver.num_frames if receiver else 0,
+                incoming_max.get(i, 0), incoming_sum.get(i, 0), i == fed,
+                belt.increment_frames)
+        if grows or i == fed:
+            dependent.append(term)
+        else:
+            largest = max(largest, _potential(term, 0, 0))
+    return largest, alloc.max_frames if alloc else None, tuple(dependent)
+
+
+def _potential(term: tuple, frames: int, source: int) -> int:
+    occupied, inc_max, inc_sum, fed, cap = term
+    occupied = frames if occupied is None else occupied
+    if cap is not None:
+        return min(occupied + (max(inc_max, source) if fed else inc_max), cap)
+    return occupied + inc_sum + (source if fed else 0)
+
+
+def reserve_at(terms, frames: int) -> int:
+    """``required_reserve_frames`` with the allocation increment at
+    ``frames`` frames, from its :func:`reserve_terms`."""
+    largest, source, dependent = terms
+    source = frames if source is None else source
+    reserve = max(largest, source)
+    for term in dependent:
+        reserve = max(reserve, _potential(term, frames, source))
     return reserve + SLACK_FRAMES if reserve else 0

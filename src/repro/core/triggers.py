@@ -46,15 +46,18 @@ class Triggers:
             return "remset"
         return None
 
-    def should_switch_nursery_increment(self, heap: "BeltwayHeap") -> bool:
+    def should_switch_nursery_increment(
+        self, heap: "BeltwayHeap", ahead: int = 0
+    ) -> bool:
         """Time-to-die: start the second nursery increment when the heap is
         within TTD bytes of full, so the youngest objects escape the next
-        collection."""
+        collection (``ahead``: once the allocation increment has grown
+        that many frames more)."""
         if not self.ttd_words:
             return False
         nursery = heap.belts[heap.policy.allocation_belt_index(heap)]
         if nursery.num_increments != 1:
             return False
-        free_words = heap.space.heap_frames_free() * heap.space.frame_words
-        reserve_words = heap.current_reserve_frames() * heap.space.frame_words
+        free_words = (heap.space.heap_frames_free() - ahead) * heap.space.frame_words
+        reserve_words = heap.current_reserve_frames(ahead) * heap.space.frame_words
         return free_words - reserve_words <= self.ttd_words

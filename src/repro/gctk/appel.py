@@ -39,9 +39,19 @@ class AppelGctk(GctkPlan):
         """
         return self.space.heap_frames // 2 - self.mature.num_frames
 
+    def _nursery_room(self) -> int:
+        """Frames the nursery may still grow by before a collection."""
+        return self.nursery_capacity_frames() - self.nursery.num_frames
+
     def _grow_nursery(self) -> None:
         frame = self._acquire_into(self.nursery, "nursery", NURSERY_ORDER)
         self.barrier.nursery_frames.add(frame.index)
+
+    grow_mutator_region = _grow_nursery
+
+    def frame_grant(self):
+        room = max(0, self._nursery_room())
+        return self.space.recycled_frames()[:room], NURSERY_ORDER, 1
 
     def _alloc_words(self, size: int) -> int:
         attempts = 0
@@ -49,7 +59,7 @@ class AppelGctk(GctkPlan):
             addr = self.nursery.alloc(size)
             if addr:
                 return addr
-            if self.nursery.num_frames < self.nursery_capacity_frames():
+            if self._nursery_room() > 0:
                 self._grow_nursery()
                 continue
             if attempts >= 3:

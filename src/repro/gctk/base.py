@@ -91,6 +91,16 @@ class GctkPlan:
     def _alloc_words(self, size: int) -> int:  # pragma: no cover - abstract
         raise NotImplementedError
 
+    def grant_key(self):
+        """What :meth:`frame_grant` depends on: collections and frames."""
+        return self._gc_count, self.space.heap_frames_in_use
+
+    def frame_grant(self):
+        """Free-pool frames, in pop order, that ``_alloc_words`` would add
+        to the mutator region with no decision in between, with their
+        stamp and nursery flag (``cik.Replayer``); none by default."""
+        return [], 0, 0
+
     def collect(self, reason: str = "forced") -> CollectionResult:
         raise NotImplementedError  # pragma: no cover - abstract
 

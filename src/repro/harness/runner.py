@@ -208,6 +208,7 @@ def run(
 
     if not _wants_telemetry(options):
         stats = _execute(engine, vm, sanitizer)
+        _detach(sanitizer, injector)
         return RunReport(
             stats=stats,
             sanitizer=_sanitizer_report(sanitizer, injector),
@@ -252,6 +253,7 @@ def run(
     )
     if jsonl is not None:
         jsonl.close()
+    _detach(profiler, inst, sanitizer, injector)
     return RunReport(
         stats=stats,
         phases=phases if options.profile else None,
@@ -262,6 +264,13 @@ def run(
         profile=profile_report,
         replay=getattr(engine, "replay_path", None),
     )
+
+
+def _detach(*attachments) -> None:
+    """A finished run's teardown: attachments are the only cycles through
+    its VM, so with them off it is freed by reference counting."""
+    for attachment in filter(None, attachments):
+        attachment.detach()
 
 
 def _sanitizer_report(sanitizer, injector):

@@ -9,8 +9,8 @@ the metadata the paper attaches to frames:
   the frame's relative collection order").  The write barrier compares the
   orders of source and target frames and records a pointer only when the
   target would be collected sooner than the source.
-* the owning increment (or space, for non-Beltway collectors), so a frame's
-  membership can be tested in O(1) during collection.
+* the owning increment (Beltway plans), so a frame's membership can be
+  tested in O(1) during collection.
 
 Frames are recycled through the free pool of the :class:`~repro.heap.space.
 AddressSpace`; their storage is zeroed on release so stale pointers can
@@ -36,6 +36,7 @@ construction in tests.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from typing import Optional
 
@@ -70,7 +71,7 @@ class Frame:
         "words",
         "size_words",
         "collect_order",
-        "increment",
+        "_increment",
         "space_name",
         "used_words",
         "allocated",
@@ -83,12 +84,22 @@ class Frame:
             storage = memoryview(array("q", bytes(_SLOT_BYTES * size_words)))
         self.words = storage
         self.collect_order: int = UNASSIGNED_ORDER
-        #: The owning Increment (Beltway) or space object (gctk collectors).
-        self.increment: Optional[object] = None
+        self._increment = None
         self.space_name: str = "free"
         #: High-water bump mark, in words, for linear walks and occupancy.
         self.used_words: int = 0
         self.allocated: bool = False
+
+    @property
+    def increment(self) -> Optional[object]:
+        """The owning Beltway increment, or None.  Held weakly — the
+        increment owns its frames — so no cycle keeps a space alive."""
+        ref = self._increment
+        return ref() if ref is not None else None
+
+    @increment.setter
+    def increment(self, owner: Optional[object]) -> None:
+        self._increment = weakref.ref(owner) if owner is not None else None
 
     def reset(self) -> None:
         """Return the frame to its pristine, free state (storage zeroed)."""
@@ -101,7 +112,7 @@ class Frame:
                 )
             self.words[:used] = zeros[:used]
         self.collect_order = UNASSIGNED_ORDER
-        self.increment = None
+        self._increment = None
         self.space_name = "free"
         self.used_words = 0
         self.allocated = False

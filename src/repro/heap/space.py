@@ -144,6 +144,11 @@ class AddressSpace:
             self.frame_hook(frame.index)
         return frame
 
+    def recycled_frames(self) -> List[int]:
+        """Indices of the free-pool frames, in the order ``acquire_frame``
+        hands them out (fresh frames, mapped lazily, are not listed)."""
+        return [frame.index for frame in reversed(self._free_pool)]
+
     def _frame_storage(self, index: int) -> memoryview:
         """The slab-backed storage view for frame ``index``."""
         slab_index = index >> _SLAB_SHIFT

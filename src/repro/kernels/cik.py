@@ -129,12 +129,17 @@ typedef struct {
     int64_t rule;               /* 0 frame-order compare, 1 nursery boundary */
     int64_t limit;              /* end of the mutator's bump region tail */
     double work;                /* vm.work_units, by value */
+    int64_t *grant;             /* frames the plan granted, in pop order */
+    int64_t n_grant;
+    int64_t grant_order, grant_young;  /* their stamp and nursery flag */
+    int64_t *tails;             /* the cursor each granted move abandoned */
     /* What a call leaves behind, one block (Replayer._fold unpacks it):
-     * counter deltas, then the region cursor and the free-stack depth. */
+     * counter deltas, then the region cursor, the free-stack depth and
+     * the granted frames moved onto. */
     int64_t loads, stores, fast, nulls, reads, writes, hits;
     int64_t allocs, alloc_words;
     int64_t executed, bail;
-    int64_t cursor, n_free;
+    int64_t cursor, n_free, granted;
 } kmut;
 """
 
@@ -356,8 +361,11 @@ int k_roots(kctx *c, int64_t *arr, int64_t n) {
 /* ------------------------------------------------------------------
  * k_replay: the fast-path records of a mutator tape (runtime/tape.py,
  * whose OP_* numbering this enum repeats).  No slow path lives here and
- * nothing is called back: a record that would leave the fast path --
- * a bump past the frame tail, a store the record rule would remember,
+ * nothing is called back.  A bump past the frame tail moves onto the next
+ * frame the plan granted (its slow path's own next step, folded back by
+ * Replayer._fold); any other record that would leave the fast path --
+ * a bump past the frame tail with no grant left, a store the record rule
+ * would remember,
  * a root table with no free slot, any access the reference path would
  * raise on, an unknown op -- is handed back *untouched*: every test
  * comes before the record's first store or counter charge.  So is every
@@ -414,7 +422,7 @@ int64_t k_replay(kctx *c, kmut *m, const int32_t *rec, int64_t pos, int64_t n) {
     m->loads = m->stores = m->fast = m->nulls = m->reads = m->writes = 0;
     m->hits = 0;
     m->allocs = m->alloc_words = 0;
-    m->bail = 0;
+    m->bail = m->granted = 0;
     for (; pos < n; pos++) {
         const int32_t *r = rec + 4 * pos;
         int64_t a = r[1], b = r[2], d = r[3];
@@ -428,7 +436,17 @@ int64_t k_replay(kctx *c, kmut *m, const int32_t *rec, int64_t pos, int64_t n) {
             if (length < 0 || t[0] == 0) BAIL(BAIL_FAULT);
             int64_t size = t[1] < 0 ? 3 + length : t[1];
             obj = m->cursor;
-            if (size * 4 > m->limit - obj) BAIL(BAIL_ALLOC);
+            if (size * 4 > m->limit - obj) {
+                if (m->granted == m->n_grant || size > c->frame_words)
+                    BAIL(BAIL_ALLOC);
+                int64_t fi = m->grant[m->granted];
+                m->tails[m->granted++] = obj;
+                c->mapped[fi] = 1;
+                c->orders[fi] = m->grant_order;
+                c->young[fi] = (uint8_t)m->grant_young;
+                obj = m->cursor = fi << c->shift;
+                m->limit = obj + (c->frame_words << 2);
+            }
             int64_t s = obj >> c->shift;
             if (!frame_ok(c, s)) BAIL(BAIL_FAULT);
             int rem = remembers(c, m, s, t[0]);  /* the TIB store */
@@ -1041,6 +1059,9 @@ class Replayer:
         self._descs = self._units = None
         self._region = None
         self._synced = 0
+        #: ``plan.grant_key()`` when the grant in ``m`` was computed, and
+        #: the buffers behind ``m.grant`` / ``m.tails``.
+        self._grant_key = self._grant = None
 
     def bailed(self, chunk: array, descs, work_units):
         m = self.m
@@ -1074,12 +1095,21 @@ class Replayer:
         vm = self.vm
         m = self.m
         self.view.sync()
-        region = self._region = vm.plan.mutator_region()
+        plan = vm.plan
+        region = self._region = plan.mutator_region()
         if region is None:
             m.cursor = m.limit = self._synced = 0
         else:
             m.cursor = self._synced = region._cursor
             m.limit = region._limit
+        key = plan.grant_key()
+        if key != self._grant_key:
+            self._grant_key = key
+            frames, m.grant_order, m.grant_young = plan.frame_grant()
+            m.n_grant = len(frames)
+            self._grant = m.grant, m.tails = (
+                _ffi.new("int64_t[]", frames or [0]),
+                _ffi.new("int64_t[]", m.n_grant or 1))
         table = self.table
         slots, free = table.slots, table._free
         if len(slots) != m.n_roots or len(free) != m.free_cap:
@@ -1091,7 +1121,9 @@ class Replayer:
 
     def _fold(self) -> int:
         (loads, stores, fast, nulls, reads, writes, hits, allocs, alloc_words,
-         executed, bail, cursor, n_free) = _ffi.unpack(self._out, 13)
+         executed, bail, cursor, n_free, granted) = _ffi.unpack(self._out, 14)
+        if granted:
+            self._fold_grant(granted)
         if executed:
             self.path.in_c += executed
             vm = self.vm
@@ -1116,3 +1148,20 @@ class Replayer:
                 if space.heap_frames_in_use > vm.peak_footprint_frames:
                     vm.peak_footprint_frames = space.heap_frames_in_use
         return bail
+
+    def _fold_grant(self, granted: int) -> None:
+        """Run the plan's own growth step once per granted frame C moved
+        onto, in order, each after folding the bumps C made in the frame
+        it abandoned — so waste, ``used_words`` and ``allocated_words``
+        come out as the reference slow path's."""
+        m, plan, region = self.m, self.vm.plan, self._region
+        for k in range(granted):
+            _fold_cursor(region, m.tails[k], self._synced)
+            plan.grow_mutator_region()
+            if region._current.index != m.grant[k]:
+                raise HeapCorruption(f"granted frame {m.grant[k]} not taken")
+            self._synced = region._cursor
+        m.grant += granted
+        m.n_grant -= granted
+        self._grant_key = plan.grant_key()
+        self.path.granted += granted

@@ -229,6 +229,9 @@ class ReplayPath:
     #: ``OP_MARK`` records run, on either path: scheduled hand-backs to
     #: the engine, not fast-path misses, so never part of ``bails``.
     marks: int = 0
+    #: Frames the kernel moved the mutator onto itself, each one the
+    #: plan had granted (DESIGN §13): slow-path entries that were no bail.
+    granted: int = 0
 
     @property
     def bail_ratio(self) -> float:
@@ -242,6 +245,7 @@ class ReplayPath:
         self.records += other.records
         self.in_c += other.in_c
         self.marks += other.marks
+        self.granted += other.granted
         for reason, n in other.bails.items():
             self.bails[reason] += n
 
@@ -252,7 +256,8 @@ class ReplayPath:
         bails = ", ".join(f"{k} {v}" for k, v in self.bails.items())
         return (
             f"tape replay: cffi, {self.in_c} of {self.records} records in C, "
-            f"bail ratio {self.bail_ratio:.4f} ({bails}){marks}"
+            f"bail ratio {self.bail_ratio:.4f} ({bails}), "
+            f"{self.granted} frames granted{marks}"
         )
 
 

@@ -14,6 +14,7 @@ at exactly collection granularity.
 
 from __future__ import annotations
 
+import weakref
 from typing import Optional, Union
 
 from ..core.beltway import BeltwayHeap
@@ -106,6 +107,11 @@ class VM:
         self._flushed_reads = 0
         self._flushed_writes = 0
         self._flushed_work = 0.0
+        # The plan reaches this VM through a weak reference: a bound
+        # method in its listeners would be a cycle, and a finished VM —
+        # with its address space — must be freed by reference counting.
+        vm = weakref.ref(self)
+        self._on_collection = lambda result: vm()._charge_collection(result)
         self.plan.collection_listeners.append(self._on_collection)
 
     # ------------------------------------------------------------------
@@ -246,7 +252,7 @@ class VM:
         self._flushed_writes = self.field_writes
         self._flushed_work = self.work_units
 
-    def _on_collection(self, result: CollectionResult) -> None:
+    def _charge_collection(self, result: CollectionResult) -> None:
         self._flush_mutator()
         cycles = self.cost_model.collection_cost(
             copied_objects=result.copied_objects,

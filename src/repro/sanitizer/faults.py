@@ -104,6 +104,8 @@ class FaultInjector:
         for handle in self._handles:
             handle.remove()
 
+    detach = disarm
+
     def _wrap(self, obj, name: str, make) -> None:
         """Wrap ``obj.name`` through the seam (``make(inner)`` may be
         re-invoked, so every armer keeps its state outside ``make``)."""
@@ -348,8 +350,8 @@ def _arm_reserve_shrink(injector: FaultInjector, spec: FaultSpec) -> None:
     events = injector.events
 
     def make(inner):
-        def current_reserve_frames():
-            honest = inner()
+        def current_reserve_frames(*ahead):
+            honest = inner(*ahead)
             state["n"] += 1
             if state["n"] < nth or honest == 0:
                 return honest

@@ -19,9 +19,10 @@ walk has nothing to say:
   an increment agrees with its increment's stamp in both the ``Frame``
   header and the flat ``orders`` table the compiled barrier reads.
 * **copy-reserve accounting** (Beltway): the reserve the plan *claims*
-  equals an independent recomputation through the class's own method —
-  an instance-level lie (exactly what the reserve fault plants) cannot
-  hide.
+  equals an independent recomputation from scratch — the spec
+  ``required_reserve_frames`` plus the policy floor, never the plan's
+  incremental terms — so neither an instance-level lie (exactly what the
+  reserve fault plants) nor a stale cache can hide.
 
 All heap access goes through the counter-free
 :class:`~repro.sanitizer.heapcheck.RawHeapReader`; remset reads use the
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
+from ..core.reserve import required_reserve_frames
 from ..heap.address import WORD_BYTES
 from ..heap.objectmodel import HEADER_WORDS
 from .heapcheck import RawHeapReader
@@ -173,11 +175,18 @@ def check_structure(plan, collection: int = -1) -> List[Violation]:
 
 def check_reserve(plan, collection: int = -1) -> List[Violation]:
     """Copy-reserve accounting: the plan's claimed reserve must equal an
-    honest recomputation via the class's own method (Beltway only)."""
+    honest from-scratch recomputation (Beltway only)."""
     if not _is_beltway(plan):
         return []
     claimed = plan.current_reserve_frames()
-    honest = type(plan).current_reserve_frames(plan)
+    if plan.config.fixed_half_reserve:
+        honest = plan.space.heap_frames // 2
+    else:
+        honest = max(
+            required_reserve_frames(plan.belts, plan.policy.target_belt_index,
+                                    plan.allocation_increment),
+            plan.policy.min_reserve_frames(plan),
+        )
     if claimed == honest:
         return []
     return [Violation(

@@ -6,7 +6,10 @@ The barrier's soundness rests on two invariants the paper states in
 * restamping never reorders two surviving increments (so a pointer that
   was correctly *not* recorded can never become needed);
 * the reserve never falls below the largest collectible increment, and
-  adding occupancy never shrinks it.
+  adding occupancy never shrinks it;
+* the incremental reserve — terms frozen except the allocation
+  increment's frame count — equals the from-scratch spec as that
+  increment grows.
 """
 
 import pytest
@@ -16,7 +19,12 @@ from hypothesis import strategies as st
 from repro.core.belt import Belt
 from repro.core.config import BeltSpec
 from repro.core.order import restamp
-from repro.core.reserve import SLACK_FRAMES, required_reserve_frames
+from repro.core.reserve import (
+    SLACK_FRAMES,
+    required_reserve_frames,
+    reserve_at,
+    reserve_terms,
+)
 from repro.heap import AddressSpace
 
 
@@ -117,3 +125,39 @@ def test_reserve_monotone_under_growth(layout, grow):
         victim.alloc(space.frame_words)
     after = required_reserve_frames(belts, target, None)
     assert after >= before
+
+
+@given(
+    belt_layout,
+    st.integers(min_value=0, max_value=11),
+    st.sampled_from(("next", "self", "first")),
+    st.sampled_from((None, 2, 6)),
+    st.integers(min_value=0, max_value=4),
+)
+@settings(max_examples=120, deadline=None)
+def test_reserve_terms_follow_the_allocation_increment(
+    layout, pick, targets, bound, grow
+):
+    """Whichever increment allocates, whatever the promotion targets and
+    whether or not its size is bounded, ``reserve_at`` on terms taken
+    once equals ``required_reserve_frames`` after every frame it adds."""
+    space, belts = build_heap_structure(layout)
+    top = len(belts) - 1
+    target = {
+        "next": lambda b: min(b + 1, top),
+        "self": lambda b: b,
+        "first": lambda b: 0,
+    }[targets]
+    incs = [inc for belt in belts for inc in belt.increments]
+    alloc = incs[pick % len(incs)] if incs else None
+    if alloc is not None and bound is not None:
+        alloc.max_frames = max(bound, alloc.num_frames + grow)
+    terms = reserve_terms(belts, target, alloc)
+    for step in range(grow + 1):
+        frames = alloc.num_frames if alloc is not None else 0
+        assert reserve_at(terms, frames) == required_reserve_frames(
+            belts, target, alloc
+        )
+        if alloc is None or step == grow:
+            break
+        alloc.add_frame()

@@ -313,7 +313,8 @@ def test_bails_equal_the_reference_paths_slow_path_entries(name, collector):
     want, _, _ = run_cell(name, collector, heap, SCALE, "python",
                           prepare=count_slow_allocs(counts))
     assert got == want and got["stats"]["completed"]
-    assert path.bails["alloc_slow"] == counts["slow"] > 0
+    # A granted move onto the next frame is a slow-path entry but no bail.
+    assert path.bails["alloc_slow"] + path.granted == counts["slow"] > 0
     assert path.bails["barrier_slow"] == vm.plan.barrier.stats.slow_path
     # The table grows one slot per bail (or inside a bailed alloc).
     assert 0 < path.bails["root_grow"] <= len(got["root_slots"])

@@ -19,6 +19,7 @@ from repro.sanitizer import (
     attach_sanitizer,
 )
 from repro.sanitizer.faults import BELTWAY_ONLY, FAULT_KINDS
+from repro.sanitizer.invariants import check_reserve
 
 
 def _sabotaged_run(collector, kind, nth=1):
@@ -130,3 +131,30 @@ def test_disarm_restores_the_untouched_path():
     assert "insert" not in vars(vm.plan.remsets)
     assert "current_reserve_frames" not in vars(vm.plan)
     assert "collect" not in vars(vm.plan.collector)
+
+
+def test_reserve_oracle_recomputes_from_scratch():
+    """``check_reserve``'s honest value is the spec plus the policy floor,
+    never the plan's own incremental terms: stale terms are flagged, and
+    ``reserve.shrink`` still fires on the slow path's own query (which
+    now passes a lookahead) and is caught."""
+    vm = VM(heap_bytes=96 * 1024)
+    mu = MutatorContext(vm)
+    node = vm.define_type("node", nrefs=1, nscalars=1)
+    for _ in range(40):
+        mu.alloc(node)
+    plan = vm.plan
+    assert check_reserve(plan) == []
+    honest = plan.current_reserve_frames()
+    plan._reserve_terms = (honest + 3, None, ())  # stale, same increment
+    assert plan.current_reserve_frames() == honest + 4
+    [violation] = check_reserve(plan)
+    assert violation.check == "copy-reserve" and str(honest) in violation.message
+    plan._restructured()
+    assert check_reserve(plan) == []
+
+    injector = arm_faults(vm, [FaultSpec("reserve.shrink")])
+    plan._may_grow(plan.allocation_increment)
+    assert injector.fired and "under-reported" in injector.events[0]
+    [violation] = check_reserve(plan)
+    assert violation.check == "copy-reserve"
