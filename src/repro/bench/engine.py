@@ -31,6 +31,7 @@ The collector-relevant levers, mapped to the paper's five key ideas
 from __future__ import annotations
 
 import copy
+import math
 import random
 import sys
 from array import array
@@ -51,7 +52,8 @@ from ..runtime.tape import (
     TapeRecorder,
     replay,
 )
-from ..runtime.vm import VM
+from ..errors import ConfigError
+from ..runtime.vm import EXPERIMENT_FRAME_SHIFT, VM
 from ..sim.locality import NO_LOCALITY, LocalityModel
 from ..sim.stats import RunStats
 from .lifetime import DeathSchedule, LifetimeClass
@@ -66,6 +68,14 @@ STANDARD_TYPES: Tuple[Tuple[str, int, int], ...] = (
 #: Type names a declarative workload may allocate from (the standard
 #: vocabulary plus the two array shapes every VM defines).
 WORKLOAD_TYPE_NAMES: Tuple[str, ...] = ("small", "node", "big", "refarr", "buf")
+
+#: Largest refarr/buf element count a single frame can hold at the
+#: harness frame size — the reproduction, like GCTk, has no large-object
+#: space, so bigger arrays can never allocate.  Validated up front so a
+#: spec fails when it is built, not mid-run.
+MAX_ARRAY_LENGTH: int = (
+    (1 << EXPERIMENT_FRAME_SHIFT) // WORD_BYTES - HEADER_WORDS
+)
 
 
 def ensure_standard_types(vm: VM) -> None:
@@ -88,7 +98,11 @@ def ensure_standard_types(vm: VM) -> None:
 
 @dataclass(frozen=True)
 class AllocSite:
-    """One allocation site of a workload."""
+    """One allocation site of a workload.
+
+    Every rule about a valid site is checked here, each raising
+    ``ConfigError(message, pointer)`` with the field's pointer; whether
+    ``lifetime`` is declared is the owning spec's rule."""
 
     weight: float
     type_name: str  # "small" | "node" | "big" | "refarr" | "buf"
@@ -96,6 +110,35 @@ class AllocSite:
     length: Tuple[int, int] = (0, 0)  # array length range
     link_prob: float = 0.0  # P(an existing live object points at me)
     work: float = 4.0  # mutator computation per allocation
+
+    def __post_init__(self) -> None:
+        if self.type_name not in WORKLOAD_TYPE_NAMES:
+            raise ConfigError(f"unknown type {self.type_name!r} "
+                              f"(have {WORKLOAD_TYPE_NAMES})", "/type")
+        for name in ("weight", "work"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"site {name} must be finite (got {value})",
+                                  f"/{name}")
+        if self.weight <= 0:
+            raise ConfigError(f"site weight must be > 0 (got {self.weight:g})",
+                              "/weight")
+        lo, hi = self.length
+        if not 0 <= lo <= hi:
+            raise ConfigError(f"site length range {list(self.length)} must "
+                              "have 0 <= lo <= hi", "/length")
+        if hi > MAX_ARRAY_LENGTH:
+            raise ConfigError(
+                f"array length {hi} exceeds the frame capacity "
+                f"({MAX_ARRAY_LENGTH} elements; no large-object space)",
+                "/length",
+            )
+        if not 0 <= self.link_prob <= 1:
+            raise ConfigError("site link_prob must be in [0, 1] "
+                              f"(got {self.link_prob:g})", "/link_prob")
+        if self.work < 0:
+            raise ConfigError(f"site work must be >= 0 (got {self.work:g})",
+                              "/work")
 
 
 @dataclass(frozen=True)
@@ -129,22 +172,11 @@ class WorkloadSpec:
     paper: Optional[Table1Row] = None
 
     def __post_init__(self) -> None:
-        from ..errors import ConfigError
-
         if self.total_alloc_bytes <= 0:
             raise ConfigError(f"{self.name}: total_alloc_bytes must be positive")
         if not self.sites:
             raise ConfigError(f"{self.name}: a workload needs allocation sites")
-        total_weight = sum(site.weight for site in self.sites)
-        if total_weight <= 0:
-            raise ConfigError(f"{self.name}: site weights must sum > 0")
         for site in self.sites:
-            if site.weight < 0:
-                raise ConfigError(f"{self.name}: negative site weight")
-            if site.length[1] < site.length[0]:
-                raise ConfigError(
-                    f"{self.name}: site length range {site.length} is empty"
-                )
             if site.lifetime not in self.lifetimes:
                 raise ConfigError(
                     f"{self.name}: site lifetime {site.lifetime!r} is not "

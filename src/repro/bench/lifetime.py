@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from ..errors import ConfigError
 from ..runtime.roots import Handle
 
 
@@ -32,6 +33,16 @@ class LifetimeClass:
     name: str
     lo_bytes: int = 0
     hi_bytes: int = 0
+
+    def __post_init__(self) -> None:
+        if self.lo_bytes < 0:
+            raise ConfigError("lifetime lo_bytes must be >= 0 "
+                              f"(got {self.lo_bytes})", "/lo_bytes")
+        if not self.immortal and self.hi_bytes < self.lo_bytes:
+            raise ConfigError(
+                "lifetime hi_bytes must be >= lo_bytes unless 0 (immortal) "
+                f"(got {self.lo_bytes}..{self.hi_bytes})", "/hi_bytes"
+            )
 
     @property
     def immortal(self) -> bool:

@@ -14,7 +14,17 @@ class ReproError(Exception):
 
 
 class ConfigError(ReproError):
-    """An invalid collector or benchmark configuration was requested."""
+    """An invalid collector or benchmark configuration was requested.
+
+    ``pointer`` is the offending field's JSON-pointer path relative to the
+    object that raised (``"/seed_objects"`` from a ``SessionSpec``), or
+    ``""``.  The workload-file loader re-raises with the object's place in
+    the document prefixed (``"/sessions/seed_objects"``).
+    """
+
+    def __init__(self, message: str, pointer: str = ""):
+        super().__init__(message)
+        self.pointer = pointer
 
 
 class OutOfMemory(ReproError):

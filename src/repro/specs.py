@@ -21,7 +21,6 @@ not, and two files with the same content share cells.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from pathlib import Path
 from typing import Optional, Union
@@ -87,10 +86,7 @@ def fingerprint(ref: SpecRef) -> Optional[str]:
 
 
 def _server_fingerprint(spec: ServerWorkloadSpec) -> str:
-    canonical = json.dumps(
-        spec.to_dict(), sort_keys=True, separators=(",", ":")
-    )
-    digest = hashlib.sha256(canonical.encode()).hexdigest()[:24]
+    digest = hashlib.sha256(spec.canonical_json().encode()).hexdigest()[:24]
     return f"server:{spec.name}:{digest}"
 
 

@@ -1,4 +1,4 @@
-"""Loading and validating declarative workload files (JSON / YAML).
+"""Loading declarative workload files (JSON / YAML) into validated specs.
 
 New scenarios are config, not code: a ``.json`` or ``.yaml`` file fully
 describes a server workload.  JSON support is always available; YAML needs
@@ -7,8 +7,15 @@ the ``[accel]`` substrate tiers — importing this module never fails, only
 *using* a ``.yaml`` ref without the dependency raises a clear
 :class:`ConfigError`.
 
-Validation errors carry a JSON-pointer-style location so a typo in a large
-spec file points at the exact field::
+The loader checks only what a mapping needs: its shape (mappings, lists,
+unknown and required keys), JSON types, defaults and ``kind``.  Every rule
+about a value — ranges, finiteness, reserved and declared lifetime names —
+is stated once, in the dataclass it constrains
+(:mod:`repro.workloads.model`, :class:`~repro.bench.engine.AllocSite`,
+:class:`~repro.bench.lifetime.LifetimeClass`), which raises
+``ConfigError(message, pointer)``.  The loader builds each object through
+:meth:`_Ctx.build`, which adds the source and the object's place in the
+document, so an error points at the exact field::
 
     workload.yaml:/tasks/0/weight: task weight must be > 0 (got -1)
 
@@ -19,17 +26,14 @@ round-trip: ``from_mapping(spec.to_dict()) == spec``.
 from __future__ import annotations
 
 import json
-import math
+from functools import partial
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Mapping, Sequence, Tuple, Union
 
-from ..bench.engine import WORKLOAD_TYPE_NAMES, AllocSite
+from ..bench.engine import AllocSite
 from ..bench.lifetime import LifetimeClass
 from ..errors import ConfigError
 from .model import (
-    ARRIVAL_PROCESSES,
-    MAX_ARRAY_LENGTH,
-    RESERVED_LIFETIMES,
     ArrivalSpec,
     CacheSpec,
     RequestTask,
@@ -58,302 +62,163 @@ class _Ctx:
     def __init__(self, source: str):
         self.source = source
 
-    def fail(self, pointer: str, message: str) -> "ConfigError":
-        return ConfigError(f"{self.source}:{pointer}: {message}")
+    def fail(self, pointer: str, message: str) -> ConfigError:
+        return ConfigError(f"{self.source}:{pointer}: {message}", pointer)
+
+    def build(self, pointer: str, cls, **fields):
+        """``cls(**fields)``; a rule it breaks is reported at ``pointer``
+        plus the field pointer the class raised with."""
+        try:
+            return cls(**fields)
+        except ConfigError as error:
+            raise self.fail(pointer + error.pointer or "/", str(error)) from None
 
 
-def _require_mapping(ctx: _Ctx, value: Any, pointer: str) -> Mapping[str, Any]:
-    if not isinstance(value, Mapping):
-        raise ctx.fail(pointer, f"expected a mapping, got {type(value).__name__}")
-    return value
-
-
-def _known_keys(ctx: _Ctx, doc: Mapping[str, Any], pointer: str, allowed) -> None:
-    for key in doc:
-        if key not in allowed:
-            raise ctx.fail(
-                f"{pointer}/{key}",
-                f"unknown field {key!r} (expected one of {sorted(allowed)})",
-            )
-
-
-def _number(ctx: _Ctx, doc, key, pointer, default=None, minimum=None,
-            exclusive=False) -> Optional[float]:
-    if key not in doc:
-        return default
-    value = doc[key]
-    where = f"{pointer}/{key}"
+# ----------------------------------------------------------------------
+# JSON types: each reader takes (ctx, value, pointer) and returns the
+# value in the type the dataclass field holds
+# ----------------------------------------------------------------------
+def _number(ctx: _Ctx, value: Any, pointer: str) -> float:
     if isinstance(value, bool) or not isinstance(value, _NUM):
-        raise ctx.fail(where, f"expected a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ctx.fail(where, f"expected a finite number, got {value!r}")
-    if minimum is not None:
-        if exclusive and value <= minimum:
-            raise ctx.fail(where, f"must be > {minimum} (got {value})")
-        if not exclusive and value < minimum:
-            raise ctx.fail(where, f"must be >= {minimum} (got {value})")
+        raise ctx.fail(pointer, f"expected a number, got {value!r}")
     return float(value)
 
 
-def _integer(ctx: _Ctx, doc, key, pointer, default=None, minimum=None) -> Optional[int]:
-    if key not in doc:
-        return default
-    value = doc[key]
-    where = f"{pointer}/{key}"
+def _integer(ctx: _Ctx, value: Any, pointer: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ctx.fail(where, f"expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ctx.fail(where, f"must be >= {minimum} (got {value})")
+        raise ctx.fail(pointer, f"expected an integer, got {value!r}")
     return value
 
 
-def _string(ctx: _Ctx, doc, key, pointer, default=None, choices=None) -> Optional[str]:
-    if key not in doc:
-        return default
-    value = doc[key]
-    where = f"{pointer}/{key}"
+def _string(ctx: _Ctx, value: Any, pointer: str) -> str:
     if not isinstance(value, str):
-        raise ctx.fail(where, f"expected a string, got {value!r}")
-    if choices is not None and value not in choices:
-        raise ctx.fail(
-            where, f"unknown value {value!r} (expected one of {tuple(choices)})"
-        )
+        raise ctx.fail(pointer, f"expected a string, got {value!r}")
     return value
 
 
-def _range(ctx: _Ctx, doc, key, pointer, default, *, integral, minimum,
-           exclusive=False) -> Tuple:
-    """A two-element ``[lo, hi]`` list with ``minimum <= lo <= hi``."""
-    if key not in doc:
-        return default
-    value = doc[key]
-    where = f"{pointer}/{key}"
-    if (
-        not isinstance(value, Sequence)
-        or isinstance(value, (str, bytes))
-        or len(value) != 2
-    ):
-        raise ctx.fail(where, f"expected a [lo, hi] pair, got {value!r}")
-    lo, hi = value
-    kind = int if integral else _NUM
-    for element in (lo, hi):
-        if isinstance(element, bool) or not isinstance(element, kind):
-            raise ctx.fail(where, f"expected two numbers, got {value!r}")
-        if not math.isfinite(element):
-            raise ctx.fail(where, f"expected two finite numbers, got {value!r}")
-    if (lo <= minimum) if exclusive else (lo < minimum):
-        op = ">" if exclusive else ">="
-        raise ctx.fail(where, f"lo must be {op} {minimum} (got {lo})")
-    if hi < lo:
-        raise ctx.fail(where, f"hi must be >= lo (got {list(value)})")
-    return (lo, hi) if integral else (float(lo), float(hi))
+def _is_list(value: Any) -> bool:
+    return isinstance(value, Sequence) and not isinstance(value, (str, bytes))
 
 
-# ----------------------------------------------------------------------
-# Section parsers
-# ----------------------------------------------------------------------
-def _parse_arrival(ctx: _Ctx, doc: Mapping[str, Any]) -> ArrivalSpec:
-    pointer = "/arrival"
-    _known_keys(ctx, doc, pointer,
-                {"process", "rate_rps", "burst_multiplier", "on_s", "off_s"})
-    process = _string(ctx, doc, "process", pointer, default="poisson",
-                      choices=ARRIVAL_PROCESSES)
-    rate = _number(ctx, doc, "rate_rps", pointer, default=1000.0)
-    if rate is not None and rate <= 0:
-        raise ctx.fail(f"{pointer}/rate_rps",
-                       f"arrival rate must be > 0 requests/s (got {rate:g})")
-    return ArrivalSpec(
-        process=process,
-        rate_rps=rate,
-        burst_multiplier=_number(ctx, doc, "burst_multiplier", pointer,
-                                 default=4.0, minimum=0, exclusive=True),
-        on_s=_number(ctx, doc, "on_s", pointer, default=0.05,
-                     minimum=0, exclusive=True),
-        off_s=_number(ctx, doc, "off_s", pointer, default=0.15,
-                      minimum=0, exclusive=True),
-    )
+def _list(ctx: _Ctx, value: Any, pointer: str, item: Callable) -> Tuple:
+    if not _is_list(value):
+        raise ctx.fail(pointer, f"expected a list, got {value!r}")
+    return tuple(item(ctx, element, f"{pointer}/{i}")
+                 for i, element in enumerate(value))
 
 
-def _parse_sessions(ctx: _Ctx, doc: Mapping[str, Any]) -> SessionSpec:
-    pointer = "/sessions"
-    _known_keys(ctx, doc, pointer,
-                {"max_concurrent", "requests_per_session", "slots",
-                 "seed_objects"})
-    slots = _integer(ctx, doc, "slots", pointer, default=8, minimum=1)
-    if slots > MAX_ARRAY_LENGTH:
-        raise ctx.fail(f"{pointer}/slots",
-                       f"must be <= {MAX_ARRAY_LENGTH} "
-                       "(one frame holds the session root array)")
-    return SessionSpec(
-        max_concurrent=_integer(ctx, doc, "max_concurrent", pointer,
-                                default=8, minimum=1),
-        requests_per_session=_range(ctx, doc, "requests_per_session", pointer,
-                                    (4, 32), integral=True, minimum=1),
-        slots=slots,
-        seed_objects=_integer(ctx, doc, "seed_objects", pointer,
-                              default=4, minimum=0),
-    )
+def _range(ctx: _Ctx, value: Any, pointer: str, item: Callable) -> Tuple:
+    """A two-element ``[lo, hi]`` list of ``item``s."""
+    if not _is_list(value) or len(value) != 2:
+        raise ctx.fail(pointer, f"expected a [lo, hi] pair, got {value!r}")
+    return _list(ctx, value, pointer, item)
 
 
-def _parse_cache(ctx: _Ctx, doc: Mapping[str, Any]) -> CacheSpec:
-    pointer = "/cache"
-    _known_keys(ctx, doc, pointer, {"slots", "ttl_s"})
-    return CacheSpec(
-        slots=_integer(ctx, doc, "slots", pointer, default=64, minimum=0),
-        ttl_s=_range(ctx, doc, "ttl_s", pointer, (0.02, 0.1),
-                     integral=False, minimum=0, exclusive=True),
-    )
+def _mapping(ctx: _Ctx, value: Any, pointer: str) -> Mapping[str, Any]:
+    if not isinstance(value, Mapping):
+        raise ctx.fail(pointer or "/",
+                       f"expected a mapping, got {type(value).__name__}")
+    return value
 
 
-def _parse_lifetimes(ctx: _Ctx, doc: Mapping[str, Any]) -> Dict[str, LifetimeClass]:
-    lifetimes: Dict[str, LifetimeClass] = {}
-    for name, entry in doc.items():
-        pointer = f"/lifetimes/{name}"
-        if name in RESERVED_LIFETIMES:
+def _fields(ctx: _Ctx, doc: Any, pointer: str, schema: Mapping[str, Callable],
+            required: Tuple[str, ...] = ()) -> Dict[str, Any]:
+    """``doc``'s fields read by ``schema``'s reader for each key; a key
+    the document leaves out takes the dataclass default."""
+    doc = _mapping(ctx, doc, pointer)
+    for key in doc:
+        if key not in schema:
             raise ctx.fail(
-                pointer,
-                f"lifetime name {name!r} is reserved (engine-defined scope)",
+                f"{pointer}/{key}",
+                f"unknown field {key!r} (expected one of {sorted(schema)})",
             )
-        entry = _require_mapping(ctx, entry, pointer)
-        _known_keys(ctx, entry, pointer, {"lo_bytes", "hi_bytes"})
-        lo = _integer(ctx, entry, "lo_bytes", pointer, default=0, minimum=0)
-        hi = _integer(ctx, entry, "hi_bytes", pointer, default=0, minimum=0)
-        if hi and hi < lo:
-            raise ctx.fail(pointer, f"hi_bytes must be >= lo_bytes (got {lo}..{hi})")
-        lifetimes[name] = LifetimeClass(name, lo, hi)
-    return lifetimes
+    for key in required:
+        if key not in doc:
+            raise ctx.fail(f"{pointer}/{key}", f"missing required field {key!r}")
+    return {key: schema[key](ctx, value, f"{pointer}/{key}")
+            for key, value in doc.items()}
 
 
-def _parse_site(ctx: _Ctx, doc: Any, pointer: str,
-                lifetimes: Mapping[str, LifetimeClass]) -> AllocSite:
-    doc = _require_mapping(ctx, doc, pointer)
-    _known_keys(ctx, doc, pointer,
-                {"weight", "type", "lifetime", "length", "link_prob", "work"})
-    weight = _number(ctx, doc, "weight", pointer, default=1.0)
-    if weight is not None and weight <= 0:
-        raise ctx.fail(f"{pointer}/weight",
-                       f"site weight must be > 0 (got {weight:g})")
-    type_name = _string(ctx, doc, "type", pointer)
-    if type_name is None:
-        raise ctx.fail(pointer, "a site needs a 'type'")
-    if type_name not in WORKLOAD_TYPE_NAMES:
-        raise ctx.fail(f"{pointer}/type",
-                       f"unknown type {type_name!r} (have {WORKLOAD_TYPE_NAMES})")
-    lifetime = _string(ctx, doc, "lifetime", pointer)
-    if lifetime is None:
-        raise ctx.fail(pointer, "a site needs a 'lifetime'")
-    known = set(RESERVED_LIFETIMES) | set(lifetimes)
-    if lifetime not in known:
-        raise ctx.fail(
-            f"{pointer}/lifetime",
-            f"unknown lifetime class {lifetime!r} (have {sorted(known)})",
-        )
-    length = _range(ctx, doc, "length", pointer, (0, 0), integral=True, minimum=0)
-    if type_name in ("refarr", "buf") and length == (0, 0):
-        length = (4, 16)  # arrays of zero length are pointless; give a default
-    if length[1] > MAX_ARRAY_LENGTH:
-        raise ctx.fail(
-            f"{pointer}/length",
-            f"array length {length[1]} exceeds the frame capacity "
-            f"({MAX_ARRAY_LENGTH} elements; no large-object space)",
-        )
-    link_prob = _number(ctx, doc, "link_prob", pointer, default=0.0, minimum=0)
-    if link_prob > 1:
-        raise ctx.fail(f"{pointer}/link_prob", f"must be in [0, 1] (got {link_prob:g})")
-    return AllocSite(
-        weight=float(weight),
-        type_name=type_name,
-        lifetime=lifetime,
-        length=length,
-        link_prob=link_prob,
-        work=_number(ctx, doc, "work", pointer, default=4.0, minimum=0),
-    )
+# ----------------------------------------------------------------------
+# Objects
+# ----------------------------------------------------------------------
+_INT_RANGE = partial(_range, item=_integer)
 
 
-def _parse_task(ctx: _Ctx, doc: Any, pointer: str,
-                lifetimes: Mapping[str, LifetimeClass]) -> RequestTask:
-    doc = _require_mapping(ctx, doc, pointer)
-    _known_keys(ctx, doc, pointer,
-                {"name", "weight", "sites", "request_bytes", "cache_lookups",
-                 "reads", "work"})
-    name = _string(ctx, doc, "name", pointer)
-    if not name:
-        raise ctx.fail(pointer, "a task needs a non-empty 'name'")
-    weight = _number(ctx, doc, "weight", pointer, default=1.0)
-    if weight is not None and weight <= 0:
-        raise ctx.fail(f"{pointer}/weight",
-                       f"task weight must be > 0 (got {weight:g})")
-    sites_doc = doc.get("sites")
-    if not isinstance(sites_doc, Sequence) or isinstance(sites_doc, (str, bytes)) \
-            or not sites_doc:
-        raise ctx.fail(f"{pointer}/sites", "expected a non-empty list of sites")
-    sites = tuple(
-        _parse_site(ctx, site, f"{pointer}/sites/{i}", lifetimes)
-        for i, site in enumerate(sites_doc)
-    )
-    return RequestTask(
-        name=name,
-        weight=float(weight),
-        sites=sites,
-        request_bytes=_range(ctx, doc, "request_bytes", pointer, (128, 512),
-                             integral=True, minimum=1),
-        cache_lookups=_integer(ctx, doc, "cache_lookups", pointer,
-                               default=0, minimum=0),
-        reads=_number(ctx, doc, "reads", pointer, default=0.0, minimum=0),
-        work=_number(ctx, doc, "work", pointer, default=4.0, minimum=0),
-    )
+def _section(cls, schema: Mapping[str, Callable]) -> Callable:
+    """Reader of a mapping whose keys are ``cls``'s fields."""
+    def read(ctx: _Ctx, value: Any, pointer: str):
+        return ctx.build(pointer, cls, **_fields(ctx, value, pointer, schema))
+    return read
+
+
+def _lifetimes(ctx: _Ctx, value: Any, pointer: str) -> Dict[str, LifetimeClass]:
+    schema = {"lo_bytes": _integer, "hi_bytes": _integer}
+    return {
+        name: ctx.build(f"{pointer}/{name}", LifetimeClass, name=name,
+                        **_fields(ctx, entry, f"{pointer}/{name}", schema))
+        for name, entry in _mapping(ctx, value, pointer).items()
+    }
+
+
+_SITE = {"weight": _number, "type": _string, "lifetime": _string,
+         "length": _INT_RANGE, "link_prob": _number, "work": _number}
+
+
+def _site(ctx: _Ctx, value: Any, pointer: str) -> AllocSite:
+    fields = _fields(ctx, value, pointer, _SITE, required=("type", "lifetime"))
+    fields["type_name"] = fields.pop("type")
+    if fields["type_name"] in ("refarr", "buf") and \
+            fields.get("length", (0, 0)) == (0, 0):
+        fields["length"] = (4, 16)  # arrays of zero length are pointless
+    return ctx.build(pointer, AllocSite, **{"weight": 1.0, **fields})
+
+
+_TASK = {"name": _string, "weight": _number, "sites": partial(_list, item=_site),
+         "request_bytes": _INT_RANGE, "cache_lookups": _integer,
+         "reads": _number, "work": _number}
+
+
+def _task(ctx: _Ctx, value: Any, pointer: str) -> RequestTask:
+    fields = _fields(ctx, value, pointer, _TASK, required=("name", "sites"))
+    return ctx.build(pointer, RequestTask, **{"weight": 1.0, **fields})
+
+
+def _kind(ctx: _Ctx, value: Any, pointer: str) -> str:
+    if _string(ctx, value, pointer) != "server-workload":
+        raise ctx.fail(pointer, f"unknown workload kind {value!r} "
+                                "(expected 'server-workload')")
+    return value
+
+
+_TOP = {
+    "kind": _kind,
+    "name": _string,
+    "description": _string,
+    "duration_s": _number,
+    "max_requests": _integer,
+    "arrival": _section(ArrivalSpec, {
+        "process": _string, "rate_rps": _number, "burst_multiplier": _number,
+        "on_s": _number, "off_s": _number}),
+    "sessions": _section(SessionSpec, {
+        "max_concurrent": _integer, "requests_per_session": _INT_RANGE,
+        "slots": _integer, "seed_objects": _integer}),
+    "cache": _section(CacheSpec, {
+        "slots": _integer, "ttl_s": partial(_range, item=_number)}),
+    "lifetimes": _lifetimes,
+    "tasks": partial(_list, item=_task),
+}
 
 
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
-_TOP_KEYS = {"kind", "name", "description", "duration_s", "max_requests",
-             "arrival", "sessions", "cache", "lifetimes", "tasks"}
-
-
 def from_mapping(doc: Any, source: str = "<mapping>") -> ServerWorkloadSpec:
     """Build a validated ServerWorkloadSpec from a parsed mapping."""
     ctx = _Ctx(source)
-    doc = _require_mapping(ctx, doc, "/")
-    _known_keys(ctx, doc, "", _TOP_KEYS)
-    kind = _string(ctx, doc, "kind", "", default="server-workload")
-    if kind != "server-workload":
-        raise ctx.fail("/kind", f"unknown workload kind {kind!r} "
-                                "(expected 'server-workload')")
-    name = _string(ctx, doc, "name", "")
-    if not name:
-        raise ctx.fail("/name", "a workload needs a non-empty 'name'")
-    duration = _number(ctx, doc, "duration_s", "", default=0.5)
-    if duration is not None and duration <= 0:
-        raise ctx.fail("/duration_s", f"must be > 0 seconds (got {duration:g})")
-    lifetimes = _parse_lifetimes(
-        ctx, _require_mapping(ctx, doc.get("lifetimes", {}), "/lifetimes")
-    )
-    tasks_doc = doc.get("tasks")
-    if not isinstance(tasks_doc, Sequence) or isinstance(tasks_doc, (str, bytes)) \
-            or not tasks_doc:
-        raise ctx.fail("/tasks", "expected a non-empty list of tasks")
-    tasks = tuple(
-        _parse_task(ctx, task, f"/tasks/{i}", lifetimes)
-        for i, task in enumerate(tasks_doc)
-    )
-    return ServerWorkloadSpec(
-        name=name,
-        description=_string(ctx, doc, "description", "", default=""),
-        duration_s=duration,
-        max_requests=_integer(ctx, doc, "max_requests", "", default=0, minimum=0),
-        arrival=_parse_arrival(
-            ctx, _require_mapping(ctx, doc.get("arrival", {}), "/arrival")
-        ),
-        sessions=_parse_sessions(
-            ctx, _require_mapping(ctx, doc.get("sessions", {}), "/sessions")
-        ),
-        cache=_parse_cache(
-            ctx, _require_mapping(ctx, doc.get("cache", {}), "/cache")
-        ),
-        lifetimes=lifetimes,
-        tasks=tasks,
-    )
+    fields = _fields(ctx, doc, "", _TOP, required=("name", "tasks"))
+    fields.pop("kind", None)
+    return ctx.build("", ServerWorkloadSpec, **fields)
 
 
 def loads(text: str, format: str = "json",

@@ -16,8 +16,13 @@ Lifetime names fall into two groups:
 * *named byte-classes* declared under ``lifetimes`` exactly like the SPEC
   specs (death after N bytes of subsequent allocation).
 
-Everything here is pure data with validation; the execution semantics live
-in :mod:`repro.workloads.engine`.
+Everything here is pure data, and each class states every rule about its
+own valid values: a violation raises ``ConfigError(message, pointer)``
+with the field's JSON pointer relative to that object, so a spec built in
+code and one loaded from a file (:mod:`repro.workloads.config`, which
+adds the source and the object's place in the document) are checked by
+the same code.  The execution semantics live in
+:mod:`repro.workloads.engine`.
 """
 
 from __future__ import annotations
@@ -28,12 +33,11 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Tuple
 
-from ..bench.engine import WORKLOAD_TYPE_NAMES, AllocSite
+from ..bench.engine import MAX_ARRAY_LENGTH, STANDARD_TYPES, AllocSite
 from ..bench.lifetime import LifetimeClass
 from ..errors import ConfigError
 from ..heap.address import WORD_BYTES
 from ..heap.objectmodel import HEADER_WORDS
-from ..runtime.vm import EXPERIMENT_FRAME_SHIFT
 from ..sim.locality import NO_LOCALITY, LocalityModel
 
 #: Lifetime names with engine-defined semantics (not byte-sampled).
@@ -42,18 +46,11 @@ RESERVED_LIFETIMES: Tuple[str, ...] = ("request", "session", "cache")
 #: Arrival processes the generator implements.
 ARRIVAL_PROCESSES: Tuple[str, ...] = ("poisson", "bursty")
 
-#: Largest refarr/buf element count a single frame can hold at the
-#: harness frame size — the reproduction, like GCTk, has no large-object
-#: space, so bigger arrays can never allocate.  Validated up front so a
-#: spec file fails at load time, not mid-run.
-MAX_ARRAY_LENGTH: int = (
-    (1 << EXPERIMENT_FRAME_SHIFT) // WORD_BYTES - HEADER_WORDS
-)
-
-#: Word sizes of the shared vocabulary (header included), mirrored from
-#: bench.engine.STANDARD_TYPES for the allocation-volume estimate below
-#: (refarr/buf are header-only; elements counted separately).
-_TYPE_WORDS = {"small": 6, "node": 8, "big": 16, "refarr": 3, "buf": 3}
+#: Word sizes of the shared vocabulary (header included), for the
+#: allocation-volume estimate below.
+_TYPE_WORDS = {
+    name: HEADER_WORDS + nrefs + nscalars for name, nrefs, nscalars in STANDARD_TYPES
+}
 
 
 @dataclass(frozen=True)
@@ -73,24 +70,20 @@ class ArrivalSpec:
 
     def __post_init__(self) -> None:
         if self.process not in ARRIVAL_PROCESSES:
-            raise ConfigError(
-                f"unknown arrival process {self.process!r} "
-                f"(have {ARRIVAL_PROCESSES})"
-            )
+            raise ConfigError(f"unknown arrival process {self.process!r} "
+                              f"(have {ARRIVAL_PROCESSES})", "/process")
         for name in ("rate_rps", "burst_multiplier", "on_s", "off_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(
-                    f"arrival {name} must be finite (got {getattr(self, name)})"
-                )
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"arrival {name} must be finite (got {value})",
+                                  f"/{name}")
         if self.rate_rps <= 0:
-            raise ConfigError(
-                f"arrival rate must be > 0 requests/s (got {self.rate_rps})"
-            )
-        if self.process == "bursty":
-            if self.burst_multiplier <= 0:
-                raise ConfigError("burst_multiplier must be > 0")
-            if self.on_s <= 0 or self.off_s <= 0:
-                raise ConfigError("bursty windows on_s/off_s must be > 0")
+            raise ConfigError("arrival rate must be > 0 requests/s "
+                              f"(got {self.rate_rps:g})", "/rate_rps")
+        for name in ("burst_multiplier", "on_s", "off_s"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"arrival {name} must be > 0 "
+                                  f"(got {getattr(self, name):g})", f"/{name}")
 
     @property
     def mean_rate_rps(self) -> float:
@@ -123,21 +116,24 @@ class SessionSpec:
 
     def __post_init__(self) -> None:
         if self.max_concurrent < 1:
-            raise ConfigError("sessions.max_concurrent must be >= 1")
+            raise ConfigError("sessions.max_concurrent must be >= 1 "
+                              f"(got {self.max_concurrent})", "/max_concurrent")
         lo, hi = self.requests_per_session
-        if lo < 1 or hi < lo:
+        if not 1 <= lo <= hi:
             raise ConfigError(
                 "sessions.requests_per_session must be a [lo, hi] range "
-                f"with 1 <= lo <= hi (got {list(self.requests_per_session)})"
+                f"with 1 <= lo <= hi (got {list(self.requests_per_session)})",
+                "/requests_per_session",
             )
         if not 1 <= self.slots <= MAX_ARRAY_LENGTH:
             raise ConfigError(
-                f"sessions.slots must be in [1, {MAX_ARRAY_LENGTH}] "
-                "(one frame holds the session root array)"
+                f"sessions.slots must be in [1, {MAX_ARRAY_LENGTH}] (one frame "
+                f"holds the session root array; got {self.slots})", "/slots"
             )
         if not 0 <= self.seed_objects <= self.slots:
             raise ConfigError(
-                "sessions.seed_objects must be in [0, sessions.slots]"
+                f"sessions.seed_objects must be in [0, sessions.slots = "
+                f"{self.slots}] (got {self.seed_objects})", "/seed_objects"
             )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -160,12 +156,13 @@ class CacheSpec:
 
     def __post_init__(self) -> None:
         if self.slots < 0:
-            raise ConfigError("cache.slots must be >= 0")
+            raise ConfigError(f"cache.slots must be >= 0 (got {self.slots})",
+                              "/slots")
         lo, hi = self.ttl_s
-        if lo <= 0 or hi < lo:
+        if not 0 < lo <= hi < math.inf:
             raise ConfigError(
-                "cache.ttl_s must be a [lo, hi] range with 0 < lo <= hi "
-                f"(got {list(self.ttl_s)})"
+                "cache.ttl_s must be a [lo, hi] range of finite seconds with "
+                f"0 < lo <= hi (got {list(self.ttl_s)})", "/ttl_s"
             )
 
     def to_dict(self) -> Dict[str, Any]:
@@ -193,23 +190,29 @@ class RequestTask:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise ConfigError("a task needs a name")
+            raise ConfigError("a task needs a non-empty name", "/name")
+        for name in ("weight", "reads", "work"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"task {name} must be finite (got {value})",
+                                  f"/{name}")
         if self.weight <= 0:
-            raise ConfigError(
-                f"task {self.name!r}: weight must be > 0 (got {self.weight})"
-            )
+            raise ConfigError(f"task weight must be > 0 (got {self.weight:g})",
+                              "/weight")
         if not self.sites:
-            raise ConfigError(f"task {self.name!r}: needs allocation sites")
+            raise ConfigError(f"task {self.name!r} needs allocation sites",
+                              "/sites")
         lo, hi = self.request_bytes
-        if lo < 1 or hi < lo:
+        if not 1 <= lo <= hi:
             raise ConfigError(
-                f"task {self.name!r}: request_bytes must be a [lo, hi] "
-                f"range with 1 <= lo <= hi (got {list(self.request_bytes)})"
+                "task request_bytes must be a [lo, hi] range with "
+                f"1 <= lo <= hi (got {list(self.request_bytes)})",
+                "/request_bytes",
             )
-        if self.cache_lookups < 0 or self.reads < 0 or self.work < 0:
-            raise ConfigError(
-                f"task {self.name!r}: cache_lookups/reads/work must be >= 0"
-            )
+        for name in ("cache_lookups", "reads", "work"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"task {name} must be >= 0 "
+                                  f"(got {getattr(self, name):g})", f"/{name}")
 
     def mean_request_bytes(self) -> float:
         lo, hi = self.request_bytes
@@ -253,44 +256,28 @@ class ServerWorkloadSpec:
 
     def __post_init__(self) -> None:
         if not self.name:
-            raise ConfigError("a server workload needs a name")
+            raise ConfigError("a server workload needs a non-empty name",
+                              "/name")
         if not 0 < self.duration_s < math.inf:
-            raise ConfigError(
-                f"{self.name}: duration_s must be > 0 and finite "
-                f"(got {self.duration_s})"
-            )
+            raise ConfigError("duration_s must be > 0 and finite "
+                              f"(got {self.duration_s:g})", "/duration_s")
         if self.max_requests < 0:
-            raise ConfigError(f"{self.name}: max_requests must be >= 0")
+            raise ConfigError("max_requests must be >= 0 "
+                              f"(got {self.max_requests})", "/max_requests")
         if not self.tasks:
-            raise ConfigError(f"{self.name}: a server workload needs tasks")
-        known = set(RESERVED_LIFETIMES) | set(self.lifetimes)
+            raise ConfigError("a server workload needs tasks", "/tasks")
         for reserved in RESERVED_LIFETIMES:
             if reserved in self.lifetimes:
-                raise ConfigError(
-                    f"{self.name}: lifetime name {reserved!r} is reserved"
-                )
-        for task in self.tasks:
-            for site in task.sites:
-                if site.type_name not in WORKLOAD_TYPE_NAMES:
-                    raise ConfigError(
-                        f"{self.name}/{task.name}: unknown type "
-                        f"{site.type_name!r} (have {WORKLOAD_TYPE_NAMES})"
-                    )
+                raise ConfigError(f"lifetime name {reserved!r} is reserved "
+                                  "(engine-defined scope)", f"/lifetimes/{reserved}")
+        known = set(RESERVED_LIFETIMES) | set(self.lifetimes)
+        for i, task in enumerate(self.tasks):
+            for j, site in enumerate(task.sites):
                 if site.lifetime not in known:
                     raise ConfigError(
-                        f"{self.name}/{task.name}: unknown lifetime class "
-                        f"{site.lifetime!r} (have {sorted(known)})"
-                    )
-                if site.weight <= 0:
-                    raise ConfigError(
-                        f"{self.name}/{task.name}: site weight must be > 0"
-                    )
-                if site.length[1] > MAX_ARRAY_LENGTH:
-                    raise ConfigError(
-                        f"{self.name}/{task.name}: array length "
-                        f"{site.length[1]} exceeds the frame capacity "
-                        f"({MAX_ARRAY_LENGTH} elements; no large-object "
-                        "space)"
+                        f"unknown lifetime class {site.lifetime!r} "
+                        f"(have {sorted(known)})",
+                        f"/tasks/{i}/sites/{j}/lifetime",
                     )
 
     def __hash__(self) -> int:
@@ -299,7 +286,7 @@ class ServerWorkloadSpec:
         # instead: equal specs serialise identically, so the hash is
         # consistent with ``__eq__`` and specs can key the minsearch and
         # grid dictionaries like benchmark-name refs do.
-        return hash(json.dumps(self.to_dict(), sort_keys=True))
+        return hash(self.canonical_json())
 
     @property
     def locality(self) -> LocalityModel:
@@ -332,7 +319,7 @@ class ServerWorkloadSpec:
         ) / total_weight
         n = self.expected_requests()
         per_session = WORD_BYTES * (
-            _TYPE_WORDS["refarr"]
+            HEADER_WORDS  # the session's refarr; its elements follow
             + self.sessions.slots
             + self.sessions.seed_objects * _TYPE_WORDS["node"]
         )
@@ -367,9 +354,8 @@ class ServerWorkloadSpec:
     def to_dict(self) -> Dict[str, Any]:
         """Canonical mapping form — the config loader's input format.
 
-        ``from_mapping(spec.to_dict())`` round-trips, and the grid layer
-        fingerprints this form (sorted-key JSON) so semantically equal
-        specs share cache cells regardless of file name or key order."""
+        ``from_mapping(spec.to_dict())`` round-trips; :meth:`canonical_json`
+        serialises it for hashing and fingerprinting."""
         return {
             "kind": "server-workload",
             "name": self.name,
@@ -385,3 +371,10 @@ class ServerWorkloadSpec:
             },
             "tasks": [t.to_dict() for t in self.tasks],
         }
+
+    def canonical_json(self) -> str:
+        """:meth:`to_dict` as sorted-key, compact JSON — the one serialised
+        form behind ``__hash__`` and the grid store's content fingerprint
+        (``repro.specs.fingerprint``), so semantically equal specs share
+        cache cells regardless of file name or key order."""
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))

@@ -37,15 +37,13 @@ def test_no_sites_rejected():
 
 
 def test_negative_weight_rejected():
-    bad = AllocSite(weight=-1.0, type_name="small", lifetime="short")
     with pytest.raises(ConfigError):
-        make(sites=[SITE, bad])
+        make(sites=[SITE, AllocSite(weight=-1.0, type_name="small", lifetime="short")])
 
 
 def test_zero_total_weight_rejected():
-    zero = AllocSite(weight=0.0, type_name="small", lifetime="short")
     with pytest.raises(ConfigError):
-        make(sites=[zero])
+        make(sites=[AllocSite(weight=0.0, type_name="small", lifetime="short")])
 
 
 def test_unknown_lifetime_rejected():

@@ -275,6 +275,6 @@ def test_recorder_rejects_a_write_int_it_cannot_encode():
 
 
 def test_empty_length_range_is_a_config_error():
-    site = AllocSite(weight=1.0, type_name="refarr", lifetime="short", length=(4, 2))
     with pytest.raises(ConfigError, match="length range"):
+        site = AllocSite(weight=1.0, type_name="refarr", lifetime="short", length=(4, 2))
         small_spec(sites=[site])

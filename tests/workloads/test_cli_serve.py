@@ -68,19 +68,24 @@ def test_serve_rate_override_changes_offered_load(tmp_path, capsys):
     assert count(fast) > count(slow)
 
 
-def test_serve_bad_spec_is_a_clean_error(tmp_path, capsys):
+@pytest.mark.parametrize("section, pointer, message", [
+    ({"arrival": {"rate_rps": -5}}, "/arrival/rate_rps", "must be > 0"),
+    ({"sessions": {"slots": 2, "seed_objects": 3}}, "/sessions/seed_objects",
+     "must be in [0, sessions.slots"),
+], ids=["rate_rps", "seed_objects"])
+def test_serve_bad_spec_is_a_clean_error(tmp_path, capsys, section, pointer, message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({
         "name": "bad",
-        "arrival": {"rate_rps": -5},
+        **section,
         "tasks": [{"name": "get",
                    "sites": [{"type": "small", "lifetime": "request"}]}],
     }))
     code = main(["serve", str(path), "--validate"])
-    assert code != 0
+    assert code == 1
     err = capsys.readouterr().err
-    assert "/arrival/rate_rps" in err
-    assert "must be > 0" in err
+    assert f"bad.json:{pointer}:" in err and "Traceback" not in err
+    assert message in err
 
 
 def test_serve_rejects_closed_loop_benchmarks(tmp_path):

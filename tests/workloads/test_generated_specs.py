@@ -9,10 +9,18 @@ backlog — and runs each under a Beltway and a gctk plan three ways: the
 Python replay under the sanitizer (the oracle: zero violations), the plain
 Python replay, and the compiled replay.  All three must report the same
 ``RunStats`` and ``RequestStats``, failed runs included.
+
+The same documents round-trip through ``to_dict``, and broken by one
+mutation — a required key removed, a value of the wrong JSON type, a
+number out of range (``Infinity`` and ``NaN`` included, read through
+``loads``) — each must fail with a ``ConfigError`` that names its place
+in the document, never with another exception.
 """
 
+import copy
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -20,11 +28,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.engine import TAPES
-from repro.errors import OutOfMemory
+from repro.errors import ConfigError, OutOfMemory
 from repro.kernels import available
 from repro.runtime.vm import VM
 from repro.sanitizer import attach_sanitizer
-from repro.workloads import ServerMutator, from_mapping
+from repro.workloads import ServerMutator, from_mapping, loads
+from repro.workloads.model import MAX_ARRAY_LENGTH
 
 REGRESSIONS = Path(__file__).resolve().parents[1] / "data" / "regressions"
 COLLECTORS = ("25.25.100", "gctk:Appel")
@@ -133,3 +142,93 @@ def test_generated_spec_is_identical_three_ways(doc, heap_kb):
 def test_saved_regression_replays_clean(path):
     case = json.loads(path.read_text())
     check_three_ways(case["doc"], case["collector"], case["heap_bytes"], case["seed"])
+
+
+# ----------------------------------------------------------------------
+# Malformed documents: one mutation each, and the error names its place
+# ----------------------------------------------------------------------
+#: Keys without a default: removing one must be an error at its pointer.
+REQUIRED = {"name", "tasks", "sites", "type", "lifetime"}
+
+
+def walk(value, path=()):
+    """``(path, value)`` for every value below the document root."""
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,), child
+        yield from walk(child, path + (key,))
+
+
+def mutations(doc):
+    """Every one-edit breakage of ``doc``, as ``(kind, path, new value)``;
+    ``remove`` deletes the key instead."""
+    for path, value in walk(doc):
+        if isinstance(path[-1], str):
+            yield "remove", path, None
+        yield "retype", path, 1 if isinstance(value, str) else "x"
+        if isinstance(value, (int, float)):
+            # below every field's range; non-finite is no valid number
+            for bad in (-1, math.inf, -math.inf, math.nan):
+                yield "range", path, bad
+    sessions = doc["sessions"]
+    yield "bound", ("sessions", "seed_objects"), sessions["slots"] + 1
+    yield "bound", ("sessions", "slots"), MAX_ARRAY_LENGTH + 1
+    yield "bound", ("lifetimes", "idx", "hi_bytes"), 64
+    for path, value in walk(doc):
+        if path[-1] == "link_prob":
+            yield "bound", path, 1.5
+        if path[-1] == "length":
+            yield "bound", path + (1,), MAX_ARRAY_LENGTH + 1
+
+
+def mutate(doc, kind, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if kind == "remove":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def resolves(doc, tokens):
+    for token in tokens:
+        if isinstance(doc, list) and token.isdigit() and int(token) < len(doc):
+            doc = doc[int(token)]
+        elif isinstance(doc, dict) and token in doc:
+            doc = doc[token]
+        else:
+            return False
+    return True
+
+
+@settings(
+    max_examples=200, derandomize=True, deadline=None, database=None,
+    suppress_health_check=list(HealthCheck),
+)
+@given(doc=docs, data=st.data())
+def test_generated_doc_round_trips_and_each_mutation_names_its_place(doc, data):
+    spec = from_mapping(doc)
+    assert from_mapping(spec.to_dict()) == spec
+    choices = list(mutations(doc))
+    kind = data.draw(st.sampled_from(("remove", "retype", "range", "bound")))
+    _, path, value = data.draw(st.sampled_from([m for m in choices if m[0] == kind]))
+    broken = mutate(doc, kind, path, value)
+    try:
+        loads(json.dumps(broken), source="spec")
+    except ConfigError as error:
+        message = str(error)
+    else:
+        # a removed key with a default, or a lifetime class nothing uses
+        assert kind == "remove" and path[-1] not in REQUIRED
+        return
+    assert message.startswith("spec:/"), message
+    pointer = message[len("spec:"):].split(": ", 1)[0]
+    tokens = [t for t in pointer.split("/") if t]
+    assert resolves(broken, tokens[:-1]), message
+    if kind != "remove" or path[-1] in REQUIRED:
+        # the mutated field itself, or the object or pair that holds it
+        assert tokens == [str(k) for k in path][:len(tokens)], message

@@ -106,6 +106,16 @@ def test_fingerprint_object_equals_file():
     assert fingerprint(load(KVSTORE)) == fingerprint(KVSTORE)
 
 
+def test_fingerprints_of_the_examples_are_pinned():
+    """Store keys: a change to the canonical form orphans every stored
+    cell of a server spec, so it must be deliberate."""
+    assert fingerprint(KVSTORE) == "server:kvstore:17e5f0a69954260da8488aca"
+    webfront = REPO / "examples" / "workloads" / "webfront.yaml"
+    assert fingerprint(webfront) == "server:webfront:8b53acf9ea81ee4bebc7b86b"
+    spec = load(KVSTORE)
+    assert hash(spec) == hash(from_mapping(spec.to_dict()))
+
+
 def test_fingerprint_handbuilt_workloadspec_is_none():
     assert fingerprint(benchmark_spec("db")) is None
 
