@@ -11,8 +11,11 @@ plan, a kernel that hands every record back — produces the same
 statistics as a healthy one, so only this count can fail it (DESIGN §13,
 the bail-out rule).  Marks are scheduled hand-backs and not in the ratio,
 and neither is a move onto a frame the plan granted (``granted``), so
-both cells are gated: what crosses a frame without a grant is a fresh
-frame's first fill or a trigger.
+both cells are gated: what crosses a frame without a grant is a trigger,
+a time-to-die switch, a full increment or the end of a storage slab.  A
+plan that stopped granting fresh frames would still pass the ratio, so
+the kvstore cells, mostly a heap's first fill, are also gated on
+``granted`` being over MIN_GRANTS_PER_BAIL times ``alloc_slow``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import repro  # noqa: E402
 
 MAX_BAIL_RATIO = 0.10
+MIN_GRANTS_PER_BAIL = 20
 KVSTORE = str(Path(__file__).resolve().parent.parent / "examples/workloads/kvstore.json")
 #: (label, spec ref, heap bytes)
 CELLS = (("jess", "jess", 25600), ("kvstore", KVSTORE, 256 * 1024))
@@ -44,6 +48,9 @@ def main(argv) -> int:
             if not report.completed or path.path != expected:
                 status = 1
             elif expected == "cffi" and not path.bail_ratio < MAX_BAIL_RATIO:
+                status = 1
+            elif (expected == "cffi" and label == "kvstore" and
+                  path.bails["alloc_slow"] * MIN_GRANTS_PER_BAIL > path.granted):
                 status = 1
             elif expected == "python" and path.why != "tier":
                 status = 1

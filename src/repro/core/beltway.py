@@ -219,27 +219,35 @@ class BeltwayHeap:
         """What :meth:`frame_grant` depends on, cheaply: it is recomputed
         only when this changes."""
         remsets = len(self.remsets) if self.triggers.remset_threshold else 0
+        space = self.space
         return (self.reserve_epoch, self.allocation_increment,
-                self.space.heap_frames_in_use, remsets)
+                space.heap_frames_in_use, len(space._frames), remsets)
 
     def frame_grant(self):
-        """The free-pool frames, in pop order, that the slow path would add
-        to the allocation increment one after another with no decision in
-        between — no trigger, no time-to-die switch, room to grow — with
+        """The next frames, in acquisition order, that the slow path would
+        add to the allocation increment one after another with no decision
+        in between — no trigger, no time-to-die switch, room to grow — with
         their stamp and nursery flag (``cik.Replayer``)."""
         inc = self.allocation_increment
-        triggers = self.triggers
-        if inc is None or triggers.poll(self) is not None:
+        if inc is None or self.triggers.poll(self) is not None:
             return [], 0, 0
-        frames = self.space.recycled_frames()
-        k = 0
-        while (
-            k < len(frames)
-            and not triggers.should_switch_nursery_increment(self, k)
-            and self._may_grow(inc, k)
-        ):
-            k += 1
-        return frames[:k], inc.stamp, 0
+        frames = self.space.next_frames()
+        return frames[:self._grant_length(inc, len(frames))], inc.stamp, 0
+
+    def _grant_length(self, inc: Increment, n: int) -> int:
+        """The first ``ahead`` below ``n`` at which a time-to-die switch is
+        due or ``inc`` may not grow, else ``n``.  Free frames only fall and
+        the reserve never falls as ``ahead`` grows, so the growth rule
+        holds on a prefix and bisection finds its end."""
+        switch = self.triggers.should_switch_nursery_increment
+        lo, hi = 0, n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if not switch(self, mid) and self._may_grow(inc, mid):
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
 
     def grow_mutator_region(self) -> None:
         """The slow path's growth step, for a frame :meth:`frame_grant`

@@ -51,7 +51,7 @@ class AppelGctk(GctkPlan):
 
     def frame_grant(self):
         room = max(0, self._nursery_room())
-        return self.space.recycled_frames()[:room], NURSERY_ORDER, 1
+        return self.space.next_frames()[:room], NURSERY_ORDER, 1
 
     def _alloc_words(self, size: int) -> int:
         attempts = 0

@@ -93,12 +93,13 @@ class GctkPlan:
 
     def grant_key(self):
         """What :meth:`frame_grant` depends on: collections and frames."""
-        return self._gc_count, self.space.heap_frames_in_use
+        space = self.space
+        return self._gc_count, space.heap_frames_in_use, len(space._frames)
 
     def frame_grant(self):
-        """Free-pool frames, in pop order, that ``_alloc_words`` would add
-        to the mutator region with no decision in between, with their
-        stamp and nursery flag (``cik.Replayer``); none by default."""
+        """The next frames, in acquisition order, that ``_alloc_words``
+        would add to the mutator region with no decision in between, with
+        their stamp and nursery flag (``cik.Replayer``); none by default."""
         return [], 0, 0
 
     def collect(self, reason: str = "forced") -> CollectionResult:

@@ -144,10 +144,16 @@ class AddressSpace:
             self.frame_hook(frame.index)
         return frame
 
-    def recycled_frames(self) -> List[int]:
-        """Indices of the free-pool frames, in the order ``acquire_frame``
-        hands them out (fresh frames, mapped lazily, are not listed)."""
-        return [frame.index for frame in reversed(self._free_pool)]
+    def next_frames(self) -> List[int]:
+        """Indices of the heap frames ``acquire_frame`` would hand out
+        next, in order: the free pool in pop order, then fresh indices up
+        to the heap budget and the end of the storage slabs that already
+        exist (listing a frame never creates a slab)."""
+        pool = [frame.index for frame in reversed(self._free_pool)]
+        start = len(self._frames)
+        stop = min(start + self.heap_frames_free() - len(pool),
+                   len(self._slabs) << _SLAB_SHIFT)
+        return pool + list(range(start, stop))
 
     def _frame_storage(self, index: int) -> memoryview:
         """The slab-backed storage view for frame ``index``."""

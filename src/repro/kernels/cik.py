@@ -441,6 +441,7 @@ int64_t k_replay(kctx *c, kmut *m, const int32_t *rec, int64_t pos, int64_t n) {
                     BAIL(BAIL_ALLOC);
                 int64_t fi = m->grant[m->granted];
                 m->tails[m->granted++] = obj;
+                if (fi >= c->n_frames) c->n_frames = fi + 1;  /* fresh */
                 c->mapped[fi] = 1;
                 c->orders[fi] = m->grant_order;
                 c->young[fi] = (uint8_t)m->grant_young;
@@ -725,7 +726,7 @@ class HeapView:
         elif not touched and space.order_epoch == self._order_epoch:
             return
         n = len(space._frames)
-        if n > self._cap:
+        if space.boot_frames_in_use + space.heap_frames >= self._cap:
             self._allocate(n)
         if len(space._slabs) > self._n_slabs:
             self._register_slabs()
@@ -746,12 +747,13 @@ class HeapView:
             self._orders_buf[0:n] = space.orders
 
     def _allocate(self, n: int) -> None:
-        """Per-frame buffers with room for every frame the heap budget
-        can still map (plus slack for late boot frames), filled from the
-        space.  Never runs mid-trace: a trace maps heap frames only."""
+        """Per-frame buffers with room for every index the heap budget
+        can map, a granted fresh frame's included (plus slack for late
+        boot frames), filled from the space.  Never runs mid-trace: a
+        trace maps heap frames only."""
         space = self.space
         ctx = self.ctx
-        cap = self._cap = n + space.heap_frames_free() + 16
+        cap = self._cap = space.boot_frames_in_use + space.heap_frames + 17
         self._slab_arr = ctx.slabs = _ffi.new(
             "int64_t *[]", cap // space.slab_frames + 2
         )

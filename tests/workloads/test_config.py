@@ -2,6 +2,7 @@
 locations, YAML degradation, and mapping round-trips (ISSUE 8)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -187,6 +188,22 @@ def test_yaml_loads_when_available():
                  "      - {type: small, lifetime: request}\n",
                  format="yaml")
     assert spec.name == "t"
+
+
+BUNDLED_YAML = sorted(
+    (Path(__file__).resolve().parents[2] / "examples/workloads").glob("*.y*ml"))
+
+
+@pytest.mark.parametrize("path", BUNDLED_YAML, ids=lambda path: path.name)
+def test_libyaml_and_pure_python_loaders_agree(path):
+    """``loads`` parses with libyaml where PyYAML has it; every bundled
+    file must mean the same under the pure-Python loader."""
+    yaml = pytest.importorskip("yaml")
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    text = path.read_text()
+    assert (yaml.load(text, Loader=yaml.CSafeLoader)
+            == yaml.load(text, Loader=yaml.SafeLoader))
 
 
 def test_yaml_missing_degrades_with_clear_error(tmp_path, monkeypatch):
